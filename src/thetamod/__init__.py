@@ -7,7 +7,7 @@ and a deterministic verification harness over all of them.
 
 from .dedekind import dedekind_sum, reciprocity_defect, sawtooth
 from .errors import DomainError, PrecisionUnreachableError
-from .exact import Rational, UnitPhase, gcd, jacobi_symbol, phase_mul
+from .exact import UnitPhase, jacobi_symbol
 from .modgroup import (
     GeneratorWord,
     Letter,
@@ -15,26 +15,23 @@ from .modgroup import (
     decompose_gamma,
     decompose_gamma2,
     is_gamma2,
-    mat_mul,
     mobius,
     normalize_sign,
     recompose,
 )
 from .multipliers import (
-    MultiplierValue,
     eta_epsilon,
     gamma2_alpha,
     gamma2_prefactor,
-    lemma1_check,
-    lemma2_check,
-    lemma3_check,
-    lemma4_check,
+    lemma1_sides,
+    lemma2_sides,
+    lemma3_sides,
+    lemma4_sides,
     theta1_epsilon,
     theta1_epsilon_closed,
     theta1_epsilon_induction,
 )
 from .series import (
-    LatticePoint,
     ThetaKind,
     half_period_shift,
     theta1_sine_series,
@@ -57,11 +54,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DomainError",
     "GeneratorWord",
-    "LatticePoint",
     "Letter",
-    "MultiplierValue",
     "PrecisionUnreachableError",
-    "Rational",
     "Sl2Matrix",
     "ThetaKind",
     "UnitPhase",
@@ -75,18 +69,15 @@ __all__ = [
     "eval_fast_report",
     "gamma2_alpha",
     "gamma2_prefactor",
-    "gcd",
     "half_period_shift",
     "is_gamma2",
     "jacobi_symbol",
-    "lemma1_check",
-    "lemma2_check",
-    "lemma3_check",
-    "lemma4_check",
-    "mat_mul",
+    "lemma1_sides",
+    "lemma2_sides",
+    "lemma3_sides",
+    "lemma4_sides",
     "mobius",
     "normalize_sign",
-    "phase_mul",
     "predict_theta1",
     "predict_theta1_chained",
     "predict_theta_gamma2",

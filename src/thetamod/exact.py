@@ -22,14 +22,6 @@ from fractions import Fraction
 
 from .errors import DomainError
 
-Rational = Fraction
-
-
-def gcd(a: int, b: int) -> int:
-    """Nonnegative greatest common divisor; gcd(0, 0) = 0."""
-    return math.gcd(a, b)
-
-
 def jacobi_symbol(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd positive n.
 
@@ -89,17 +81,6 @@ class UnitPhase:
 
     def __str__(self) -> str:
         return rational_str(self.phase)
-
-
-ONE = UnitPhase(0)
-MINUS_ONE = UnitPhase(1)
-I_UNIT = UnitPhase(Fraction(1, 2))
-MINUS_I = UnitPhase(Fraction(3, 2))
-
-
-def phase_mul(p: UnitPhase, q: UnitPhase) -> UnitPhase:
-    """Exact product of unit values: phases add mod 2."""
-    return p * q
 
 
 def i_power(k: int) -> UnitPhase:

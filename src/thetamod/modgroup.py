@@ -80,10 +80,6 @@ def shear(m: int) -> Sl2Matrix:
     return Sl2Matrix(1, 0, 2 * m, 1)
 
 
-def mat_mul(x: Sl2Matrix, y: Sl2Matrix) -> Sl2Matrix:
-    return x * y
-
-
 def mobius(A: Sl2Matrix, tau: complex) -> complex:
     """(a*tau + b)/(c*tau + d) on the upper half-plane."""
     if tau.imag <= 0:

@@ -32,6 +32,7 @@ from .dedekind import dedekind_sum
 from .errors import DomainError
 from .exact import UnitPhase, i_power, jacobi_symbol
 from .modgroup import (
+    IDENTITY,
     S,
     Sl2Matrix,
     decompose_gamma,
@@ -42,9 +43,7 @@ from .modgroup import (
 )
 from .series import ThetaKind
 
-MultiplierValue = UnitPhase
-
-S_FLIPPED = Sl2Matrix(0, 1, -1, 0)  # the sign-flipped inversion, -S = S^{-1}
+S_FLIPPED = -S  # the sign-flipped inversion (0 1; -1 0) = S^{-1}
 
 
 def _require_positive_c(A: Sl2Matrix, op: str) -> None:
@@ -128,38 +127,42 @@ def gamma2_prefactor(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
     return gamma2_alpha(kind, A) * theta1_epsilon(A) * UnitPhase(Fraction(-1, 4))
 
 
-def lemma1_check(A: Sl2Matrix, m: int) -> bool:
-    """Right translation: epsilon1(A T^m) = epsilon1(A) e^{i*pi*m/4}."""
-    _require_positive_c(A, "lemma1_check")
+def lemma1_sides(A: Sl2Matrix, m: int) -> tuple[UnitPhase, UnitPhase]:
+    """Right translation: epsilon1(A T^m) = epsilon1(A) e^{i*pi*m/4}.
+
+    Like every lemmaN_sides, returns the pair (expected, observed) -- the
+    lemma holds iff the two unit phases are equal.
+    """
+    _require_positive_c(A, "lemma1_sides")
     expected = theta1_epsilon(A) * UnitPhase(Fraction(m, 4))
-    return theta1_epsilon(A * translation(m)) == expected
+    return expected, theta1_epsilon(A * translation(m))
 
 
-def lemma2_check(A: Sl2Matrix) -> bool:
+def lemma2_sides(A: Sl2Matrix) -> tuple[UnitPhase, UnitPhase]:
     """Right inversion, both sign branches.
 
     d > 0: epsilon1(A S) = epsilon1(A) e^{-3i*pi/4} with S = (0 -1; 1 0);
     d < 0: epsilon1(A S') = epsilon1(A) e^{+3i*pi/4} with S' = (0 1; -1 0),
     chosen so the product keeps a positive lower-left entry.
     """
-    _require_positive_c(A, "lemma2_check")
+    _require_positive_c(A, "lemma2_sides")
     if A.d == 0:
-        raise DomainError("lemma2_check needs d != 0")
+        raise DomainError("lemma2_sides needs d != 0")
     if A.d > 0:
         expected = theta1_epsilon(A) * UnitPhase(Fraction(-3, 4))
-        return theta1_epsilon(A * S) == expected
+        return expected, theta1_epsilon(A * S)
     expected = theta1_epsilon(A) * UnitPhase(Fraction(3, 4))
-    return theta1_epsilon(A * S_FLIPPED) == expected
+    return expected, theta1_epsilon(A * S_FLIPPED)
 
 
-def lemma3_check(A: Sl2Matrix, m: int) -> bool:
+def lemma3_sides(A: Sl2Matrix, m: int) -> tuple[UnitPhase, UnitPhase]:
     """Even right translation: epsilon1(A T^{2m}) = epsilon1(A) e^{i*pi*m/2}."""
-    _require_positive_c(A, "lemma3_check")
+    _require_positive_c(A, "lemma3_sides")
     expected = theta1_epsilon(A) * UnitPhase(Fraction(m, 2))
-    return theta1_epsilon(A * translation(2 * m)) == expected
+    return expected, theta1_epsilon(A * translation(2 * m))
 
 
-def lemma4_check(A: Sl2Matrix) -> bool:
+def lemma4_sides(A: Sl2Matrix) -> tuple[UnitPhase, UnitPhase]:
     """Right shear by S2 = (1 0; 2 1), both sign branches.
 
     c + 2d > 0: epsilon1(A S2)  = epsilon1(A) e^{-i*pi/2};
@@ -169,13 +172,14 @@ def lemma4_check(A: Sl2Matrix) -> bool:
     written out (the defect (a'+d')/(12c') - s(d',c') minus the original
     exponent is exactly 1/3, and exp(3*i*pi/3) = -1).
     """
-    _require_positive_c(A, "lemma4_check")
+    _require_positive_c(A, "lemma4_sides")
     M = A * shear(1)
     if M.c == 0:
-        raise DomainError("lemma4_check needs c + 2d != 0")
+        raise DomainError("lemma4_sides needs c + 2d != 0")
     if M.c > 0:
-        return theta1_epsilon(M) == theta1_epsilon(A) * UnitPhase(Fraction(-1, 2))
-    return theta1_epsilon(-M) == theta1_epsilon(A) * UnitPhase(1)
+        expected = theta1_epsilon(A) * UnitPhase(Fraction(-1, 2))
+        return expected, theta1_epsilon(M)
+    return theta1_epsilon(A) * UnitPhase(1), theta1_epsilon(-M)
 
 
 def theta1_epsilon_induction(A: Sl2Matrix) -> UnitPhase:
@@ -183,7 +187,7 @@ def theta1_epsilon_induction(A: Sl2Matrix) -> UnitPhase:
 
     Starting from the base value epsilon1(S) = -i, the phase is grown one
     letter at a time using only the translation and inversion phase laws
-    (the content of lemma1_check/lemma2_check) plus the fact that a left
+    (the content of lemma1_sides/lemma2_sides) plus the fact that a left
     translation T^j shifts a by j*c and hence the phase by j/4.  Prefixes
     that collapse to a pure translation +-T^j carry no inversion multiplier;
     the next inversion letter restarts from the base value.
@@ -193,7 +197,7 @@ def theta1_epsilon_induction(A: Sl2Matrix) -> UnitPhase:
     :func:`theta1_epsilon` on every matrix is a tested invariant.
     """
     word = decompose_gamma(A)
-    N = Sl2Matrix(1, 0, 0, 1)  # normalized prefix (c > 0, or a translation)
+    N = IDENTITY  # normalized prefix (c > 0, or a translation)
     phase: Fraction | None = None  # None while the prefix is a translation
     for letter in word.letters:
         if letter.gen == "T":

@@ -69,17 +69,6 @@ HALF_PERIOD_PARTNER = {
 }
 
 
-@dataclass(frozen=True)
-class LatticePoint:
-    """An (elliptic, modular) argument pair with Im tau > 0."""
-
-    z: complex
-    tau: complex
-
-    def __post_init__(self):
-        _require_upper_half(self.tau)
-
-
 def _require_upper_half(tau: complex) -> None:
     if complex(tau).imag <= 0:
         raise DomainError(f"tau must lie in the upper half-plane, got {tau}")

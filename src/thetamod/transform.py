@@ -18,15 +18,10 @@ multiplier convention lives in multipliers.gamma2_prefactor.
 Fast evaluation reduces tau into the fundamental domain (|Re| <= 1/2,
 |tau| >= 1, where |q| <= e^{-pi sqrt(3)/2} ~ 0.066) and divides the
 transformation factors back out.  The reducing matrix is generally not
-level-2, so theta2/3/4 are tracked through the one-generator permutation
-tables below (theta1 always maps to itself); every table entry is pinned by
-the series oracle in the test suite.
-
-    tau -> tau+1:  theta1 -> e^{i pi/4} theta1   theta2 -> e^{i pi/4} theta2
-                   theta3 -> theta4              theta4 -> theta3
-    tau -> -1/tau (z -> z/tau), J = (-i tau)^{1/2} e^{i pi z^2/tau}:
-                   theta1 -> -i J theta1         theta3 -> J theta3
-                   theta2 -> J theta4            theta4 -> J theta2
+level-2, so theta2/3/4 are tracked letter by letter through the
+one-generator laws of :func:`apply_letter` (theta1 always maps to itself);
+the chained theta1 prediction walks its generator word through the same
+function.
 """
 
 from __future__ import annotations
@@ -37,6 +32,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .modgroup import (
+    IDENTITY,
     GeneratorWord,
     Letter,
     S,
@@ -53,9 +49,6 @@ from .series import (
     theta_series,
     theta_series_report,
 )
-
-_IDENTITY = Sl2Matrix(1, 0, 0, 1)
-
 
 def _require_normalized(A: Sl2Matrix, op: str) -> None:
     if A.c < 0 or (A.c == 0 and A.d < 0):
@@ -143,29 +136,73 @@ def predict_theta_gamma2(
     )
 
 
+_SHIFT_SWAP = {ThetaKind.THETA3: ThetaKind.THETA4, ThetaKind.THETA4: ThetaKind.THETA3}
+_INVERT_SWAP = {
+    ThetaKind.THETA2: ThetaKind.THETA4,
+    ThetaKind.THETA3: ThetaKind.THETA3,
+    ThetaKind.THETA4: ThetaKind.THETA2,
+}
+
+
+def apply_letter(
+    kind: ThetaKind,
+    letter: Letter,
+    z: complex,
+    tau: complex,
+    factor: complex = 1 + 0j,
+) -> tuple[ThetaKind, complex, complex, complex]:
+    """Carry factor * theta_kind(z, tau) across one generator letter L.
+
+    Returns (kind', factor', z', tau') with (z', tau') = (z/(c tau+d), L tau)
+    and factor * theta_kind(z, tau) = factor' * theta_kind'(z', tau'), for
+    L = T^m or S (anything else is a DomainError).  This is the one home of
+    the one-generator laws; with J = (-i tau)^{1/2} e^{i pi z^2/tau} they are
+
+        tau -> tau+1:  theta1 -> e^{i pi/4} theta1   theta2 -> e^{i pi/4} theta2
+                       theta3 -> theta4              theta4 -> theta3
+        tau -> -1/tau (z -> z/tau):
+                       theta1 -> -i J theta1         theta3 -> J theta3
+                       theta2 -> J theta4            theta4 -> J theta2
+
+    and every entry is pinned by the series oracle in the test suite.  The
+    factor is updated in place, never multiplied by a per-letter unit:
+    theta3/4 under T^m leave it untouched, so an overflowed factor stays
+    inf instead of turning into nan.
+    """
+    if letter.gen == "T":
+        m = letter.exp
+        if kind is ThetaKind.THETA1 or kind is ThetaKind.THETA2:
+            factor *= cmath.exp(-1j * math.pi * m / 4)
+        elif m % 2 != 0:
+            kind = _SHIFT_SWAP[kind]
+        return kind, factor, z, tau + m
+    if letter.gen == "S":
+        J = cmath.sqrt(-1j * tau) * cmath.exp(1j * math.pi * z * z / tau)
+        if kind is ThetaKind.THETA1:
+            factor *= 1j / J
+        else:
+            factor /= J
+            kind = _INVERT_SWAP[kind]
+        return kind, factor, z / tau, -1 / tau
+    raise DomainError(f"apply_letter takes T^m or S, not {letter}")
+
+
 def predict_theta1_chained(
     A: Sl2Matrix, z: complex, tau: complex, tol: float = DEFAULT_TOL
 ) -> complex:
     """theta1(z/(c tau+d), A tau) predicted letter-by-letter along the word.
 
-    Each letter applies only its one-generator law (translation phase or
-    inversion with the -i(-i tau)^{1/2} e^{i pi z^2/tau} factor); the word's
-    recorded sign is absorbed through the oddness of theta1.  Matching the
-    single-shot prediction is the chained-induction invariant.
+    Each letter applies only its one-generator law through
+    :func:`apply_letter`; the word's recorded sign is absorbed through the
+    oddness of theta1.  Matching the single-shot prediction is the
+    chained-induction invariant.
     """
     word = decompose_gamma(A)
-    value = theta_series(ThetaKind.THETA1, z, tau, tol)
-    z_c, tau_c = z, tau
+    base = theta_series(ThetaKind.THETA1, z, tau, tol)
+    kind, factor = ThetaKind.THETA1, 1 + 0j
     for letter in reversed(word.letters):
-        if letter.gen == "T":
-            value *= cmath.exp(1j * math.pi * letter.exp / 4)
-            tau_c = tau_c + letter.exp
-        else:
-            value *= -1j * cmath.sqrt(-1j * tau_c) * cmath.exp(
-                1j * math.pi * z_c * z_c / tau_c
-            )
-            z_c = z_c / tau_c
-            tau_c = -1 / tau_c
+        kind, factor, z, tau = apply_letter(kind, letter, z, tau, factor)
+    value = base / factor
     return value if word.sign == 1 else -value
 
 
@@ -179,46 +216,26 @@ def reduce_tau(tau: complex) -> tuple[Sl2Matrix, complex]:
     return A, tau_red
 
 
-def _reduce_steps(
-    tau: complex,
-) -> tuple[Sl2Matrix, complex, list[tuple[str, int]]]:
-    """Reduction matrix, reduced point, and the steps in application order."""
+def _reduce_steps(tau: complex) -> tuple[Sl2Matrix, complex, list[Letter]]:
+    """Reduction matrix, reduced point, and the letters in application order."""
     if tau.imag <= 0:
         raise DomainError(f"tau must lie in the upper half-plane, got {tau}")
-    A = _IDENTITY
-    steps: list[tuple[str, int]] = []
+    A = IDENTITY
+    steps: list[Letter] = []
     t = complex(tau)
     for _ in range(10000):
         m = round(t.real)
         if m != 0:
             t = t - m
             A = translation(-m) * A
-            steps.append(("T", -m))
+            steps.append(Letter("T", -m))
         if abs(t) < 1.0 - 1e-12:
             t = -1 / t
             A = S * A
-            steps.append(("S", 1))
+            steps.append(Letter("S"))
         else:
             return A, t, steps
     raise RuntimeError(f"fundamental-domain reduction did not terminate for {tau}")
-
-
-def reduction_word(steps: list[tuple[str, int]]) -> GeneratorWord:
-    """The reduction steps as a generator word (recompose gives the matrix)."""
-    letters = tuple(
-        Letter(gen, exp) if gen == "T" else Letter("S")
-        for gen, exp in reversed(steps)
-    )
-    return GeneratorWord(letters, 1)
-
-
-_SHIFT_SWAP = {ThetaKind.THETA3: ThetaKind.THETA4, ThetaKind.THETA4: ThetaKind.THETA3}
-_INVERT_SWAP = {
-    ThetaKind.THETA1: ThetaKind.THETA1,
-    ThetaKind.THETA2: ThetaKind.THETA4,
-    ThetaKind.THETA3: ThetaKind.THETA3,
-    ThetaKind.THETA4: ThetaKind.THETA2,
-}
 
 
 @dataclass(frozen=True)
@@ -241,30 +258,15 @@ def eval_fast_report(
 ) -> FastEvaluation:
     """Argument-reduced evaluation with term-count telemetry.
 
-    Walks the reduction steps, tracking which theta function and which
-    prefactor the one-generator laws produce, then sums the series once at
-    the reduced point where it converges in a handful of terms.
+    Walks the reduction letters through :func:`apply_letter`, tracking
+    which theta function and which prefactor they produce, then sums the
+    series once at the reduced point where it converges in a handful of
+    terms.
     """
     A, _, steps = _reduce_steps(tau)
-    kind_c = kind
-    z_c, tau_c = complex(z), complex(tau)
-    factor = 1.0 + 0.0j
-    for gen, exp in steps:
-        if gen == "T":
-            if kind_c in (ThetaKind.THETA1, ThetaKind.THETA2):
-                factor *= cmath.exp(-1j * math.pi * exp / 4)
-            elif exp % 2 != 0:
-                kind_c = _SHIFT_SWAP[kind_c]
-            tau_c = tau_c + exp
-        else:
-            J = cmath.sqrt(-1j * tau_c) * cmath.exp(1j * math.pi * z_c * z_c / tau_c)
-            if kind_c is ThetaKind.THETA1:
-                factor *= 1j / J
-            else:
-                factor /= J
-                kind_c = _INVERT_SWAP[kind_c]
-            z_c = z_c / tau_c
-            tau_c = -1 / tau_c
+    kind_c, factor, z_c, tau_c = kind, 1.0 + 0.0j, complex(z), complex(tau)
+    for letter in steps:
+        kind_c, factor, z_c, tau_c = apply_letter(kind_c, letter, z_c, tau_c, factor)
     inner_tol = tol / max(abs(factor), 1.0)
     rep = theta_series_report(kind_c, z_c, tau_c, inner_tol, max_index)
     return FastEvaluation(
@@ -274,7 +276,7 @@ def eval_fast_report(
         reduction=A,
         tau_reduced=tau_c,
         reduced_kind=kind_c,
-        word=reduction_word(steps),
+        word=GeneratorWord(tuple(reversed(steps))),
     )
 
 

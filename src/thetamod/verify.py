@@ -21,18 +21,21 @@ Complex numbers serialize as [re, im], rationals as "p/q", matrices as
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, TextIO
 
 from .dedekind import reciprocity_defect
 from .errors import DomainError, PrecisionUnreachableError
 from .exact import UnitPhase, rational_str
 from .modgroup import (
+    IDENTITY,
+    Letter,
+    S,
     Sl2Matrix,
     decompose_gamma,
     is_gamma2,
@@ -41,9 +44,18 @@ from .modgroup import (
     shear,
     translation,
 )
-from .multipliers import theta1_epsilon, theta1_epsilon_closed, gamma2_prefactor
+from .multipliers import (
+    gamma2_prefactor,
+    lemma1_sides,
+    lemma2_sides,
+    lemma3_sides,
+    lemma4_sides,
+    theta1_epsilon,
+    theta1_epsilon_closed,
+)
 from .series import ThetaKind, theta_series
 from .transform import (
+    apply_letter,
     conditioning_factor,
     predict_theta1,
     predict_theta1_chained,
@@ -51,8 +63,6 @@ from .transform import (
 )
 
 RECIPROCITY_BOUND = 200
-_IDENTITY = Sl2Matrix(1, 0, 0, 1)
-_S = Sl2Matrix(0, -1, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -128,11 +138,8 @@ def _rng(config: TrialConfig, suite: str, trial: int) -> random.Random:
     return random.Random(f"{config.seed}:{suite}:{trial}")
 
 
-def _draw_z(rng: random.Random, box) -> complex:
-    return complex(rng.uniform(box[0], box[1]), rng.uniform(box[2], box[3]))
-
-
-def _draw_tau(rng: random.Random, box) -> complex:
+def _draw_point(rng: random.Random, box) -> complex:
+    """A uniform draw from the box (re_lo, re_hi, im_lo, im_hi)."""
     return complex(rng.uniform(box[0], box[1]), rng.uniform(box[2], box[3]))
 
 
@@ -140,7 +147,7 @@ def _word_matrix(
     rng: random.Random, entry_bound: int, max_entries: int, gamma2: bool
 ) -> Sl2Matrix:
     """Product of a random generator word, capped at max_entries growth."""
-    M = _IDENTITY
+    M = IDENTITY
     last = None
     for _ in range(rng.randint(1, 12)):
         exp = rng.randint(1, entry_bound) * rng.choice((-1, 1))
@@ -150,7 +157,7 @@ def _word_matrix(
             gen = "S2" if use_shear else "T"
         else:
             use_s = last != "S" and (last == "T" or rng.random() < 0.5)
-            step = _S if use_s else translation(exp)
+            step = S if use_s else translation(exp)
             gen = "S" if use_s else "T"
         cand = M * step
         if cand.max_entry() > max_entries:
@@ -261,10 +268,8 @@ def _suite_lemma1(config: TrialConfig) -> list[VerificationRecord]:
             config, "lemma1", t, corpus_ok=lambda M: M.c > 0
         )
         m = rng.randint(-10, 10)
-        expected = theta1_epsilon(A) * UnitPhase(Fraction(m, 4))
-        observed = theta1_epsilon(A * translation(m))
         records.append(
-            _phase_record("lemma1", t, {"matrix": A, "m": m}, expected, observed)
+            _phase_record("lemma1", t, {"matrix": A, "m": m}, *lemma1_sides(A, m))
         )
     return records
 
@@ -280,19 +285,8 @@ def _suite_lemma2(config: TrialConfig) -> list[VerificationRecord]:
             want=lambda M: M.c > 0 and (M.d > 0) == want_positive_d and M.d != 0,
             corpus_ok=lambda M: M.c > 0 and M.d != 0,
         )
-        shift = Fraction(-3, 4) if A.d > 0 else Fraction(3, 4)
-        B = A * _S if A.d > 0 else A * Sl2Matrix(0, 1, -1, 0)
-        expected = theta1_epsilon(A) * UnitPhase(shift)
-        observed = theta1_epsilon(B)
-        records.append(
-            _phase_record(
-                "lemma2",
-                t,
-                {"matrix": A, "branch": "d>0" if A.d > 0 else "d<0"},
-                expected,
-                observed,
-            )
-        )
+        inputs = {"matrix": A, "branch": "d>0" if A.d > 0 else "d<0"}
+        records.append(_phase_record("lemma2", t, inputs, *lemma2_sides(A)))
     return records
 
 
@@ -303,10 +297,8 @@ def _suite_lemma3(config: TrialConfig) -> list[VerificationRecord]:
             config, "lemma3", t, gamma2=True, corpus_ok=lambda M: M.c > 0
         )
         m = rng.randint(-10, 10)
-        expected = theta1_epsilon(A) * UnitPhase(Fraction(m, 2))
-        observed = theta1_epsilon(A * translation(2 * m))
         records.append(
-            _phase_record("lemma3", t, {"matrix": A, "m": m}, expected, observed)
+            _phase_record("lemma3", t, {"matrix": A, "m": m}, *lemma3_sides(A, m))
         )
     return records
 
@@ -325,20 +317,8 @@ def _suite_lemma4(config: TrialConfig) -> list[VerificationRecord]:
             and (M.c + 2 * M.d > 0) == want_positive,
             corpus_ok=lambda M: M.c > 0 and M.c + 2 * M.d != 0,
         )
-        M = A * shear(1)
-        if M.c > 0:
-            expected = theta1_epsilon(A) * UnitPhase(Fraction(-1, 2))
-            observed = theta1_epsilon(M)
-            branch = "c+2d>0"
-        else:
-            expected = theta1_epsilon(A) * UnitPhase(1)
-            observed = theta1_epsilon(-M)
-            branch = "c+2d<0"
-        records.append(
-            _phase_record(
-                "lemma4", t, {"matrix": A, "branch": branch}, expected, observed
-            )
-        )
+        inputs = {"matrix": A, "branch": "c+2d>0" if A.c + 2 * A.d > 0 else "c+2d<0"}
+        records.append(_phase_record("lemma4", t, inputs, *lemma4_sides(A)))
     return records
 
 
@@ -418,20 +398,24 @@ def _inner_tol(config: TrialConfig) -> float:
     return config.tol * 1e-3
 
 
+def _one_letter_rhs(letter: Letter, z: complex, tau: complex, tol: float) -> complex:
+    """theta1(z', tau') predicted from theta1(z, tau) by one generator law."""
+    _, factor, _, _ = apply_letter(ThetaKind.THETA1, letter, z, tau)
+    return theta_series(ThetaKind.THETA1, z, tau, tol) / factor
+
+
 def _suite_eq1(config: TrialConfig) -> list[VerificationRecord]:
     records = []
     tol_in = _inner_tol(config)
     for t in range(config.trials):
         rng = _rng(config, "eq1", t)
-        z = _draw_z(rng, config.z_box)
-        tau = _draw_tau(rng, config.tau_box)
+        z = _draw_point(rng, config.z_box)
+        tau = _draw_point(rng, config.tau_box)
         m = rng.choice([i for i in range(-6, 7) if i != 0])
         inputs = {"z": z, "tau": tau, "m": m}
         try:
             lhs = theta_series(ThetaKind.THETA1, z, tau + m, tol_in)
-            rhs = cmath.exp(1j * math.pi * m / 4) * theta_series(
-                ThetaKind.THETA1, z, tau, tol_in
-            )
+            rhs = _one_letter_rhs(Letter("T", m), z, tau, tol_in)
         except PrecisionUnreachableError as err:
             records.append(_inconclusive_record("eq1", t, inputs, err))
             continue
@@ -446,18 +430,13 @@ def _suite_eq2(config: TrialConfig) -> list[VerificationRecord]:
     tol_in = _inner_tol(config)
     for t in range(config.trials):
         rng = _rng(config, "eq2", t)
-        z = _draw_z(rng, config.z_box)
-        tau = _draw_tau(rng, config.tau_box)
+        z = _draw_point(rng, config.z_box)
+        tau = _draw_point(rng, config.tau_box)
         inputs = {"z": z, "tau": tau}
-        kappa = conditioning_factor(_S, z, tau)
+        kappa = conditioning_factor(S, z, tau)
         try:
             lhs = theta_series(ThetaKind.THETA1, z / tau, -1 / tau, tol_in)
-            rhs = (
-                -1j
-                * cmath.sqrt(-1j * tau)
-                * cmath.exp(1j * math.pi * z * z / tau)
-                * theta_series(ThetaKind.THETA1, z, tau, tol_in)
-            )
+            rhs = _one_letter_rhs(Letter("S"), z, tau, tol_in)
         except PrecisionUnreachableError as err:
             records.append(_inconclusive_record("eq2", t, inputs, err))
             continue
@@ -481,17 +460,13 @@ def _suite_lemma5(config: TrialConfig) -> list[VerificationRecord]:
     tol_in = _inner_tol(config)
     for t in range(1, config.trials + 1):
         rng = _rng(config, "lemma5", t)
-        z = _draw_z(rng, config.z_box)
-        tau = _draw_tau(rng, config.tau_box)
+        z = _draw_point(rng, config.z_box)
+        tau = _draw_point(rng, config.tau_box)
         w = 2 * tau + 1
         inputs = {"z": z, "tau": tau}
         try:
             lhs = theta_series(ThetaKind.THETA3, z / w, tau / w, tol_in)
-            rhs = (
-                cmath.sqrt(w)
-                * cmath.exp(2j * math.pi * z * z / w)
-                * theta_series(ThetaKind.THETA3, z, tau, tol_in)
-            )
+            rhs = predict_theta_gamma2(ThetaKind.THETA3, shear(1), z, tau, tol_in)
         except PrecisionUnreachableError as err:
             records.append(_inconclusive_record("lemma5", t, inputs, err))
             continue
@@ -510,8 +485,8 @@ def _law_suite(
     gamma2 = kind is not None
     for t in range(config.trials):
         A, rng = _random_matrix(config, suite, t, gamma2=gamma2, max_entries=20)
-        z = _draw_z(rng, config.z_box)
-        tau = _draw_tau(rng, config.tau_box)
+        z = _draw_point(rng, config.z_box)
+        tau = _draw_point(rng, config.tau_box)
         w = A.c * tau + A.d
         kappa = conditioning_factor(A, z, tau)
         inputs = {"matrix": A, "z": z, "tau": tau}
@@ -531,30 +506,14 @@ def _law_suite(
     return records
 
 
-def _suite_theorem1(config):
-    return _law_suite("theorem1", None, config)
-
-
-def _suite_theorem2_theta2(config):
-    return _law_suite("theorem2-theta2", ThetaKind.THETA2, config)
-
-
-def _suite_theorem2_theta3(config):
-    return _law_suite("theorem2-theta3", ThetaKind.THETA3, config)
-
-
-def _suite_theorem2_theta4(config):
-    return _law_suite("theorem2-theta4", ThetaKind.THETA4, config)
-
-
 def _suite_chain_vs_direct(config: TrialConfig) -> list[VerificationRecord]:
     """Letter-by-letter chained prediction vs the single-shot law."""
     records = []
     tol_in = _inner_tol(config)
     for t in range(config.trials):
         A, rng = _random_matrix(config, "chain-vs-direct", t, max_entries=20)
-        z = _draw_z(rng, config.z_box)
-        tau = _draw_tau(rng, config.tau_box)
+        z = _draw_point(rng, config.z_box)
+        tau = _draw_point(rng, config.tau_box)
         inputs = {"matrix": A, "z": z, "tau": tau, "word": str(decompose_gamma(A))}
         try:
             chained = predict_theta1_chained(A, z, tau, tol_in)
@@ -571,41 +530,30 @@ def _suite_chain_vs_direct(config: TrialConfig) -> list[VerificationRecord]:
 
 
 SUITES: dict[str, dict] = {
-    "lemma1": {"run": _suite_lemma1, "exact": True, "diagnostic": False},
-    "lemma2": {"run": _suite_lemma2, "exact": True, "diagnostic": False},
-    "lemma3": {"run": _suite_lemma3, "exact": True, "diagnostic": False},
-    "lemma4": {"run": _suite_lemma4, "exact": True, "diagnostic": False},
-    "lemma5": {"run": _suite_lemma5, "exact": False, "diagnostic": False},
-    "eq1": {"run": _suite_eq1, "exact": False, "diagnostic": False},
-    "eq2": {"run": _suite_eq2, "exact": False, "diagnostic": False},
-    "theorem1": {"run": _suite_theorem1, "exact": False, "diagnostic": False},
+    "lemma1": {"run": _suite_lemma1, "diagnostic": False},
+    "lemma2": {"run": _suite_lemma2, "diagnostic": False},
+    "lemma3": {"run": _suite_lemma3, "diagnostic": False},
+    "lemma4": {"run": _suite_lemma4, "diagnostic": False},
+    "lemma5": {"run": _suite_lemma5, "diagnostic": False},
+    "eq1": {"run": _suite_eq1, "diagnostic": False},
+    "eq2": {"run": _suite_eq2, "diagnostic": False},
+    "theorem1": {"run": partial(_law_suite, "theorem1", None), "diagnostic": False},
     "theorem2-theta2": {
-        "run": _suite_theorem2_theta2,
-        "exact": False,
+        "run": partial(_law_suite, "theorem2-theta2", ThetaKind.THETA2),
         "diagnostic": False,
     },
     "theorem2-theta3": {
-        "run": _suite_theorem2_theta3,
-        "exact": False,
+        "run": partial(_law_suite, "theorem2-theta3", ThetaKind.THETA3),
         "diagnostic": False,
     },
     "theorem2-theta4": {
-        "run": _suite_theorem2_theta4,
-        "exact": False,
+        "run": partial(_law_suite, "theorem2-theta4", ThetaKind.THETA4),
         "diagnostic": False,
     },
-    "reciprocity": {"run": _suite_reciprocity, "exact": True, "diagnostic": False},
-    "closed-form-epsilon": {
-        "run": _suite_closed_form,
-        "exact": True,
-        "diagnostic": True,
-    },
-    "chain-vs-direct": {
-        "run": _suite_chain_vs_direct,
-        "exact": False,
-        "diagnostic": False,
-    },
-    "parity-mod4": {"run": _suite_parity_mod4, "exact": True, "diagnostic": False},
+    "reciprocity": {"run": _suite_reciprocity, "diagnostic": False},
+    "closed-form-epsilon": {"run": _suite_closed_form, "diagnostic": True},
+    "chain-vs-direct": {"run": _suite_chain_vs_direct, "diagnostic": False},
+    "parity-mod4": {"run": _suite_parity_mod4, "diagnostic": False},
 }
 
 

@@ -9,25 +9,11 @@ from hypothesis import given, strategies as st
 from thetamod.errors import DomainError
 from thetamod.exact import (
     UnitPhase,
-    gcd,
     i_power,
     jacobi_symbol,
     parse_rational,
-    phase_mul,
     rational_str,
 )
-
-
-def gcd_oracle(a: int, b: int) -> int:
-    """Largest nonnegative integer dividing both, by divisor scan."""
-    a, b = abs(a), abs(b)
-    if a == 0 and b == 0:
-        return 0
-    best = 1
-    for d in range(1, max(a, b) + 1):
-        if (a == 0 or a % d == 0) and (b == 0 or b % d == 0):
-            best = d
-    return best
 
 
 def legendre_oracle(a: int, p: int) -> int:
@@ -50,18 +36,6 @@ def jacobi_oracle(a: int, n: int) -> int:
             m //= f
         f += 1
     return result
-
-
-def test_gcd_examples():
-    assert gcd(0, 0) == 0
-    assert gcd(12, 18) == 6
-    assert gcd(-7, 21) == gcd_oracle(-7, 21) == 7
-
-
-def test_gcd_against_oracle():
-    for a in range(-12, 13):
-        for b in range(-12, 13):
-            assert gcd(a, b) == gcd_oracle(a, b)
 
 
 def test_jacobi_examples():
@@ -103,12 +77,12 @@ def test_jacobi_domain_errors():
 
 
 def test_phase_mul_examples():
-    assert phase_mul(UnitPhase(Fraction(1, 2)), UnitPhase(Fraction(3, 2))) == UnitPhase(0)
-    assert phase_mul(UnitPhase(Fraction(3, 4)), UnitPhase(Fraction(3, 4))) == UnitPhase(
+    assert UnitPhase(Fraction(1, 2)) * UnitPhase(Fraction(3, 2)) == UnitPhase(0)
+    assert UnitPhase(Fraction(3, 4)) * UnitPhase(Fraction(3, 4)) == UnitPhase(
         Fraction(3, 2)
     )
     # 7/4 + 1/2 = 9/4 reduces to 1/4
-    assert phase_mul(UnitPhase(Fraction(7, 4)), UnitPhase(Fraction(1, 2))) == UnitPhase(
+    assert UnitPhase(Fraction(7, 4)) * UnitPhase(Fraction(1, 2)) == UnitPhase(
         Fraction(1, 4)
     )
 

@@ -15,7 +15,6 @@ from thetamod.modgroup import (
     decompose_gamma,
     decompose_gamma2,
     is_gamma2,
-    mat_mul,
     mobius,
     normalize_sign,
     recompose,
@@ -33,7 +32,7 @@ def test_determinant_enforced():
 
 def test_mat_mul_examples():
     A = Sl2Matrix(3, 2, 7, 5)
-    assert mat_mul(A, IDENTITY) == A
+    assert A * IDENTITY == IDENTITY * A == A
     m = 4
     assert A * translation(m) == Sl2Matrix(A.a, A.a * m + A.b, A.c, A.c * m + A.d)
     assert A * S == Sl2Matrix(A.b, -A.a, A.d, -A.c)

@@ -9,7 +9,6 @@ import pytest
 from thetamod.errors import DomainError, PrecisionUnreachableError
 from thetamod.series import (
     HALF_PERIOD_PARTNER,
-    LatticePoint,
     ThetaKind,
     _partial_sum,
     half_period_shift,
@@ -223,8 +222,6 @@ def test_domain_errors():
         theta_series(K3, 0, 1.0 + 0j)
     with pytest.raises(DomainError):
         theta_series(K3, 0, 0.5 - 1j)
-    with pytest.raises(DomainError):
-        LatticePoint(0, 1.0 + 0j)
     with pytest.raises(DomainError):
         truncation_bound(K3, 0, 1j, 0)
     with pytest.raises(DomainError):

@@ -6,11 +6,13 @@ import random
 
 import pytest
 
+from thetamod import transform
 from thetamod.errors import DomainError
 from thetamod.modgroup import (
     IDENTITY,
     S,
     S2,
+    Letter,
     Sl2Matrix,
     is_gamma2,
     mobius,
@@ -18,8 +20,10 @@ from thetamod.modgroup import (
     shear,
     translation,
 )
+from thetamod.multipliers import theta1_epsilon
 from thetamod.series import ThetaKind, theta_series, theta_series_report
 from thetamod.transform import (
+    apply_letter,
     automorphy_sqrt,
     conditioning_factor,
     eval_fast,
@@ -311,3 +315,53 @@ def test_conditioning_factor():
     assert k == pytest.approx(
         abs(cmath.exp(1j * math.pi * (0.5j) ** 2 / 1j)) * 2.0
     )
+
+
+@pytest.mark.parametrize("letter", [Letter("T", 1), Letter("T", -1), Letter("T", 2), Letter("S")], ids=str)
+@pytest.mark.parametrize("kind", [K1, K2, K3, K4], ids=str)
+def test_apply_letter_table_entry(kind, letter):
+    # factor * theta_kind(z, tau) = factor' * theta_kind'(z', tau'), with
+    # (z', tau') = (z/(c tau+d), L tau), against the direct series
+    L = letter.matrix()
+    rng = random.Random(f"apply-letter:{kind}:{letter}")
+    for _ in range(4):
+        z, tau = _point(rng)
+        factor = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
+        kind2, factor2, z2, tau2 = apply_letter(kind, letter, z, tau, factor)
+        assert tau2 == pytest.approx(mobius(L, tau), abs=1e-14)
+        assert z2 == pytest.approx(z / (L.c * tau + L.d), abs=1e-14)
+        lhs = factor * theta_series(kind, z, tau, 1e-13)
+        rhs = factor2 * theta_series(kind2, z2, tau2, 1e-13)
+        assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs)), (z, tau)
+
+
+def test_apply_letter_rejects_other_letters():
+    with pytest.raises(DomainError):
+        apply_letter(K3, Letter("S2"), 0.1, 1j)
+
+
+class _EngineCalled(Exception):
+    pass
+
+
+def test_oracles_do_not_use_apply_letter(monkeypatch):
+    # chain-vs-direct compares against these; sharing the engine would make
+    # that suite tautological
+    A, A2 = Sl2Matrix(2, 1, 3, 2), Sl2Matrix(3, 2, 4, 3)
+    z, tau = 0.1 + 0.05j, 0.2 + 1.1j
+
+    def oracles():
+        return (
+            predict_theta1(A, z, tau, 1e-12),
+            predict_theta_gamma2(K3, A2, z, tau, 1e-12),
+            theta1_epsilon(A),
+        )
+
+    def refuse(*args, **kwargs):
+        raise _EngineCalled
+
+    before = oracles()
+    monkeypatch.setattr(transform, "apply_letter", refuse)
+    assert oracles() == before
+    with pytest.raises(_EngineCalled):
+        predict_theta1_chained(A, z, tau, 1e-12)

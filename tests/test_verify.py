@@ -1,5 +1,6 @@
 """Harness determinism, record schema, corpus ingestion, and the CLI."""
 
+import hashlib
 import io
 import json
 
@@ -19,6 +20,23 @@ from thetamod.verify import (
 )
 
 SMALL = TrialConfig(seed=7, trials=8, tol=1e-9)
+
+# The suites whose records say "residual": "exact", in report order, and the
+# sha256 of those records (one JSON line each, newline-terminated) as
+# `thetamod verify --seed 7` writes them: 25,064 lines.
+EXACT_SUITES = (
+    "lemma1",
+    "lemma2",
+    "lemma3",
+    "lemma4",
+    "lemma5",
+    "reciprocity",
+    "closed-form-epsilon",
+    "parity-mod4",
+)
+EXACT_RECORDS_SEED7_SHA256 = (
+    "c72615fab196dffb8f3ea9f4a1e861b9c80a65f17da755d9309ae78258a8fb71"
+)
 
 
 def _render(config):
@@ -84,6 +102,14 @@ def test_record_schema():
 def test_exact_records_say_exact():
     records = run_suite("lemma1", TrialConfig(seed=1, trials=3))
     assert all(r.to_json_dict()["residual"] == "exact" for r in records)
+
+
+def test_exact_records_pinned_seed7():
+    lines = _render(TrialConfig(seed=7, suites=EXACT_SUITES)).splitlines()
+    exact = [line for line in lines if '"residual": "exact"' in line]
+    assert len(exact) == 25064
+    digest = hashlib.sha256("".join(f"{line}\n" for line in exact).encode())
+    assert digest.hexdigest() == EXACT_RECORDS_SEED7_SHA256
 
 
 def test_lemma2_covers_both_branches():
