@@ -169,6 +169,14 @@ def _round_half_down(p: int, q: int) -> int:
     return f + 1 if 2 * r > q else f
 
 
+def _close_word(letters: list[Letter], M: Sl2Matrix) -> GeneratorWord:
+    """End a reduction whose remainder is M = +-T^j: append T^j (if j != 0)."""
+    sign = 1 if M.a == 1 else -1
+    if M.b != 0:
+        letters.append(Letter("T", sign * M.b))
+    return GeneratorWord(tuple(letters), sign)
+
+
 def decompose_gamma(A: Sl2Matrix) -> GeneratorWord:
     """Express A as sign * T^{m1} S T^{m2} S ... T^{mr} (letters S, T^m).
 
@@ -186,14 +194,7 @@ def decompose_gamma(A: Sl2Matrix) -> GeneratorWord:
         letters.append(Letter("S"))
         # peel: M = T^m S M'  =>  M' = S^{-1} T^{-m} M
         M = S.inverse() * (translation(-m) * M)
-    # M = +-T^j
-    if M.a == 1:
-        sign, j = 1, M.b
-    else:
-        sign, j = -1, -M.b
-    if j != 0:
-        letters.append(Letter("T", j))
-    return GeneratorWord(tuple(letters), sign)
+    return _close_word(letters, M)
 
 
 def decompose_gamma2(A: Sl2Matrix) -> GeneratorWord:
@@ -217,10 +218,4 @@ def decompose_gamma2(A: Sl2Matrix) -> GeneratorWord:
             m = _round_half_down(M.a, 2 * M.c)
             letters.append(Letter("T", 2 * m))
             M = translation(-2 * m) * M
-    if M.a == 1:
-        sign, j = 1, M.b
-    else:
-        sign, j = -1, -M.b
-    if j != 0:
-        letters.append(Letter("T", j))
-    return GeneratorWord(tuple(letters), sign)
+    return _close_word(letters, M)

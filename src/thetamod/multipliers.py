@@ -58,10 +58,9 @@ def eta_epsilon(A: Sl2Matrix) -> UnitPhase:
 
 
 def theta1_epsilon(A: Sl2Matrix) -> UnitPhase:
-    """theta1 multiplier -i*epsilon^3: phase 3((a+d)/(12c) - s(d,c)) - 1/2."""
+    """theta1 multiplier -i*epsilon^3, for c > 0."""
     _require_positive_c(A, "theta1_epsilon")
-    t = Fraction(A.a + A.d, 12 * A.c) - dedekind_sum(A.d, A.c)
-    return UnitPhase(3 * t - Fraction(1, 2))
+    return eta_epsilon(A) ** 3 * UnitPhase(Fraction(-1, 2))
 
 
 def theta1_epsilon_closed(A: Sl2Matrix) -> UnitPhase:

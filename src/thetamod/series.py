@@ -111,7 +111,7 @@ def truncation_index(
     max_index: int = MAX_INDEX,
 ) -> int:
     """Smallest N with truncation_bound(kind, z, tau, N) < tol/2."""
-    if tol <= 0:
+    if not tol > 0:  # also rejects NaN
         raise DomainError(f"tol must be positive, got {tol}")
     target = tol / 2.0
     for N in range(1, max_index + 1):

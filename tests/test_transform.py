@@ -267,6 +267,12 @@ def test_eval_fast_examples():
     assert abs(eval_fast(K1, z, tau, 1e-8) - direct) < 1e-7
 
 
+def test_eval_fast_rejects_nan_tolerance():
+    # NaN compares false with everything, so `tol <= 0` would let it through
+    with pytest.raises(DomainError):
+        eval_fast(K3, 0.1, 1j, tol=float("nan"))
+
+
 def test_eval_fast_all_kinds_random():
     rng = random.Random(58)
     for _ in range(60):

@@ -67,7 +67,7 @@ def test_config_validation():
     with pytest.raises(DomainError):
         TrialConfig(tol=0)
     with pytest.raises(DomainError):
-        TrialConfig(tau_box=(-1, 1, -0.5, 2))
+        TrialConfig(tol=float("nan"))
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -110,6 +110,26 @@ def test_exact_records_pinned_seed7():
     assert len(exact) == 25064
     digest = hashlib.sha256("".join(f"{line}\n" for line in exact).encode())
     assert digest.hexdigest() == EXACT_RECORDS_SEED7_SHA256
+
+
+def test_inconclusive_record_is_strict_json(tmp_path):
+    # c = 10^6 puts the left-hand side out of the series' reach
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("[[1,0],[1000000,1]]\n")
+    out = tmp_path / "r.jsonl"
+    argv = ["verify", "--suite", "theorem1", "--corpus", str(corpus), "--out", str(out)]
+    assert main(argv) == 1
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    lines = out.read_text().splitlines()
+    rec, summary = [json.loads(line, parse_constant=reject) for line in lines]
+    assert rec["inconclusive"] is True
+    assert rec["pass"] is False
+    assert rec["residual"] == "inf"
+    assert "cannot certify" in rec["inputs"]["error"]
+    assert summary["pass"] is False
 
 
 def test_lemma2_covers_both_branches():
@@ -206,6 +226,11 @@ def test_cli_reduce(capsys):
     out = capsys.readouterr().out
     assert "[[1,-5],[0,1]]" in out
     assert main(["reduce", "1-1i"]) == 2
+
+
+def test_cli_eval_nan_tolerance(capsys):
+    assert main(["eval", "theta3", "0.1", "1i", "--tol", "nan"]) == 2
+    assert "tol must be positive" in capsys.readouterr().err
 
 
 def test_cli_eval(capsys):
