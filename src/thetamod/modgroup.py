@@ -81,10 +81,18 @@ def shear(m: int) -> Sl2Matrix:
 
 
 def mobius(A: Sl2Matrix, tau: complex) -> complex:
-    """(a*tau + b)/(c*tau + d) on the upper half-plane."""
+    """(a*tau + b)/(c*tau + d) on the upper half-plane.
+
+    For c != 0 this is evaluated as a/c - 1/(c(c*tau + d)), whose imaginary
+    part Im(tau)/|c*tau + d|^2 keeps full relative accuracy however large
+    the entries; the quotient form cancels catastrophically there and can
+    leave the half-plane.
+    """
     if tau.imag <= 0:
         raise DomainError(f"tau must have positive imaginary part, got {tau}")
-    return (A.a * tau + A.b) / (A.c * tau + A.d)
+    if A.c == 0:
+        return (A.a * tau + A.b) / A.d
+    return A.a / A.c - 1 / (A.c * (A.c * tau + A.d))
 
 
 def is_gamma2(A: Sl2Matrix) -> bool:

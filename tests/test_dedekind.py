@@ -1,12 +1,19 @@
 """Dedekind sums against the literal sawtooth-summation oracle."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetamod.dedekind import dedekind_sum, reciprocity_defect, sawtooth
+import thetamod.dedekind
+from thetamod.dedekind import (
+    _dedekind_sum_direct,
+    dedekind_sum,
+    reciprocity_defect,
+    sawtooth,
+)
 from thetamod.errors import DomainError
 
 
@@ -42,7 +49,37 @@ def test_sum_matches_literal_oracle():
         for h in range(-10, 2 * k + 1):
             if math.gcd(h, k) != 1:
                 continue
-            assert dedekind_sum(h, k) == dedekind_oracle(h, k), (h, k)
+            expected = dedekind_oracle(h, k)
+            assert dedekind_sum(h, k) == expected, (h, k)
+            assert _dedekind_sum_direct(h, k) == expected, (h, k)
+
+
+def test_sum_matches_direct_random():
+    rng = random.Random(11)
+    checked = 0
+    while checked < 2000:
+        k = rng.randint(1, 5000)
+        h = rng.randint(-5 * k, 5 * k)
+        if math.gcd(h, k) != 1:
+            continue
+        assert dedekind_sum(h, k) == _dedekind_sum_direct(h, k), (h, k)
+        checked += 1
+
+
+@pytest.mark.parametrize("k", [10**18 + 3, 2**127 - 1])
+def test_large_k_identities(k):
+    # none of these identities comes from reciprocity
+    assert dedekind_sum(1, k) == Fraction((k - 1) * (k - 2), 12 * k)
+    assert dedekind_sum(2, k) == Fraction((k - 1) * (k - 5), 24 * k)  # k odd
+    rng = random.Random(k)
+    for _ in range(20):
+        h = rng.randrange(1, k)
+        if math.gcd(h, k) != 1:
+            continue
+        s = dedekind_sum(h, k)
+        assert dedekind_sum(pow(h, -1, k), k) == s
+        assert dedekind_sum(-h, k) == -s
+        assert (6 * k * s).denominator == 1
 
 
 @settings(max_examples=200)
@@ -83,6 +120,19 @@ def test_reciprocity_small_exhaustive():
         for k in range(1, 61):
             if math.gcd(h, k) == 1:
                 assert reciprocity_defect(h, k) == 0, (h, k)
+
+
+def test_reciprocity_oracle_does_not_use_dedekind_sum(monkeypatch):
+    def boom(h, k):
+        raise AssertionError("reciprocity_defect called dedekind_sum")
+
+    monkeypatch.setattr(thetamod.dedekind, "dedekind_sum", boom)
+    for h, k in [(1, 1), (1, 3), (5, 7), (13, 21), (89, 144), (100, 3)]:
+        assert reciprocity_defect(h, k) == 0
+    with pytest.raises(DomainError):
+        reciprocity_defect(2, 4)
+    with pytest.raises(DomainError):
+        reciprocity_defect(0, 3)
 
 
 def test_domain_errors():

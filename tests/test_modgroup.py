@@ -1,6 +1,7 @@
 """Matrix algebra, Mobius action, and generator-word decomposition."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -54,6 +55,18 @@ def test_mobius_composition():
         tau = complex(rng.uniform(-1, 1), rng.uniform(0.5, 2))
         assert abs(mobius(A, mobius(B, tau)) - mobius(A * B, tau)) < 1e-12
         assert mobius(A, tau).imag > 0
+
+
+def test_mobius_imaginary_part_huge_entries(huge_matrices):
+    # Im(A tau) = Im(tau)/|c tau + d|^2, with Re(c tau + d) formed exactly
+    rng = random.Random(8)
+    for A in huge_matrices:
+        for _ in range(4):
+            tau = complex(rng.uniform(-1, 1), rng.uniform(0.1, 2))
+            re = float(A.c * Fraction(tau.real) + A.d)
+            want = tau.imag / (re * re + (A.c * tau.imag) ** 2)
+            got = mobius(A, tau).imag
+            assert abs(got - want) <= 1e-14 * want, (A, tau)
 
 
 def test_is_gamma2():

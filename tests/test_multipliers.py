@@ -165,6 +165,14 @@ def test_induction_matches_direct():
         assert theta1_epsilon_induction(A) == theta1_epsilon(A), A
 
 
+def test_three_multipliers_agree_on_huge_matrices(huge_matrices):
+    # the closed form uses Jacobi symbols and the induction no Dedekind sum
+    for A in huge_matrices:
+        eps1 = theta1_epsilon(A)
+        assert theta1_epsilon_closed(A) == eps1, A
+        assert theta1_epsilon_induction(A) == eps1, A
+
+
 def test_induction_on_translation_raises():
     with pytest.raises(DomainError):
         theta1_epsilon_induction(translation(4))

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -132,6 +133,21 @@ def test_inconclusive_record_is_strict_json(tmp_path):
     assert summary["pass"] is False
 
 
+def test_theorem1_huge_matrix_is_inconclusive(tmp_path):
+    # A tau stays in the upper half-plane, so the trial is recorded, not aborted
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(
+        "[[289934904595382591,13857245154460719],"
+        "[394508053350743109,18855248968107092]]\n"
+    )
+    out = tmp_path / "r.jsonl"
+    argv = ["verify", "--suite", "theorem1", "--corpus", str(corpus), "--out", str(out)]
+    assert main(argv) == 1
+    rec = json.loads(out.read_text().splitlines()[0])
+    assert rec["inconclusive"] is True
+    assert "cannot certify" in rec["inputs"]["error"]
+
+
 def test_lemma2_covers_both_branches():
     records = run_suite("lemma2", TrialConfig(seed=2, trials=10))
     branches = {r.inputs["branch"] for r in records}
@@ -176,6 +192,19 @@ def test_corpus_roundtrip(tmp_path):
     assert all(r.passed for r in records)
 
 
+def test_cli_verify_huge_corpus(tmp_path, huge_matrices):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("".join(f"{A}\n" for A in huge_matrices))
+    out = tmp_path / "r.jsonl"
+    argv = ["verify", "--corpus", str(corpus), "--out", str(out)]
+    for suite in ("lemma1", "lemma2", "closed-form-epsilon"):
+        argv += ["--suite", suite]
+    assert main(argv) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()[:-1]]
+    assert len(records) == 3 * len(huge_matrices)
+    assert all(r["pass"] for r in records)
+
+
 def test_corpus_gamma2_mismatch(tmp_path):
     config = TrialConfig(
         seed=1, trials=1, corpus=(Sl2Matrix(2, 1, 1, 1),), suites=("lemma3",)
@@ -190,6 +219,12 @@ def test_corpus_gamma2_mismatch(tmp_path):
 def test_cli_dedekind(capsys):
     assert main(["dedekind", "1", "3"]) == 0
     assert capsys.readouterr().out.strip() == "1/18"
+
+
+def test_cli_dedekind_huge_k(capsys):
+    k = 2**127 - 1
+    assert main(["dedekind", "1", str(k)]) == 0
+    assert capsys.readouterr().out.strip() == str(Fraction((k - 1) * (k - 2), 12 * k))
 
 
 def test_cli_dedekind_bad_input(capsys):
@@ -207,6 +242,12 @@ def test_cli_multiplier_gamma2(capsys):
     assert main(["multiplier", "[[1,0],[2,1]]"]) == 0
     out = capsys.readouterr().out
     assert "alpha(theta3) phase:  1/2" in out
+
+
+def test_cli_multiplier_huge_matrix(capsys, huge_matrices):
+    A = max(huge_matrices, key=lambda M: M.c)
+    assert main(["multiplier", str(A)]) == 0
+    assert "(agrees)" in capsys.readouterr().out
 
 
 def test_cli_multiplier_bad_matrix(capsys):
