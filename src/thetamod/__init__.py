@@ -23,10 +23,7 @@ from .multipliers import (
     eta_epsilon,
     gamma2_alpha,
     gamma2_prefactor,
-    lemma1_sides,
-    lemma2_sides,
-    lemma3_sides,
-    lemma4_sides,
+    lemma_sides,
     theta1_epsilon,
     theta1_epsilon_closed,
     theta1_epsilon_induction,
@@ -72,10 +69,7 @@ __all__ = [
     "half_period_shift",
     "is_gamma2",
     "jacobi_symbol",
-    "lemma1_sides",
-    "lemma2_sides",
-    "lemma3_sides",
-    "lemma4_sides",
+    "lemma_sides",
     "mobius",
     "normalize_sign",
     "predict_theta1",

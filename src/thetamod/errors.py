@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one domain check."""
+
+import cmath
 
 
 class DomainError(ValueError):
@@ -20,3 +22,11 @@ class PrecisionUnreachableError(ValueError):
             f"cannot certify tolerance {requested:g} within {cap} terms; "
             f"achievable bound is {achievable:g}"
         )
+
+
+def require_upper_half(tau: complex, z: complex = 0j) -> None:
+    """The one point check: tau, z finite and Im tau > 0, else DomainError."""
+    if not (cmath.isfinite(tau) and cmath.isfinite(z)):
+        raise DomainError(f"tau and z must be finite, got tau = {tau}, z = {z}")
+    if complex(tau).imag <= 0:
+        raise DomainError(f"tau must lie in the upper half-plane, got {tau}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, require_upper_half
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,11 @@ class Sl2Matrix:
 
     @classmethod
     def from_lists(cls, rows) -> "Sl2Matrix":
+        """[[a, b], [c, d]] with int entries (bool and float are rejected)."""
         (a, b), (c, d) = rows
-        return cls(int(a), int(b), int(c), int(d))
+        if not all(type(x) is int for x in (a, b, c, d)):  # so no bool, no float
+            raise DomainError(f"matrix entries must be integers, got {rows!r}")
+        return cls(a, b, c, d)
 
     def __str__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
@@ -88,8 +91,7 @@ def mobius(A: Sl2Matrix, tau: complex) -> complex:
     the entries; the quotient form cancels catastrophically there and can
     leave the half-plane.
     """
-    if tau.imag <= 0:
-        raise DomainError(f"tau must have positive imaginary part, got {tau}")
+    require_upper_half(tau)
     if A.c == 0:
         return (A.a * tau + A.b) / A.d
     return A.a / A.c - 1 / (A.c * (A.c * tau + A.d))

@@ -16,6 +16,20 @@ the unit factor in
 Everything is computed as an exact rational phase (UnitPhase); floating
 point never adjudicates an identity here.
 
+Right multiplication by a generator L moves epsilon1 by a fixed phase.  For
+c > 0 let N = A L, negated ("flipped") when its lower-left entry is
+negative; then epsilon1(N) = epsilon1(A) e^{i*pi*delta} with
+
+    L = T^m   c_N = c        delta = m/4
+    L = S     c_N = d        delta = -3/4 (d > 0),      +3/4 (d < 0)
+    L = S2    c_N = c + 2d   delta = -1/2 (c + 2d > 0),  1  (c + 2d < 0)
+
+(Apostol, Modular Functions and Dirichlet Series, ch. 3: consequences of
+Dedekind reciprocity).  This table, _RIGHT_PHASE, is the one home of these
+laws: :func:`right_step` reads it, :func:`lemma_sides` checks it against
+Dedekind sums, and :func:`theta1_epsilon_induction` rebuilds epsilon1 from
+epsilon1(S) = -i with it.
+
 The level-2 laws for theta2/theta3/theta4 are written against the plain
 square root (c*tau+d)^{1/2} rather than (-i(c*tau+d))^{1/2}.  For c > 0 and
 Im tau > 0 the two principal roots differ by exactly e^{-i*pi/4}, so the
@@ -32,18 +46,24 @@ from .dedekind import dedekind_sum
 from .errors import DomainError
 from .exact import UnitPhase, i_power, jacobi_symbol
 from .modgroup import (
-    IDENTITY,
     S,
+    Letter,
     Sl2Matrix,
     decompose_gamma,
     is_gamma2,
-    normalize_sign,
-    shear,
     translation,
 )
 from .series import ThetaKind
 
-S_FLIPPED = -S  # the sign-flipped inversion (0 1; -1 0) = S^{-1}
+# The right-multiplication laws, keyed by (generator, flipped); the T entry
+# is per unit exponent.  See the module docstring.
+_RIGHT_PHASE = {
+    ("T", False): Fraction(1, 4),
+    ("S", False): Fraction(-3, 4),
+    ("S", True): Fraction(3, 4),
+    ("S2", False): Fraction(-1, 2),
+    ("S2", True): Fraction(1),
+}
 
 
 def _require_positive_c(A: Sl2Matrix, op: str) -> None:
@@ -126,105 +146,63 @@ def gamma2_prefactor(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
     return gamma2_alpha(kind, A) * theta1_epsilon(A) * UnitPhase(Fraction(-1, 4))
 
 
-def lemma1_sides(A: Sl2Matrix, m: int) -> tuple[UnitPhase, UnitPhase]:
-    """Right translation: epsilon1(A T^m) = epsilon1(A) e^{i*pi*m/4}.
+def right_step(A: Sl2Matrix, letter: Letter) -> tuple[Sl2Matrix, Fraction]:
+    """(N, delta) with N = +-A L, c_N > 0 and epsilon1(N) = epsilon1(A) e^{i*pi*delta}.
 
-    Like every lemmaN_sides, returns the pair (expected, observed) -- the
-    lemma holds iff the two unit phases are equal.
+    For c_A > 0 and L one of T^m, S, S2; delta is read from _RIGHT_PHASE (see
+    the module docstring).  Any other letter, or a product with lower-left
+    entry 0, is a DomainError.
     """
-    _require_positive_c(A, "lemma1_sides")
-    expected = theta1_epsilon(A) * UnitPhase(Fraction(m, 4))
-    return expected, theta1_epsilon(A * translation(m))
-
-
-def lemma2_sides(A: Sl2Matrix) -> tuple[UnitPhase, UnitPhase]:
-    """Right inversion, both sign branches.
-
-    d > 0: epsilon1(A S) = epsilon1(A) e^{-3i*pi/4} with S = (0 -1; 1 0);
-    d < 0: epsilon1(A S') = epsilon1(A) e^{+3i*pi/4} with S' = (0 1; -1 0),
-    chosen so the product keeps a positive lower-left entry.
-    """
-    _require_positive_c(A, "lemma2_sides")
-    if A.d == 0:
-        raise DomainError("lemma2_sides needs d != 0")
-    if A.d > 0:
-        expected = theta1_epsilon(A) * UnitPhase(Fraction(-3, 4))
-        return expected, theta1_epsilon(A * S)
-    expected = theta1_epsilon(A) * UnitPhase(Fraction(3, 4))
-    return expected, theta1_epsilon(A * S_FLIPPED)
-
-
-def lemma3_sides(A: Sl2Matrix, m: int) -> tuple[UnitPhase, UnitPhase]:
-    """Even right translation: epsilon1(A T^{2m}) = epsilon1(A) e^{i*pi*m/2}."""
-    _require_positive_c(A, "lemma3_sides")
-    expected = theta1_epsilon(A) * UnitPhase(Fraction(m, 2))
-    return expected, theta1_epsilon(A * translation(2 * m))
-
-
-def lemma4_sides(A: Sl2Matrix) -> tuple[UnitPhase, UnitPhase]:
-    """Right shear by S2 = (1 0; 2 1), both sign branches.
-
-    c + 2d > 0: epsilon1(A S2)  = epsilon1(A) e^{-i*pi/2};
-    c + 2d < 0: epsilon1(-A S2) = epsilon1(A) e^{i*pi}, using the negated
-    product whose lower-left entry -(c+2d) is positive.  The negative-branch
-    constant follows from applying reciprocity twice with the oddness flips
-    written out (the defect (a'+d')/(12c') - s(d',c') minus the original
-    exponent is exactly 1/3, and exp(3*i*pi/3) = -1).
-    """
-    _require_positive_c(A, "lemma4_sides")
-    M = A * shear(1)
+    _require_positive_c(A, "right_step")
+    gen = letter.gen
+    if gen == "T":
+        rate = _RIGHT_PHASE["T", False]  # rate * m, built as one Fraction
+        delta = Fraction(rate.numerator * letter.exp, rate.denominator)
+        return A * translation(letter.exp), delta
+    if gen not in ("S", "S2") or letter.exp != 1:
+        raise DomainError(f"right_step takes T^m, S or S2, not {letter}")
+    M = A * letter.matrix()
     if M.c == 0:
-        raise DomainError("lemma4_sides needs c + 2d != 0")
-    if M.c > 0:
-        expected = theta1_epsilon(A) * UnitPhase(Fraction(-1, 2))
-        return expected, theta1_epsilon(M)
-    return theta1_epsilon(A) * UnitPhase(1), theta1_epsilon(-M)
+        raise DomainError(f"{A} * {letter} has lower-left entry 0")
+    flipped = M.c < 0
+    return (-M if flipped else M), _RIGHT_PHASE[gen, flipped]
+
+
+def lemma_sides(A: Sl2Matrix, letter: Letter) -> tuple[UnitPhase, UnitPhase]:
+    """The right-multiplication law of ``letter`` as (expected, observed).
+
+    With (N, delta) = right_step(A, letter), expected is
+    epsilon1(A) e^{i*pi*delta} and observed is epsilon1(N), each epsilon1
+    from Dedekind sums; the law holds iff the two unit phases are equal.
+    """
+    N, delta = right_step(A, letter)
+    return theta1_epsilon(A) * UnitPhase(delta), theta1_epsilon(N)
 
 
 def theta1_epsilon_induction(A: Sl2Matrix) -> UnitPhase:
     """epsilon1 rebuilt by structural induction along the generator word.
 
-    Starting from the base value epsilon1(S) = -i, the phase is grown one
-    letter at a time using only the translation and inversion phase laws
-    (the content of lemma1_sides/lemma2_sides) plus the fact that a left
-    translation T^j shifts a by j*c and hence the phase by j/4.  Prefixes
-    that collapse to a pure translation +-T^j carry no inversion multiplier;
-    the next inversion letter restarts from the base value.
+    The word is T^j S L_1 L_2 ... (T^j possibly empty).  Its prefix T^j S =
+    (j -1; 1 0) has c = 1, where epsilon1 depends only on a + d, so it
+    shares the value -i e^{i*pi*j/4} with S T^j, one right step from the
+    base value epsilon1(S) = -i.  Every later letter is one
+    :func:`right_step`, so the induction uses no Dedekind sum and no phase
+    law of its own.
 
     This is the computational content of the induction that extends the
     theta1 law from S to the whole group; agreement with
     :func:`theta1_epsilon` on every matrix is a tested invariant.
     """
-    word = decompose_gamma(A)
-    N = IDENTITY  # normalized prefix (c > 0, or a translation)
-    phase: Fraction | None = None  # None while the prefix is a translation
-    for letter in word.letters:
-        if letter.gen == "T":
-            N = N * translation(letter.exp)
-            if phase is not None:
-                phase += Fraction(letter.exp, 4)
-        elif letter.gen == "S":
-            if N.c == 0:
-                j = N.b
-                N = N * S  # T^j S = (j -1; 1 0), already c > 0
-                phase = Fraction(3, 2) + Fraction(j, 4)
-            elif N.d > 0:
-                N = N * S
-                phase -= Fraction(3, 4)
-            elif N.d < 0:
-                N = -(N * S)  # = N S', lower-left -d > 0
-                phase += Fraction(3, 4)
-            else:
-                # d == 0 forces N = (x -1; 1 0), so N S = -T^x: the prefix
-                # collapses back to a translation.  Unreachable for words
-                # from decompose_gamma (prefix * S = +-T^t would make the
-                # remaining suffix share +-c with the whole matrix, against
-                # the strict |c| descent of the reduction); kept so the walk
-                # stays total if the word source ever changes.
-                N, _ = normalize_sign(N * S)
-                phase = None
-        else:
-            raise DomainError(f"unexpected letter {letter} in a full-group word")
-    if phase is None:
+    letters = decompose_gamma(A).letters
+    j = 0
+    if letters and letters[0].gen == "T":
+        j, letters = letters[0].exp, letters[1:]
+    if not letters:
         raise DomainError("translation matrices carry no inversion multiplier")
+    _, phase = right_step(S, Letter("T", j))
+    phase += Fraction(3, 2)  # epsilon1(S) = -i
+    N = translation(j) * S
+    for letter in letters[1:]:
+        N, delta = right_step(N, letter)
+        phase += delta
     return UnitPhase(phase)

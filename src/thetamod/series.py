@@ -35,7 +35,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, PrecisionUnreachableError
+from .errors import DomainError, PrecisionUnreachableError, require_upper_half
 
 DEFAULT_TOL = 1e-10
 MAX_INDEX = 10**6
@@ -69,11 +69,6 @@ HALF_PERIOD_PARTNER = {
 }
 
 
-def _require_upper_half(tau: complex) -> None:
-    if complex(tau).imag <= 0:
-        raise DomainError(f"tau must lie in the upper half-plane, got {tau}")
-
-
 def _half_integer_indices(kind: ThetaKind) -> bool:
     return kind in (ThetaKind.THETA1, ThetaKind.THETA2)
 
@@ -86,21 +81,26 @@ def truncation_bound(kind: ThetaKind, z: complex, tau: complex, N: int) -> float
     theta3/theta4, half-integers for theta1/theta2).  Successive magnitudes
     shrink by at least r = e^{-pi y (2 m0 + 1) + 2 pi beta} from the first
     omitted index m0 on, so the tail is at most 2 t(m0) / (1 - r); +inf is
-    returned when r >= 1 (bound not yet applicable at this N).
+    returned when r >= 1 (bound not yet applicable at this N), when r
+    rounds to 1, and when t(m0) would overflow.
     """
-    _require_upper_half(tau)
+    require_upper_half(tau, z)
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
-    y = complex(tau).imag
-    beta = abs(complex(z).imag)
+    return _tail_bound(kind, complex(tau).imag, abs(complex(z).imag), N)
+
+
+def _tail_bound(kind: ThetaKind, y: float, beta: float, N: int) -> float:
+    """truncation_bound for validated y = Im tau > 0 and beta = |Im z|."""
     m0 = N + 1.5 if _half_integer_indices(kind) else N + 1.0
     log_ratio = -_PI * y * (2 * m0 + 1) + 2 * _PI * beta
     if log_ratio >= 0:
         return math.inf
     log_t0 = -_PI * y * m0 * m0 + 2 * _PI * beta * m0
-    if log_t0 > 700.0:
+    denominator = 1.0 - math.exp(log_ratio)  # 0.0 when r rounds to 1
+    if log_t0 > 700.0 or denominator <= 0.0:
         return math.inf
-    return 2.0 * math.exp(log_t0) / (1.0 - math.exp(log_ratio))
+    return 2.0 * math.exp(log_t0) / denominator
 
 
 def truncation_index(
@@ -110,16 +110,29 @@ def truncation_index(
     tol: float,
     max_index: int = MAX_INDEX,
 ) -> int:
-    """Smallest N with truncation_bound(kind, z, tau, N) < tol/2."""
+    """Smallest N <= max_index with truncation_bound(kind, z, tau, N) < tol/2.
+
+    One evaluation at N = max_index decides reachability: the bound is +inf
+    on a prefix of N and strictly decreasing after it.  With r_N the ratio
+    at N, t(m0+1)/t(m0) = r_N and r_{N+1} = r_N e^{-2 pi y}, so
+    bound(N+1)/bound(N) = r_N (1 - r_N)/(1 - r_{N+1}) < r_N < 1; and since
+    log t(m0) falls by -log r_N > 0 a step, the overflow cut-off cannot
+    return after a finite stretch.
+    """
     if not tol > 0:  # also rejects NaN
         raise DomainError(f"tol must be positive, got {tol}")
+    require_upper_half(tau, z)
+    if max_index < 1:
+        raise DomainError(f"max_index must be >= 1, got {max_index}")
     target = tol / 2.0
-    for N in range(1, max_index + 1):
-        if truncation_bound(kind, z, tau, N) < target:
+    y, beta = complex(tau).imag, abs(complex(z).imag)
+    achievable = _tail_bound(kind, y, beta, max_index)
+    if not achievable < target:
+        raise PrecisionUnreachableError(tol, achievable, max_index)
+    for N in range(1, max_index):
+        if _tail_bound(kind, y, beta, N) < target:
             return N
-    raise PrecisionUnreachableError(
-        tol, truncation_bound(kind, z, tau, max_index), max_index
-    )
+    return max_index
 
 
 def term_count(kind: ThetaKind, N: int) -> int:
@@ -171,7 +184,6 @@ def theta_series_report(
     max_index: int = MAX_INDEX,
 ) -> SeriesEvaluation:
     """Certified evaluation, reporting the truncation index and term count."""
-    _require_upper_half(tau)
     N = truncation_index(kind, z, tau, tol, max_index)
     return SeriesEvaluation(_partial_sum(kind, z, tau, N), N, term_count(kind, N))
 
@@ -199,7 +211,6 @@ def theta1_sine_series(
     exponentials) used as a mutual oracle for theta_series(THETA1, ...);
     the two agree within 2*tol.
     """
-    _require_upper_half(tau)
     N = truncation_index(ThetaKind.THETA1, z, tau, tol, max_index)
     total = 0.0 + 0.0j
     sign = 1.0

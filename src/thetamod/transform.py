@@ -30,7 +30,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, require_upper_half
 from .modgroup import (
     IDENTITY,
     GeneratorWord,
@@ -61,8 +61,7 @@ def automorphy_sqrt(A: Sl2Matrix, tau: complex) -> complex:
     The c = 0 case belongs to the translation law, which carries no weight
     factor, hence the convention sqrt(d) rather than sqrt(-i d).
     """
-    if tau.imag <= 0:
-        raise DomainError(f"tau must lie in the upper half-plane, got {tau}")
+    require_upper_half(tau)
     _require_normalized(A, "automorphy_sqrt")
     if A.c == 0:
         return complex(math.sqrt(A.d))
@@ -212,14 +211,16 @@ def reduce_tau(tau: complex) -> tuple[Sl2Matrix, complex]:
     Alternates integer shifts with inversions; the imaginary part strictly
     increases at every inversion inside the strip, so the loop terminates.
     """
+    require_upper_half(tau)
     A, tau_red, _ = _reduce_steps(tau)
     return A, tau_red
 
 
 def _reduce_steps(tau: complex) -> tuple[Sl2Matrix, complex, list[Letter]]:
-    """Reduction matrix, reduced point, and the letters in application order."""
-    if tau.imag <= 0:
-        raise DomainError(f"tau must lie in the upper half-plane, got {tau}")
+    """Reduction matrix, reduced point, and the letters in application order.
+
+    tau must already have passed require_upper_half.
+    """
     A = IDENTITY
     steps: list[Letter] = []
     t = complex(tau)
@@ -263,6 +264,7 @@ def eval_fast_report(
     series once at the reduced point where it converges in a handful of
     terms.
     """
+    require_upper_half(tau, z)
     A, _, steps = _reduce_steps(tau)
     kind_c, factor, z_c, tau_c = kind, 1.0 + 0.0j, complex(z), complex(tau)
     for letter in steps:

@@ -62,10 +62,7 @@ from .modgroup import (
 )
 from .multipliers import (
     gamma2_prefactor,
-    lemma1_sides,
-    lemma2_sides,
-    lemma3_sides,
-    lemma4_sides,
+    lemma_sides,
     theta1_epsilon,
     theta1_epsilon_closed,
 )
@@ -261,47 +258,43 @@ def _random_matrix(
 # --- exact trials ---------------------------------------------------------
 
 
-def _lemma1(config: TrialConfig, t: int) -> TrialOutput:
-    A, rng = _random_matrix(config, "lemma1", t, corpus_ok=lambda M: M.c > 0)
-    m = rng.randint(-10, 10)
-    return {"matrix": A, "m": m}, partial(lemma1_sides, A, m), 1.0
-
-
-def _lemma2(config: TrialConfig, t: int) -> TrialOutput:
-    want_positive_d = t % 2 == 0
-    A, _ = _random_matrix(
-        config,
-        "lemma2",
-        t,
-        want=lambda M: M.c > 0 and (M.d > 0) == want_positive_d and M.d != 0,
-        corpus_ok=lambda M: M.c > 0 and M.d != 0,
-    )
-    inputs = {"matrix": A, "branch": "d>0" if A.d > 0 else "d<0"}
-    return inputs, partial(lemma2_sides, A), 1.0
-
-
-def _lemma3(config: TrialConfig, t: int) -> TrialOutput:
+def _translation_lemma(
+    suite: str, gamma2: bool, config: TrialConfig, t: int
+) -> TrialOutput:
+    """lemma1 (T^m) or lemma3 (T^{2m} on a level-2 matrix)."""
     A, rng = _random_matrix(
-        config, "lemma3", t, gamma2=True, corpus_ok=lambda M: M.c > 0
+        config, suite, t, gamma2=gamma2, corpus_ok=lambda M: M.c > 0
     )
     m = rng.randint(-10, 10)
-    return {"matrix": A, "m": m}, partial(lemma3_sides, A, m), 1.0
+    letter = Letter("T", 2 * m if gamma2 else m)
+    return {"matrix": A, "m": m}, partial(lemma_sides, A, letter), 1.0
 
 
-def _lemma4(config: TrialConfig, t: int) -> TrialOutput:
-    want_positive = t % 2 == 0
+def _branch_lemma(
+    suite: str,
+    gamma2: bool,
+    letter: Letter,
+    labels: tuple[str, str],
+    config: TrialConfig,
+    t: int,
+) -> TrialOutput:
+    """lemma2 (S) or lemma4 (S2): even trials take c(A L) > 0, odd ones < 0."""
+    L = letter.matrix()
+    positive = t % 2 == 0
+
+    def lower_left(M: Sl2Matrix) -> int:  # (M L).c without building M L
+        return M.c * L.a + M.d * L.c
+
     A, _ = _random_matrix(
         config,
-        "lemma4",
+        suite,
         t,
-        gamma2=True,
-        want=lambda M: M.c > 0
-        and M.c + 2 * M.d != 0
-        and (M.c + 2 * M.d > 0) == want_positive,
-        corpus_ok=lambda M: M.c > 0 and M.c + 2 * M.d != 0,
+        gamma2=gamma2,
+        want=lambda M: M.c > 0 and (c := lower_left(M)) != 0 and (c > 0) == positive,
+        corpus_ok=lambda M: M.c > 0 and lower_left(M) != 0,
     )
-    inputs = {"matrix": A, "branch": "c+2d>0" if A.c + 2 * A.d > 0 else "c+2d<0"}
-    return inputs, partial(lemma4_sides, A), 1.0
+    inputs = {"matrix": A, "branch": labels[0] if lower_left(A) > 0 else labels[1]}
+    return inputs, partial(lemma_sides, A, letter), 1.0
 
 
 _ZERO = Fraction(0)
@@ -432,10 +425,12 @@ def _chain_vs_direct(config: TrialConfig, t: int) -> TrialOutput:
 # Trial functions in report order.  A suite runs trials 0..config.trials-1
 # unless _INDICES names its own range.
 _TRIALS: dict[str, Trial] = {
-    "lemma1": _lemma1,
-    "lemma2": _lemma2,
-    "lemma3": _lemma3,
-    "lemma4": _lemma4,
+    "lemma1": partial(_translation_lemma, "lemma1", False),
+    "lemma2": partial(_branch_lemma, "lemma2", False, Letter("S"), ("d>0", "d<0")),
+    "lemma3": partial(_translation_lemma, "lemma3", True),
+    "lemma4": partial(
+        _branch_lemma, "lemma4", True, Letter("S2"), ("c+2d>0", "c+2d<0")
+    ),
     "lemma5": _lemma5,
     "eq1": _eq1,
     "eq2": _eq2,

@@ -199,3 +199,18 @@ def test_serialization():
     j = w.to_json()
     assert j["sign"] in (1, -1)
     assert all(set(l) == {"gen", "exp"} for l in j["letters"])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1.9, 0], [0, 1]],
+        [[True, 0], [0, 1]],
+        [[1.0, 0], [0, 1]],
+        [["1", 0], [0, 1]],
+        [[1, 0], [0, None]],
+    ],
+)
+def test_from_lists_rejects_non_integer_entries(rows):
+    with pytest.raises(DomainError, match="must be integers"):
+        Sl2Matrix.from_lists(rows)

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from thetamod import multipliers
 from thetamod.errors import DomainError
 from thetamod.exact import UnitPhase
 from thetamod.modgroup import (
     IDENTITY,
     S,
     S2,
+    Letter,
     Sl2Matrix,
     normalize_sign,
     shear,
@@ -20,15 +22,14 @@ from thetamod.multipliers import (
     eta_epsilon,
     gamma2_alpha,
     gamma2_prefactor,
-    lemma1_sides,
-    lemma2_sides,
-    lemma3_sides,
-    lemma4_sides,
+    lemma_sides,
+    right_step,
     theta1_epsilon,
     theta1_epsilon_closed,
     theta1_epsilon_induction,
 )
 from thetamod.series import ThetaKind
+from thetamod.verify import TrialConfig, run_suite
 
 K2, K3, K4 = ThetaKind.THETA2, ThetaKind.THETA3, ThetaKind.THETA4
 
@@ -119,25 +120,25 @@ def _holds(sides):
 
 
 def test_lemma1_examples_and_bulk():
-    assert _holds(lemma1_sides(S, 1))
+    assert _holds(lemma_sides(S, Letter("T", 1)))
     for A, m in _draws(22, 500):
-        assert _holds(lemma1_sides(A, m)), (A, m)
+        assert _holds(lemma_sides(A, Letter("T", m))), (A, m)
 
 
 def test_lemma2_examples_and_both_branches():
-    assert _holds(lemma2_sides(Sl2Matrix(1, 0, 1, 1)))
+    assert _holds(lemma_sides(Sl2Matrix(1, 0, 1, 1), Letter("S")))
     for branch in (True, False):
         want = lambda M: M.c > 0 and M.d != 0 and (M.d > 0) == branch
         for A, _ in _draws(23 + branch, 500, want=want):
-            assert _holds(lemma2_sides(A)), A
+            assert _holds(lemma_sides(A, Letter("S"))), A
     with pytest.raises(DomainError):
-        lemma2_sides(Sl2Matrix(1, -1, 1, 0))  # d = 0
+        lemma_sides(Sl2Matrix(1, -1, 1, 0), Letter("S"))  # d = 0
 
 
 def test_lemma3_examples_and_bulk():
-    assert _holds(lemma3_sides(S2, 1))
+    assert _holds(lemma_sides(S2, Letter("T", 2)))
     for A, m in _draws(25, 500, gamma2=True):
-        assert _holds(lemma3_sides(A, m)), (A, m)
+        assert _holds(lemma_sides(A, Letter("T", 2 * m))), (A, m)
 
 
 def test_lemma4_both_branches():
@@ -148,9 +149,64 @@ def test_lemma4_both_branches():
             and (M.c + 2 * M.d > 0) == branch
         )
         for A, _ in _draws(27 + branch, 500, gamma2=True, want=want):
-            assert _holds(lemma4_sides(A)), A
+            assert _holds(lemma_sides(A, Letter("S2"))), A
     with pytest.raises(DomainError):
-        lemma4_sides(Sl2Matrix(-1, 0, 2, -1))  # c + 2d = 0
+        lemma_sides(Sl2Matrix(-1, 0, 2, -1), Letter("S2"))  # c + 2d = 0
+
+
+@pytest.mark.parametrize(
+    "A, letter, N, delta",
+    [
+        (S, Letter("T", 3), Sl2Matrix(0, -1, 1, 3), Fraction(3, 4)),
+        (Sl2Matrix(1, 0, 1, 1), Letter("S"), Sl2Matrix(0, -1, 1, -1), Fraction(-3, 4)),
+        (Sl2Matrix(0, -1, 1, -1), Letter("S"), Sl2Matrix(1, 0, 1, 1), Fraction(3, 4)),
+        (S2, Letter("S2"), Sl2Matrix(1, 0, 4, 1), Fraction(-1, 2)),
+        (Sl2Matrix(1, -2, 2, -3), Letter("S2"), Sl2Matrix(3, 2, 4, 3), Fraction(1)),
+    ],
+)
+def test_right_step_table_entries(A, letter, N, delta):
+    assert right_step(A, letter) == (N, delta)
+    assert theta1_epsilon(N) == theta1_epsilon(A) * UnitPhase(delta)
+
+
+@pytest.mark.parametrize(
+    "A, letter",
+    [
+        (S2, Letter("S2", 2)),  # only S2 itself, not its powers
+        (S, Letter("S", 2)),
+        (S, Letter("U")),
+        (Sl2Matrix(1, -1, 1, 0), Letter("S")),  # d = 0
+        (Sl2Matrix(-1, 0, 2, -1), Letter("S2")),  # c + 2d = 0
+        (translation(3), Letter("T", 1)),  # c = 0
+        (-S, Letter("S")),  # c < 0
+    ],
+)
+def test_right_step_rejections(A, letter):
+    with pytest.raises(DomainError):
+        right_step(A, letter)
+
+
+@pytest.mark.parametrize(
+    "entry, suite",
+    [
+        (("T", False), "lemma1"),
+        (("T", False), "lemma3"),
+        (("S", False), "lemma2"),
+        (("S", True), "lemma2"),
+        (("S2", False), "lemma4"),
+        (("S2", True), "lemma4"),
+    ],
+)
+def test_phase_table_is_the_one_home(monkeypatch, entry, suite):
+    """A wrong table entry breaks its lemma suite and the induction."""
+    config = TrialConfig(seed=3, trials=20)
+    assert all(r.passed for r in run_suite(suite, config))
+    wrong = multipliers._RIGHT_PHASE[entry] + Fraction(1, 4)
+    monkeypatch.setitem(multipliers._RIGHT_PHASE, entry, wrong)
+    assert not all(r.passed for r in run_suite(suite, config))
+    if entry[0] != "S2":  # full-group words have no S2 letters
+        draws = [A for A, _ in _draws(30, 50)]
+        assert any(theta1_epsilon_induction(A) != theta1_epsilon(A) for A in draws)
 
 
 def test_epsilon1_eighth_root_of_unity():

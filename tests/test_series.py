@@ -6,9 +6,11 @@ import random
 
 import pytest
 
+from thetamod import series
 from thetamod.errors import DomainError, PrecisionUnreachableError
 from thetamod.series import (
     HALF_PERIOD_PARTNER,
+    MAX_INDEX,
     ThetaKind,
     _partial_sum,
     half_period_shift,
@@ -235,6 +237,54 @@ def test_precision_unreachable_names_achievable_bound():
     assert err.cap == 500
     assert err.achievable > 1e-12
     assert "achievable" in str(err)
+
+
+@pytest.mark.parametrize(
+    "z, achievable",
+    [(0, "13755.4"), (1e-3j, "inf")],  # finite at every N / inf at every N
+)
+def test_unreachable_tolerance_takes_one_bound_call(monkeypatch, z, achievable):
+    calls = []
+    tail_bound = series._tail_bound
+
+    def counting(kind, y, beta, N):
+        calls.append(N)
+        return tail_bound(kind, y, beta, N)
+
+    monkeypatch.setattr(series, "_tail_bound", counting)
+    with pytest.raises(PrecisionUnreachableError) as exc:
+        truncation_index(K3, z, 1e-12j, 1e-12)
+    assert calls == [MAX_INDEX]
+    assert str(exc.value) == (
+        "cannot certify tolerance 1e-12 within 1000000 terms; "
+        f"achievable bound is {achievable}"
+    )
+
+
+def test_truncation_index_is_the_first_good_index():
+    # the one-call unreachability test never changes a reachable answer
+    rng = random.Random(12)
+    reached = 0
+    for _ in range(300):
+        kind = rng.choice(ALL_KINDS)
+        z = complex(rng.uniform(-1, 1), rng.uniform(-3, 3))
+        tau = complex(rng.uniform(-1, 1), 10 ** rng.uniform(-3, 0.5))
+        tol = 10 ** rng.uniform(-14, -2)
+        bounds = (truncation_bound(kind, z, tau, N) for N in range(1, 401))
+        first = next((N for N, b in enumerate(bounds, 1) if b < tol / 2), None)
+        if first is None:
+            with pytest.raises(PrecisionUnreachableError):
+                truncation_index(kind, z, tau, tol, 400)
+        else:
+            assert truncation_index(kind, z, tau, tol, 400) == first
+            reached += 1
+    assert 50 < reached < 300
+
+
+def test_ratio_rounding_to_one_is_an_infinite_bound():
+    # log r = -pi*0.001*19 + 2*pi*0.0095 is a rounding residue just below 0
+    assert truncation_bound(K3, 0.0095j, 0.2 + 0.001j, 8) == math.inf
+    assert abs(theta_series(K3, 0.0095j, 0.2 + 0.001j)) < 1e-10
 
 
 def test_kind_parsing():

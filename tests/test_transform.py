@@ -21,7 +21,14 @@ from thetamod.modgroup import (
     translation,
 )
 from thetamod.multipliers import theta1_epsilon
-from thetamod.series import ThetaKind, theta_series, theta_series_report
+from thetamod.series import (
+    ThetaKind,
+    theta1_sine_series,
+    theta_series,
+    theta_series_report,
+    truncation_bound,
+    truncation_index,
+)
 from thetamod.transform import (
     apply_letter,
     automorphy_sqrt,
@@ -371,3 +378,31 @@ def test_oracles_do_not_use_apply_letter(monkeypatch):
     assert oracles() == before
     with pytest.raises(_EngineCalled):
         predict_theta1_chained(A, z, tau, 1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("part", ["tau.real", "tau.imag", "z.real", "z.imag"])
+def test_nonfinite_points_are_domain_errors(part, bad):
+    parts = {"tau.real": 0.3, "tau.imag": 1.1, "z.real": 0.1, "z.imag": 0.2}
+    parts[part] = bad
+    tau = complex(parts["tau.real"], parts["tau.imag"])
+    z = complex(parts["z.real"], parts["z.imag"])
+    K1, K3 = ThetaKind.THETA1, ThetaKind.THETA3
+    calls = [
+        lambda: theta_series(K3, z, tau),
+        lambda: theta_series_report(K1, z, tau),
+        lambda: theta1_sine_series(z, tau),
+        lambda: truncation_index(K3, z, tau, 1e-10),
+        lambda: truncation_bound(K3, z, tau, 5),
+        lambda: eval_fast(K1, z, tau),
+        lambda: eval_fast_report(K3, z, tau),
+    ]
+    if part.startswith("tau"):
+        calls += [
+            lambda: mobius(S, tau),
+            lambda: reduce_tau(tau),
+            lambda: automorphy_sqrt(S, tau),
+        ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()

@@ -255,6 +255,16 @@ def test_cli_multiplier_bad_matrix(capsys):
     assert main(["multiplier", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize("matrix", ["[[1.9,0],[0,1]]", "[[true,0],[0,1]]"])
+def test_cli_matrix_entries_must_be_integers(tmp_path, capsys, matrix):
+    assert main(["multiplier", matrix]) == 2
+    assert main(["decompose", matrix]) == 2
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(f"{matrix}\n")
+    assert main(["verify", "--suite", "lemma1", "--corpus", str(corpus)]) == 2
+    assert "must be integers" in capsys.readouterr().err
+
+
 def test_cli_decompose(capsys):
     assert main(["decompose", "[[2,1],[1,1]]"]) == 0
     out = capsys.readouterr().out
@@ -272,6 +282,14 @@ def test_cli_reduce(capsys):
 def test_cli_eval_nan_tolerance(capsys):
     assert main(["eval", "theta3", "0.1", "1i", "--tol", "nan"]) == 2
     assert "tol must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "z, tau", [("0.1", "nan+1i"), ("nan", "1i"), ("0.1", "0.2+nani")]
+)
+def test_cli_eval_nonfinite_point(capsys, z, tau):
+    assert main(["eval", "theta3", z, tau]) == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_cli_eval(capsys):
