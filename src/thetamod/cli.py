@@ -61,8 +61,12 @@ def _parse_matrix(text: str) -> Sl2Matrix:
 
 
 def _parse_complex(text: str) -> complex:
+    """A complex number written with an `i` (or `j`) imaginary-unit suffix."""
+    spec = text.replace(" ", "")
+    if spec.endswith("i"):  # only the suffix: `inf` and `nan` keep their i
+        spec = spec[:-1] + "j"
     try:
-        return complex(text.replace(" ", "").replace("i", "j"))
+        return complex(spec)
     except ValueError:
         raise DomainError(f"cannot parse complex number {text!r}") from None
 

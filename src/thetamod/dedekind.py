@@ -10,9 +10,12 @@ in-scope input.
 :func:`dedekind_sum` runs in O(log k) steps: it follows the Euclidean
 algorithm on (h, k) and folds the reciprocity law back over the pairs,
 carrying the integer g(h, k) = 12k*s(h, k) (an integer because 6k*s(h, k)
-is).  The O(k) summation survives only as ``_dedekind_sum_direct``, the
-oracle behind :func:`reciprocity_defect`: checking reciprocity with a
-reciprocity-based algorithm would prove nothing.
+is).  The O(k) summation survives only as the oracle behind
+:func:`reciprocity_defect`: checking reciprocity with a reciprocity-based
+algorithm would prove nothing.  The oracle is one integer loop,
+``_direct_total``; the reciprocity suite of ``thetamod verify`` reads each
+sum it needs once from a :class:`DirectTotals` table built for that run,
+and never uses a derived symmetry of s(h, k) to fill it.
 
 All arithmetic is exact; no floating point is used anywhere in this module.
 """
@@ -20,6 +23,7 @@ All arithmetic is exact; no floating point is used anywhere in this module.
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
 
 from .errors import DomainError
@@ -65,20 +69,12 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     return Fraction(g, 12 * k)
 
 
-def _dedekind_sum_direct(h: int, k: int) -> Fraction:
-    """s(h, k) by the O(k) summation: the reciprocity oracle.
+def _direct_total(h: int, k: int) -> int:
+    """T(h, k) = sum_{r=1}^{k-1} r*(h*r mod k) for 0 <= h < k: the O(k) loop.
 
-    Evaluated over integers: with m_r = h*r mod k (never 0 here),
-    ((hr/k)) = m_r/k - 1/2, so
-
-        s(h, k) = (sum_r r*m_r)/k^2 - (k-1)/4,
-
-    a single exact Fraction at the end of an O(k) integer loop.
+    The one home of the definition behind the oracle; the residue h*r mod k
+    is carried by repeated addition, so the loop multiplies only r*m.
     """
-    _require_coprime(h, k)
-    if k == 1:
-        return Fraction(0)
-    h %= k
     total = 0
     m = 0
     for r in range(1, k):
@@ -86,7 +82,39 @@ def _dedekind_sum_direct(h: int, k: int) -> Fraction:
         if m >= k:
             m -= k
         total += r * m
-    return Fraction(total, k * k) - Fraction(k - 1, 4)
+    return total
+
+
+def _dedekind_sum_direct(h: int, k: int) -> Fraction:
+    """s(h, k) by the O(k) summation: the tests' reference for dedekind_sum.
+
+    With m_r = h*r mod k (never 0 for coprime h, k and 0 < r < k),
+    ((hr/k)) = m_r/k - 1/2, so
+
+        s(h, k) = T(h mod k, k)/k^2 - (k-1)/4.
+    """
+    _require_coprime(h, k)
+    return Fraction(_direct_total(h % k, k), k * k) - Fraction(k - 1, 4)
+
+
+def _defect(h: int, k: int, t_hk: int, t_kh: int) -> Fraction:
+    """The reciprocity defect of coprime h, k >= 1 from two direct totals.
+
+    With t_hk = T(h mod k, k) and t_kh = T(k mod h, h), s(h, k) and s(k, h)
+    as in :func:`_dedekind_sum_direct`, and the whole identity scaled by
+    12h^2k^2 to stay over integers:
+
+        12h^2k^2 * defect = 12h^2*t_hk + 12k^2*t_kh
+                            - 3h^2k^2(h + k - 3) - hk(h^2 + k^2 + 1).
+    """
+    hk = h * k
+    scaled = (
+        12 * h * h * t_hk
+        + 12 * k * k * t_kh
+        - 3 * hk * hk * (h + k - 3)
+        - hk * (h * h + k * k + 1)
+    )
+    return Fraction(scaled, 12 * hk * hk)
 
 
 def reciprocity_defect(h: int, k: int) -> Fraction:
@@ -97,10 +125,30 @@ def reciprocity_defect(h: int, k: int) -> Fraction:
     """
     if h <= 0 or k <= 0:
         raise DomainError(f"reciprocity_defect needs h, k >= 1, got ({h}, {k})")
-    rhs = (
-        Fraction(h, 12 * k)
-        + Fraction(k, 12 * h)
-        - Fraction(1, 4)
-        + Fraction(1, 12 * h * k)
-    )
-    return _dedekind_sum_direct(h, k) + _dedekind_sum_direct(k, h) - rhs
+    _require_coprime(h, k)
+    return _defect(h, k, _direct_total(h % k, k), _direct_total(k % h, h))
+
+
+class DirectTotals:
+    """T(h, k) for every coprime 0 <= h < k <= bound, each by the O(k) loop.
+
+    The table behind the reciprocity suite: the suite's pairs (h, k) and
+    (k, h) share both sums, and s(h, k) only depends on h mod k, so reading
+    T from here computes each distinct direct sum once instead of twice or
+    more.  One array of (bound + 1)^2 8-byte integers, T(h, k) at
+    k*(bound + 1) + h and 0 off the coprime pairs.  Build one per use: it
+    is never cached.
+    """
+
+    def __init__(self, bound: int):
+        self.stride = n = bound + 1
+        self.totals = totals = array("q", [0]) * (n * n)
+        for k in range(1, n):
+            for h in range(k):
+                if math.gcd(h, k) == 1:
+                    totals[k * n + h] = _direct_total(h, k)
+
+    def reciprocity_defect(self, h: int, k: int) -> Fraction:
+        """:func:`reciprocity_defect` for coprime 1 <= h, k <= bound."""
+        n, totals = self.stride, self.totals
+        return _defect(h, k, totals[k * n + h % k], totals[h * n + k % h])

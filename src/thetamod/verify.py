@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, TextIO
 
-from .dedekind import reciprocity_defect
+from .dedekind import DirectTotals
 from .errors import DomainError, PrecisionUnreachableError
 from .exact import UnitPhase, rational_str
 from .modgroup import (
@@ -185,6 +185,8 @@ def _run(
     config: TrialConfig,
 ) -> list[VerificationRecord]:
     """The one trial loop: a record per index, in index order."""
+    if suite in _TABLES:
+        trial = partial(trial, _TABLES[suite]())
     return [_record(suite, t, *trial(config, t), config.tol) for t in indices(config)]
 
 
@@ -312,10 +314,10 @@ def _coprime_pairs() -> array:
     return array("H", pairs)
 
 
-def _reciprocity(config: TrialConfig, t: int) -> TrialOutput:
+def _reciprocity(sums: DirectTotals, config: TrialConfig, t: int) -> TrialOutput:
     """Trial t is the t-th coprime pair; the defect is exactly zero."""
     h, k = divmod(_coprime_pairs()[t], 256)
-    return {"h": h, "k": k}, lambda: (_ZERO, reciprocity_defect(h, k)), 1.0
+    return {"h": h, "k": k}, lambda: (_ZERO, sums.reciprocity_defect(h, k)), 1.0
 
 
 def _parity_mod4(config: TrialConfig, t: int) -> TrialOutput:
@@ -447,6 +449,11 @@ _INDICES: dict[str, Callable[[TrialConfig], range]] = {
     "lemma5": lambda config: range(config.trials + 1),
     "reciprocity": lambda config: range(len(_coprime_pairs())),
 }
+# Suites whose trials share one table, passed to the trial function first.
+# Each run of the suite builds its own: never at import, never kept.
+_TABLES: dict[str, Callable[[], object]] = {
+    "reciprocity": lambda: DirectTotals(RECIPROCITY_BOUND),
+}
 SUITES: dict[str, Callable[[TrialConfig], list[VerificationRecord]]] = {
     name: partial(_run, name, trial, _INDICES.get(name, _all_trials))
     for name, trial in _TRIALS.items()
@@ -522,12 +529,15 @@ def write_report(
 def load_corpus(path: str) -> tuple[Sl2Matrix, ...]:
     """Matrices from a file, one [[a,b],[c,d]] per line (blank/# skipped)."""
     matrices = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            matrices.append(Sl2Matrix.from_lists(json.loads(line)))
+    with open(path, "rb") as fh:  # decoded per line, so bad UTF-8 has a line
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line or line.startswith("#"):
+                    continue
+                matrices.append(Sl2Matrix.from_lists(json.loads(line)))
+            except (ValueError, TypeError) as err:  # DomainError included
+                raise DomainError(f"corpus {path} line {lineno}: {err}") from None
     if not matrices:
         raise DomainError(f"corpus {path} contains no matrices")
     return tuple(matrices)

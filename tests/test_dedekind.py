@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import thetamod.dedekind
 from thetamod.dedekind import (
+    DirectTotals,
     _dedekind_sum_direct,
     dedekind_sum,
     reciprocity_defect,
@@ -133,6 +134,22 @@ def test_reciprocity_oracle_does_not_use_dedekind_sum(monkeypatch):
         reciprocity_defect(2, 4)
     with pytest.raises(DomainError):
         reciprocity_defect(0, 3)
+
+
+def test_direct_totals_match_direct_sums():
+    bound = 200  # the reciprocity suite's bound, every entry it reads
+    table = DirectTotals(bound)
+    n = bound + 1
+    assert table.stride == n and len(table.totals) == n * n
+    assert table.totals.itemsize <= 8
+    for k in range(1, n):
+        for h in range(k):
+            total = table.totals[k * n + h]
+            if math.gcd(h, k) != 1:
+                assert total == 0, (h, k)
+                continue
+            direct = Fraction(total, k * k) - Fraction(k - 1, 4)
+            assert direct == _dedekind_sum_direct(h, k), (h, k)
 
 
 def test_domain_errors():

@@ -3,11 +3,18 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from thetamod.cli import main
+import thetamod
+import thetamod.dedekind
+import thetamod.verify
+from thetamod.cli import _parse_complex, main
 from thetamod.errors import DomainError
 from thetamod.modgroup import Sl2Matrix
 from thetamod.verify import (
@@ -292,6 +299,18 @@ def test_cli_eval_nonfinite_point(capsys, z, tau):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tau", ["inf+1i", "1+infi", "-inf", "nan+1i"])
+def test_cli_nonfinite_complex_reaches_domain_check(capsys, tau):
+    # only the imaginary-unit suffix is rewritten, so `inf` stays `inf`
+    assert main(["reduce", "--", tau]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["0.1+0.4i", "0.3+1e-4i", "5+1i", "1i", "0.2 - 3i"])
+def test_parse_complex_finite_unchanged(text):
+    assert _parse_complex(text) == complex(text.replace(" ", "").replace("i", "j"))
+
+
 def test_cli_eval(capsys):
     assert main(["eval", "theta3", "0", "1i"]) == 0
     out = capsys.readouterr().out
@@ -374,6 +393,14 @@ def test_cli_verify_bad_corpus(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("bad", [b"not json", b"[[1,2,3],[4,5]]", b"\xff\xfe"])
+def test_cli_verify_unparsable_corpus_line(tmp_path, capsys, bad):
+    corpus = tmp_path / "c.txt"
+    corpus.write_bytes(b"# a comment\r\n[[2,1],[1,1]]\n" + bad + b"\n")
+    assert main(["verify", "--suite", "lemma1", "--corpus", str(corpus)]) == 2
+    assert f"corpus {corpus} line 3:" in capsys.readouterr().err
+
+
 def test_cli_verify_report_to_stdout(capsys):
     assert main(["verify", "--suite", "parity-mod4", "--trials", "4"]) == 0
     out = capsys.readouterr().out
@@ -401,3 +428,72 @@ def test_cli_verify_failing_suite_exits_1(tmp_path, capsys):
     assert code == 1
     summary = json.loads(out.read_text().strip().split("\n")[-1])
     assert summary["pass"] is False
+
+
+# --- the reciprocity suite's direct-sum table ------------------------------
+
+
+def _reciprocity_failures() -> set[tuple[int, int]]:
+    records = run_suite("reciprocity", SMALL)
+    assert len(records) == 24463
+    return {(r.inputs["h"], r.inputs["k"]) for r in records if not r.passed}
+
+
+def test_reciprocity_suite_does_not_use_dedekind_sum(monkeypatch):
+    def boom(h, k):
+        raise AssertionError("the reciprocity suite called dedekind_sum")
+
+    monkeypatch.setattr(thetamod.dedekind, "dedekind_sum", boom)
+    assert _reciprocity_failures() == set()
+
+
+def test_reciprocity_corrupt_entry_fails_exactly_its_readers(monkeypatch):
+    # T(3, 7) is read by every pair {7, j} with j = 3 mod 7, in either order
+    direct_total = thetamod.dedekind._direct_total
+
+    def corrupt(h, k):
+        return direct_total(h, k) + ((h, k) == (3, 7))
+
+    monkeypatch.setattr(thetamod.dedekind, "_direct_total", corrupt)
+    readers = {(j, 7) for j in range(3, 201, 7)} | {(7, j) for j in range(3, 201, 7)}
+    assert _reciprocity_failures() == readers
+
+
+def test_reciprocity_table_built_once_per_run(monkeypatch):
+    builds = []
+
+    class Counting(thetamod.dedekind.DirectTotals):
+        def __init__(self, bound):
+            builds.append(bound)
+            super().__init__(bound)
+
+    monkeypatch.setattr(thetamod.verify, "DirectTotals", Counting)
+    _reciprocity_failures()
+    assert builds == [thetamod.verify.RECIPROCITY_BOUND]
+    run_suites(TrialConfig(seed=7, trials=2, suites=("lemma1", "reciprocity")))
+    assert len(builds) == 2
+
+
+def test_reciprocity_table_not_built_at_import():
+    script = (
+        "import sys\n"
+        "calls = []\n"
+        "def count(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_name == '_direct_total':\n"
+        "        calls.append(1)\n"
+        "sys.setprofile(count)\n"
+        "import thetamod, thetamod.cli, thetamod.verify\n"
+        "sys.setprofile(None)\n"
+        "print(len(calls))\n"
+    )
+    src = str(Path(thetamod.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "0"
