@@ -5,7 +5,7 @@ modular-group generator decomposition, the assembled transformation laws,
 and a deterministic verification harness over all of them.
 """
 
-from .dedekind import dedekind_sum, reciprocity_defect, sawtooth
+from .dedekind import dedekind_sum, reciprocity_defect
 from .errors import DomainError, PrecisionUnreachableError
 from .exact import UnitPhase, jacobi_symbol
 from .modgroup import (
@@ -78,7 +78,6 @@ __all__ = [
     "recompose",
     "reciprocity_defect",
     "reduce_tau",
-    "sawtooth",
     "theta1_epsilon",
     "theta1_epsilon_closed",
     "theta1_epsilon_induction",

@@ -29,14 +29,6 @@ from fractions import Fraction
 from .errors import DomainError
 
 
-def sawtooth(x: Fraction) -> Fraction:
-    """The sawtooth ((x)): x - floor(x) - 1/2, and 0 at integers."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - math.floor(x) - Fraction(1, 2)
-
-
 def _require_coprime(h: int, k: int) -> None:
     if k <= 0:
         raise DomainError(f"dedekind_sum needs k >= 1, got k={k}")

@@ -69,8 +69,10 @@ HALF_PERIOD_PARTNER = {
 }
 
 
-def _half_integer_indices(kind: ThetaKind) -> bool:
-    return kind in (ThetaKind.THETA1, ThetaKind.THETA2)
+# The kinds summed over half-integer indices.  A tuple of members, because
+# looking an enum member up on its class is slow enough to show in the
+# per-bound cost.
+_HALF_INTEGER_KINDS = (ThetaKind.THETA1, ThetaKind.THETA2)
 
 
 def truncation_bound(kind: ThetaKind, z: complex, tau: complex, N: int) -> float:
@@ -92,7 +94,7 @@ def truncation_bound(kind: ThetaKind, z: complex, tau: complex, N: int) -> float
 
 def _tail_bound(kind: ThetaKind, y: float, beta: float, N: int) -> float:
     """truncation_bound for validated y = Im tau > 0 and beta = |Im z|."""
-    m0 = N + 1.5 if _half_integer_indices(kind) else N + 1.0
+    m0 = N + 1.5 if kind in _HALF_INTEGER_KINDS else N + 1.0
     log_ratio = -_PI * y * (2 * m0 + 1) + 2 * _PI * beta
     if log_ratio >= 0:
         return math.inf
@@ -118,6 +120,16 @@ def truncation_index(
     bound(N+1)/bound(N) = r_N (1 - r_N)/(1 - r_{N+1}) < r_N < 1; and since
     log t(m0) falls by -log r_N > 0 a step, the overflow cut-off cannot
     return after a finite stretch.
+
+    So the good N (bound < tol/2) are every N from the first good one on,
+    and any start point, stepped up while bound(N) >= tol/2 and then down
+    while bound(N-1) < tol/2, stops at exactly the N a scan from 1 would
+    return.  The start sizes N from the leading omitted term alone (as in
+    Johansson, arXiv:1806.06725): t(m) = tol/4 at the root
+    m = (beta + sqrt(beta^2 + y L/pi))/y of pi y m^2 - 2 pi beta m = L,
+    with L = -log(tol/4), and the first omitted index m0 is N + 1.5
+    (theta1/2) or N + 1 (theta3/4), so N starts at ceil(m - 1.5) or
+    ceil(m - 1), a few steps from the answer; the bound certifies it.
     """
     if not tol > 0:  # also rejects NaN
         raise DomainError(f"tol must be positive, got {tol}")
@@ -129,15 +141,39 @@ def truncation_index(
     achievable = _tail_bound(kind, y, beta, max_index)
     if not achievable < target:
         raise PrecisionUnreachableError(tol, achievable, max_index)
-    for N in range(1, max_index):
-        if _tail_bound(kind, y, beta, N) < target:
-            return N
-    return max_index
+    N = _start_index(kind, y, beta, tol, max_index)
+    while not _tail_bound(kind, y, beta, N) < target:
+        N += 1
+    while N > 1 and _tail_bound(kind, y, beta, N - 1) < target:
+        N -= 1
+    return N
+
+
+_LOG4 = math.log(4.0)
+
+
+def _start_index(
+    kind: ThetaKind, y: float, beta: float, tol: float, max_index: int
+) -> int:
+    """truncation_index's closed-form start, clamped into [1, max_index].
+
+    L is computed as log 4 - log tol, so that a subnormal tol/4 cannot
+    round to 0.  The discriminant can be nonpositive only when tol > 4
+    (L < 0); the start is then 1.
+    """
+    disc = beta * beta + y * (_LOG4 - math.log(tol)) / _PI
+    if not disc > 0:
+        return 1
+    offset = 1.5 if kind in _HALF_INTEGER_KINDS else 1.0
+    start = (beta + math.sqrt(disc)) / y - offset
+    if not start < max_index:  # also an overflowed start
+        return max_index
+    return math.ceil(start) if start > 1 else 1
 
 
 def term_count(kind: ThetaKind, N: int) -> int:
     """Number of series terms in the symmetric partial sum S_N."""
-    return 2 * N + 2 if _half_integer_indices(kind) else 2 * N + 1
+    return 2 * N + 2 if kind in _HALF_INTEGER_KINDS else 2 * N + 1
 
 
 def _partial_sum(kind: ThetaKind, z: complex, tau: complex, N: int) -> complex:

@@ -27,19 +27,18 @@ function.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 from .errors import DomainError, require_upper_half
 from .modgroup import (
-    IDENTITY,
     GeneratorWord,
     Letter,
-    S,
     Sl2Matrix,
     decompose_gamma,
     is_gamma2,
-    translation,
+    recompose,
 )
 from .multipliers import gamma2_prefactor, theta1_epsilon
 from .series import (
@@ -212,30 +211,29 @@ def reduce_tau(tau: complex) -> tuple[Sl2Matrix, complex]:
     increases at every inversion inside the strip, so the loop terminates.
     """
     require_upper_half(tau)
-    A, tau_red, _ = _reduce_steps(tau)
-    return A, tau_red
+    word, tau_red, _ = _reduce_steps(tau)
+    return recompose(word), tau_red
 
 
-def _reduce_steps(tau: complex) -> tuple[Sl2Matrix, complex, list[Letter]]:
-    """Reduction matrix, reduced point, and the letters in application order.
+def _reduce_steps(tau: complex) -> tuple[GeneratorWord, complex, list[Letter]]:
+    """Reduction word, reduced point, and the letters in application order.
 
-    tau must already have passed require_upper_half.
+    The word lists the letters last-applied first, so recompose(word) is the
+    reducing matrix; no matrix is multiplied here.  tau must already have
+    passed require_upper_half.
     """
-    A = IDENTITY
     steps: list[Letter] = []
     t = complex(tau)
     for _ in range(10000):
         m = round(t.real)
         if m != 0:
             t = t - m
-            A = translation(-m) * A
             steps.append(Letter("T", -m))
         if abs(t) < 1.0 - 1e-12:
             t = -1 / t
-            A = S * A
             steps.append(Letter("S"))
         else:
-            return A, t, steps
+            return GeneratorWord(tuple(reversed(steps))), t, steps
     raise RuntimeError(f"fundamental-domain reduction did not terminate for {tau}")
 
 
@@ -244,10 +242,14 @@ class FastEvaluation:
     value: complex
     terms: int
     index: int
-    reduction: Sl2Matrix
     tau_reduced: complex
     reduced_kind: ThetaKind
     word: GeneratorWord
+
+    @functools.cached_property
+    def reduction(self) -> Sl2Matrix:
+        """The reducing matrix A, with A tau = tau_reduced."""
+        return recompose(self.word)
 
 
 def eval_fast_report(
@@ -265,7 +267,7 @@ def eval_fast_report(
     terms.
     """
     require_upper_half(tau, z)
-    A, _, steps = _reduce_steps(tau)
+    word, _, steps = _reduce_steps(tau)
     kind_c, factor, z_c, tau_c = kind, 1.0 + 0.0j, complex(z), complex(tau)
     for letter in steps:
         kind_c, factor, z_c, tau_c = apply_letter(kind_c, letter, z_c, tau_c, factor)
@@ -275,10 +277,9 @@ def eval_fast_report(
         value=factor * rep.value,
         terms=rep.terms,
         index=rep.index,
-        reduction=A,
         tau_reduced=tau_c,
         reduced_kind=kind_c,
-        word=GeneratorWord(tuple(reversed(steps))),
+        word=word,
     )
 
 

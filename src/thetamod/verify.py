@@ -132,20 +132,25 @@ class VerificationRecord:
         return rec
 
 
+def _encode_float(v: float):
+    return v if math.isfinite(v) else str(v)
+
+
+# _encode's table, keyed by exact type; a value of any other type is already
+# JSON.  rational_str is looked up at call time, so a hook on it sees calls.
+_ENCODERS = {
+    float: _encode_float,
+    complex: lambda v: [_encode_float(v.real), _encode_float(v.imag)],
+    Fraction: lambda v: rational_str(v),
+    UnitPhase: lambda v: rational_str(v.phase),
+    Sl2Matrix: Sl2Matrix.to_lists,
+    ThetaKind: str,
+}
+
+
 def _encode(v):
-    if isinstance(v, float):
-        return v if math.isfinite(v) else str(v)
-    if isinstance(v, complex):
-        return [_encode(v.real), _encode(v.imag)]
-    if isinstance(v, UnitPhase):
-        return rational_str(v.phase)
-    if isinstance(v, Fraction):
-        return rational_str(v)
-    if isinstance(v, Sl2Matrix):
-        return v.to_lists()
-    if isinstance(v, ThetaKind):
-        return str(v)
-    return v
+    encoder = _ENCODERS.get(type(v))
+    return v if encoder is None else encoder(v)
 
 
 Sides = Callable[[], tuple[object, object]]
@@ -508,12 +513,16 @@ def overall_pass(summaries: list[SuiteSummary]) -> bool:
     return all(s.ok for s in summaries if not s.diagnostic)
 
 
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
 def write_report(
     fp: TextIO, records: list[VerificationRecord], summaries: list[SuiteSummary]
 ) -> None:
     """JSON Lines: one record per trial, one trailing summary line."""
+    encode = _RECORD_ENCODER.encode
     for rec in records:
-        fp.write(json.dumps(rec.to_json_dict(), sort_keys=True, allow_nan=False))
+        fp.write(encode(rec.to_json_dict()))
         fp.write("\n")
     summary = {
         "summary": {

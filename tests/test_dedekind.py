@@ -13,9 +13,16 @@ from thetamod.dedekind import (
     _dedekind_sum_direct,
     dedekind_sum,
     reciprocity_defect,
-    sawtooth,
 )
 from thetamod.errors import DomainError
+
+
+def sawtooth(x: Fraction) -> Fraction:
+    """The sawtooth ((x)): x - floor(x) - 1/2, and 0 at integers."""
+    x = Fraction(x)
+    if x.denominator == 1:
+        return Fraction(0)
+    return x - math.floor(x) - Fraction(1, 2)
 
 
 def dedekind_oracle(h: int, k: int) -> Fraction:

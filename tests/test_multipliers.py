@@ -1,5 +1,7 @@
 """Exact multiplier values, the phase lemmas, and the induction chain."""
 
+import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from thetamod.modgroup import (
     S2,
     Letter,
     Sl2Matrix,
+    mobius,
     normalize_sign,
     shear,
     translation,
@@ -28,10 +31,10 @@ from thetamod.multipliers import (
     theta1_epsilon_closed,
     theta1_epsilon_induction,
 )
-from thetamod.series import ThetaKind
+from thetamod.series import ThetaKind, theta_series
 from thetamod.verify import TrialConfig, run_suite
 
-K2, K3, K4 = ThetaKind.THETA2, ThetaKind.THETA3, ThetaKind.THETA4
+K1, K2, K3, K4 = ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3, ThetaKind.THETA4
 
 
 def _random_matrix(rng, gamma2=False, cap=1500):
@@ -244,3 +247,54 @@ def test_gamma2_prefactor_matches_eta_cube_convention():
                 * UnitPhase(Fraction(-1, 4))
             )
             assert gamma2_prefactor(kind, A) == expected
+
+
+def _eta(tau):
+    """eta(tau) = theta1(1/3, tau/3)/sqrt(3), from the direct series."""
+    return theta_series(K1, 1 / 3, tau / 3, 1e-14) / math.sqrt(3)
+
+
+def _eta_law_residual(A, tau):
+    """Relative residual of eta(A tau) = eps(A) (-i(c tau+d))^{1/2} eta(tau)."""
+    lhs = _eta(mobius(A, tau))
+    rhs = (
+        multipliers.eta_epsilon(A).to_complex()
+        * cmath.sqrt(-1j * (A.c * tau + A.d))
+        * _eta(tau)
+    )
+    return abs(lhs - rhs) / max(1.0, abs(rhs))
+
+
+def _eta_law_trials():
+    """100 seeded (A, tau) with 1 <= c <= 6, |d| <= 12, tau in a unit box."""
+    rng = random.Random(88)
+    out = []
+    while len(out) < 100:
+        c, d = rng.randint(1, 6), rng.randint(-12, 12)
+        if math.gcd(c, d) != 1:
+            continue
+        a = pow(d, -1, c) + rng.randint(-3, 3) * c  # a d = 1 mod c
+        A = Sl2Matrix(a, (a * d - 1) // c, c, d)
+        out.append((A, complex(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 1.5))))
+    return out
+
+
+def test_eta_transformation_law():
+    # eta_epsilon on its own, not through the cube in epsilon1 = -i eps^3
+    for A, tau in _eta_law_trials():
+        assert _eta_law_residual(A, tau) < 1e-9, (A, tau)
+
+
+@pytest.mark.parametrize("shift", [Fraction(2, 3), Fraction(4, 3)], ids=str)
+def test_eta_law_refutes_cube_root_shifts(monkeypatch, shift):
+    # a cube root of unity vanishes from epsilon1, but not from the eta law
+    exact = multipliers.eta_epsilon
+
+    def shifted(A):
+        return exact(A) * UnitPhase(shift) if A.c > 1 else exact(A)
+
+    monkeypatch.setattr(multipliers, "eta_epsilon", shifted)
+    trials = [(A, tau) for A, tau in _eta_law_trials() if A.c > 1]
+    assert len(trials) > 60
+    for A, tau in trials:
+        assert _eta_law_residual(A, tau) > 0.5, (A, tau)

@@ -281,6 +281,55 @@ def test_truncation_index_is_the_first_good_index():
     assert 50 < reached < 300
 
 
+def _check_first_good(kind, z, tau, tol, max_index):
+    """truncation_index against its definition, read through truncation_bound."""
+    target = tol / 2
+    try:
+        N = truncation_index(kind, z, tau, tol, max_index)
+    except PrecisionUnreachableError:
+        assert not truncation_bound(kind, z, tau, max_index) < target
+        return None
+    assert 1 <= N <= max_index
+    assert truncation_bound(kind, z, tau, N) < target
+    assert N == 1 or truncation_bound(kind, z, tau, N - 1) >= target
+    return N
+
+
+def test_truncation_index_first_good_property():
+    # the closed-form start, stepped up and down, lands on the first good N
+    rng = random.Random(14)
+    reached = set()
+    for _ in range(5000):
+        kind = rng.choice(ALL_KINDS)
+        y = 10 ** rng.uniform(-4, 1)
+        z = complex(rng.uniform(-1, 1), rng.uniform(-3, 3) * y)
+        tau = complex(rng.uniform(-1, 1), y)
+        tol = 10 ** rng.uniform(-15, -2)
+        N = _check_first_good(kind, z, tau, tol, rng.choice((400, MAX_INDEX)))
+        reached.add(min(N // 8, 8))
+    assert reached == set(range(9))  # N from 1 to >= 64, never unreachable
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=str)
+def test_truncation_index_edge_inputs(kind):
+    for tau in (0.2 + 1e-12j, 0.2 + 1j, 50j):
+        for z in (0, 0.3j * tau.imag, 1.5j * tau.imag):
+            for tol in (1e300, math.inf, 1e-10, 5e-324):
+                for max_index in (1, 400, MAX_INDEX):
+                    N = _check_first_good(kind, z, tau, tol, max_index)
+                    if tol == 5e-324:  # tol/2 rounds to 0: nothing certifies it
+                        assert N is None
+                    if tau == 50j and z == 0 and tol == 1e-10:
+                        assert N == 1
+
+
+def test_truncation_index_steps_down_past_its_start():
+    # tol > 4 makes log(tol/4) negative: the leading term is below tol/4
+    # on both sides of its peak, and the closed-form start (N = 3, past the
+    # far root) lies above the first good index
+    assert _check_first_good(K4, 34.5j, 10j, 1e161, 1000) == 2
+
+
 def test_ratio_rounding_to_one_is_an_infinite_bound():
     # log r = -pi*0.001*19 + 2*pi*0.0095 is a rounding residue just below 0
     assert truncation_bound(K3, 0.0095j, 0.2 + 0.001j, 8) == math.inf

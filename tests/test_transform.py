@@ -308,6 +308,27 @@ def test_eval_fast_report_word_recomposes():
     assert abs(rep.tau_reduced) >= 1 - 1e-9
 
 
+def test_eval_path_multiplies_no_matrices(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("Sl2Matrix product on the eval path")
+
+    monkeypatch.setattr(Sl2Matrix, "__mul__", refuse)
+    for kind in (K1, K2, K3, K4):
+        assert math.isfinite(abs(eval_fast(kind, 0.1, 0.3 + 0.01j, 1e-10)))
+
+
+def test_reduction_matrix_is_the_left_product_of_the_letters():
+    rng = random.Random(60)
+    for i in range(500):
+        tau = complex(rng.uniform(-8, 8), math.exp(rng.uniform(-6, 2)))
+        A = IDENTITY
+        for letter in transform._reduce_steps(tau)[2]:  # application order
+            A = letter.matrix() * A
+        rep = eval_fast_report((K1, K2, K3, K4)[i % 4], 0.1, tau, 1e-10)
+        assert rep.reduction == A
+        assert reduce_tau(tau)[0] == A
+
+
 def test_chain_vs_direct():
     rng = random.Random(59)
     checked = 0
