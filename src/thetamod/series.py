@@ -7,10 +7,16 @@ With q = e^{i*pi*tau}, Im tau > 0:
     theta3(z,tau) =    sum_n        q^{n^2}       e^{2 n pi i z}
     theta4(z,tau) =    sum_n (-1)^n q^{n^2}       e^{2 n pi i z}
 
-Terms are summed in symmetric +-n pairs (near-conjugate for real z, so the
-pairing cancels rounding error and makes theta1(0, tau) exactly 0.0).  Each
-exponential is evaluated as a single exp(i*pi*(...)) so no intermediate
-factor can overflow.
+Terms come from a ratio recurrence (as in Johansson, arXiv:1806.06725): at
+most five exp calls per partial sum, whatever N is (the two starting terms,
+each side's first ratio, and q^2), then two complex products per term.  The
+walk starts at the summed index nearest the peak of |term| and goes
+outward, so every ratio has modulus <= 1 and only the starting terms, each
+the per-term exp(i*pi*(...)) of its index, can overflow: exactly where a
+per-term evaluation would.  A term n steps from the start carries a
+relative rounding error of about n ulps.  The two sides go into one total
+alternately, largest first; at z = 0 the two sides of theta1 are exact
+negatives of each other, so theta1(0, tau) is exactly 0.0.
 
 Truncation is certified: the tail beyond the returned partial sum is bounded
 by a geometric majorant of e^{-pi n^2 Im tau + 2 pi n |Im z|}, and the
@@ -61,6 +67,15 @@ class ThetaKind(enum.Enum):
         return f"theta{self.value}"
 
 
+# The members, bound once: looking an enum member up on its class is slow
+# enough to show in the per-call cost of the short sums and of each bound.
+_THETA1, _THETA2, _THETA3, _THETA4 = (
+    ThetaKind.THETA1,
+    ThetaKind.THETA2,
+    ThetaKind.THETA3,
+    ThetaKind.THETA4,
+)
+
 HALF_PERIOD_PARTNER = {
     ThetaKind.THETA1: ThetaKind.THETA2,
     ThetaKind.THETA2: ThetaKind.THETA1,
@@ -69,10 +84,8 @@ HALF_PERIOD_PARTNER = {
 }
 
 
-# The kinds summed over half-integer indices.  A tuple of members, because
-# looking an enum member up on its class is slow enough to show in the
-# per-bound cost.
-_HALF_INTEGER_KINDS = (ThetaKind.THETA1, ThetaKind.THETA2)
+# The kinds summed over half-integer indices.
+_HALF_INTEGER_KINDS = (_THETA1, _THETA2)
 
 
 def truncation_bound(kind: ThetaKind, z: complex, tau: complex, N: int) -> float:
@@ -177,32 +190,93 @@ def term_count(kind: ThetaKind, N: int) -> int:
 
 
 def _partial_sum(kind: ThetaKind, z: complex, tau: complex, N: int) -> complex:
-    """S_N: indices |n| <= N (theta3/4), or n = -N-1 .. N (theta1/2)."""
+    """S_N: indices |n| <= N (theta3/4), or n = -N-1 .. N (theta1/2).
+
+    In the index m = n (theta3/4) or n + 1/2 (theta1/2) the terms are
+    t(m) = s^n e^{i pi (tau m^2 + 2 m z)}, with s = -1 for theta1/4 and 1
+    for theta2/3, and |t(m)| = e^{-pi y m^2 - 2 pi m Im z} peaks at
+    m* = -Im z / y.  The walk starts at c, the summed index nearest m*:
+
+        t(m+1) = t(m) R(m),  R(m) = s e^{i pi (tau (2m+1) + 2z)},  R(m+1) = R(m) q^2
+        t(m-1) = t(m) D(m),  D(m) = s e^{i pi (tau (1-2m) - 2z)},  D(m-1) = D(m) q^2
+
+    with q^2 = e^{2 pi i tau}.  The upward side is c .. top and the
+    downward side c-1 .. bottom.  Each side's first term is the per-term
+    exponential of its index, so the peak overflows exactly where it would
+    alone; the first ratios have modulus <= 1 because c is nearest the
+    peak, so no later step can.  An exp that this call does not need is not
+    evaluated, and theta3/4 walked from c = 0 need two: t(0) = 1,
+    R(0) = t(1), q^2 = t(1) t(-1) and D(-1) = t(-1) q^2.
+
+    The terms go into one total alternately, upward first, never pre-summed
+    in pairs: then, from the same start, the additions of S_N are a
+    subsequence of those of S_{N+k}, so the two differ by the added terms
+    and not by a reordered rounding; and at z = 0 the downward terms of
+    theta1 are the exact negatives of the upward ones, so the total is
+    exactly 0.0.
+    """
     e = cmath.exp
     ipi = 1j * _PI
-    if kind is ThetaKind.THETA3 or kind is ThetaKind.THETA4:
-        total = 1.0 + 0.0j
-        sign = 1.0
-        for n in range(1, N + 1):
-            if kind is ThetaKind.THETA4:
-                sign = -sign
-            w = tau * (n * n)
-            total += sign * (e(ipi * (w + 2 * n * z)) + e(ipi * (w - 2 * n * z)))
-        return total
-    total = 0.0 + 0.0j
-    sign = 1.0
-    for n in range(0, N + 1):
-        h = n + 0.5
-        w = tau * (h * h)
-        u = (2 * n + 1) * z
-        plus = e(ipi * (w + u))
-        minus = e(ipi * (w - u))
-        if kind is ThetaKind.THETA2:
-            total += plus + minus
-        else:
-            total += sign * (plus - minus)
-            sign = -sign
-    return total if kind is ThetaKind.THETA2 else -1j * total
+    s = -z.imag / tau.imag
+    if kind is _THETA1 or kind is _THETA2:
+        lo = -N - 1
+        j = lo if s < lo else N if s >= N else math.floor(s)
+        m = j + 0.5
+    else:
+        lo = -N
+        s += 0.5
+        j = m = lo if s < lo else N if s >= N else math.floor(s)
+    flip = kind is _THETA1 or kind is _THETA4
+    a = N - j + 1  # upward terms
+    b = j - lo  # downward terms
+    zz = 2 * z
+    if m:
+        q2 = e(2 * ipi * tau) if a > 2 or b > 2 else 0j
+        up = e(ipi * (tau * (m * m) + zz * m))
+        if flip and j % 2:
+            up = -up
+        if a > 1:
+            ru = e(ipi * (tau * (2 * m + 1) + zz))
+            if flip:
+                ru = -ru
+        if b:
+            d = m - 1
+            down = e(ipi * (tau * (d * d) + zz * d)) if d else 1.0 + 0.0j
+            if flip and not j % 2:
+                down = -down
+            if b > 1:
+                rd = e(ipi * (tau * (3 - 2 * m) - zz))
+                if flip:
+                    rd = -rd
+    else:
+        up = 1.0 + 0.0j
+        ru = e(ipi * (tau + zz))
+        down = e(ipi * (tau - zz))
+        if flip:
+            ru = -ru
+            down = -down
+        q2 = ru * down
+        rd = down * q2
+    total = up
+    n = 0
+    if b:
+        total += down
+        n = (a if a < b else b) - 1
+        for _ in range(n):
+            up *= ru
+            total += up
+            ru *= q2
+            down *= rd
+            total += down
+            rd *= q2
+        if b > a:  # only the downward side is left
+            up, ru, a = down, rd, b
+    if a > n + 1:
+        for _ in range(a - 1 - n):
+            up *= ru
+            total += up
+            ru *= q2
+    return -1j * total if kind is _THETA1 else total
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,10 @@ from .modgroup import (
 )
 from .multipliers import gamma2_prefactor, theta1_epsilon
 from .series import (
+    _THETA1,
+    _THETA2,
+    _THETA3,
+    _THETA4,
     DEFAULT_TOL,
     MAX_INDEX,
     ThetaKind,
@@ -134,14 +138,6 @@ def predict_theta_gamma2(
     )
 
 
-_SHIFT_SWAP = {ThetaKind.THETA3: ThetaKind.THETA4, ThetaKind.THETA4: ThetaKind.THETA3}
-_INVERT_SWAP = {
-    ThetaKind.THETA2: ThetaKind.THETA4,
-    ThetaKind.THETA3: ThetaKind.THETA3,
-    ThetaKind.THETA4: ThetaKind.THETA2,
-}
-
-
 def apply_letter(
     kind: ThetaKind,
     letter: Letter,
@@ -169,18 +165,19 @@ def apply_letter(
     """
     if letter.gen == "T":
         m = letter.exp
-        if kind is ThetaKind.THETA1 or kind is ThetaKind.THETA2:
+        if kind is _THETA1 or kind is _THETA2:
             factor *= cmath.exp(-1j * math.pi * m / 4)
         elif m % 2 != 0:
-            kind = _SHIFT_SWAP[kind]
+            kind = _THETA4 if kind is _THETA3 else _THETA3
         return kind, factor, z, tau + m
     if letter.gen == "S":
         J = cmath.sqrt(-1j * tau) * cmath.exp(1j * math.pi * z * z / tau)
-        if kind is ThetaKind.THETA1:
+        if kind is _THETA1:
             factor *= 1j / J
         else:
             factor /= J
-            kind = _INVERT_SWAP[kind]
+            if kind is not _THETA3:
+                kind = _THETA4 if kind is _THETA2 else _THETA2
         return kind, factor, z / tau, -1 / tau
     raise DomainError(f"apply_letter takes T^m or S, not {letter}")
 

@@ -341,3 +341,143 @@ def test_kind_parsing():
     assert ThetaKind.parse("2") is K2
     with pytest.raises(DomainError):
         ThetaKind.parse("theta9")
+
+
+# --- the ratio recurrence in _partial_sum ------------------------------------
+
+
+def _per_term_sum(kind, z, tau, N):
+    """S_N with one exp per term: the loop _partial_sum replaced, kept as a
+    reference for the recurrence."""
+    e = cmath.exp
+    ipi = 1j * math.pi
+    if kind is K3 or kind is K4:
+        total = 1.0 + 0.0j
+        sign = 1.0
+        for n in range(1, N + 1):
+            if kind is K4:
+                sign = -sign
+            w = tau * (n * n)
+            total += sign * (e(ipi * (w + 2 * n * z)) + e(ipi * (w - 2 * n * z)))
+        return total
+    total = 0.0 + 0.0j
+    sign = 1.0
+    for n in range(0, N + 1):
+        h = n + 0.5
+        w = tau * (h * h)
+        u = (2 * n + 1) * z
+        plus = e(ipi * (w + u))
+        minus = e(ipi * (w - u))
+        if kind is K2:
+            total += plus + minus
+        else:
+            total += sign * (plus - minus)
+            sign = -sign
+    return total if kind is K2 else -1j * total
+
+
+def _peak_term(kind, z, tau, N):
+    """max |t(m)| over the indices S_N sums."""
+    if kind in (K1, K2):
+        indices = [n + 0.5 for n in range(-N - 1, N + 1)]
+    else:
+        indices = range(-N, N + 1)
+    y, beta = tau.imag, z.imag
+    return math.exp(max(-math.pi * y * m * m - 2 * math.pi * m * beta for m in indices))
+
+
+class _CountingCmath:
+    """Stands in for the cmath module and counts exp calls."""
+
+    def __init__(self):
+        self.exp_calls = 0
+
+    def exp(self, w):
+        self.exp_calls += 1
+        return cmath.exp(w)
+
+
+def test_partial_sum_makes_at_most_five_exponentials(monkeypatch):
+    shim = _CountingCmath()
+    monkeypatch.setattr(series, "cmath", shim)
+    # peak at the centre, off-centre, and at m* = -+40: clamped to either
+    # end of the range for N < 40
+    points = [
+        (0.3, 0.2 + 0.01j),
+        (0.1 + 0.05j, 0.2 + 0.01j),
+        (0.3 + 2j, 0.1 + 0.05j),
+        (0.3 - 2j, 0.1 + 0.05j),
+    ]
+    for kind in ALL_KINDS:
+        for z, tau in points:
+            for N in range(1, 401):
+                shim.exp_calls = 0
+                _partial_sum(kind, z, tau, N)
+                assert shim.exp_calls <= 5, (kind, z, tau, N)
+
+
+def test_recurrence_matches_per_term_reference():
+    # Each recurrence term carries a relative rounding error that grows by
+    # about u per step, and each reference term one of about u times its
+    # exponent's size; both are bounded by the peak term, so the sums agree
+    # to a small multiple of (N + 1) u max(1, peak).
+    u = 2.0**-52
+    rng = random.Random(17)
+    clamped = 0
+    for i in range(2000):
+        kind = ALL_KINDS[i % 4]
+        N = rng.randint(1, 3) if i % 5 == 0 else round(400 ** rng.random())
+        y = 10 ** rng.uniform(-3, 0.3)
+        tau = complex(rng.uniform(-1, 1), y)
+        z = complex(rng.uniform(-1, 1), rng.uniform(-3, 3) * y)
+        clamped += abs(z.imag / y) > N  # the peak lies outside [-N, N]
+        got = _partial_sum(kind, z, tau, N)
+        want = _per_term_sum(kind, z, tau, N)
+        bound = 256 * u * (N + 1) * max(1.0, _peak_term(kind, z, tau, N))
+        assert abs(got - want) <= bound, (kind, z, tau, N)
+    assert clamped > 50
+
+
+def test_theta1_zero_sides_mirror_at_every_index():
+    # at z = 0 the two sides of theta1 cancel term by term, for any N
+    for tau in (1j, 0.3 + 0.01j, -0.4 + 2j):
+        for N in range(1, 60):
+            assert _partial_sum(K1, 0, tau, N) == 0
+
+
+# Peaks far from n = 0.  A recurrence started at n = 0 from the factors q
+# and e^{+-2 pi i z} needs e^{2 pi |Im z|}: about e^{754} at z = 120i and
+# e^{1967} at the second point (the reduced point of item 8809 of the
+# benchmark's eval-grid, seed 41), so it overflows at both.  Started at the
+# peak, every ratio has modulus <= 1.
+_FAR_PEAKS = [
+    (120j, 200j, ALL_KINDS),
+    # theta3/4 are about 8e356 there, outside float range
+    (
+        267.95847319959915 - 313.0513292987895j,
+        0.4324046992410331 + 364.50800536881j,
+        (K1, K2),
+    ),
+]
+
+
+@pytest.mark.parametrize("z, tau, kinds", _FAR_PEAKS)
+def test_peaks_far_from_zero_agree_with_mpmath(z, tau, kinds):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+        for kind in kinds:
+            got = theta_series(kind, z, tau)
+            assert cmath.isfinite(got)
+            want = mpmath.jtheta(kind.value, mpmath.pi * mpmath.mpc(z), q)
+            assert abs(got - want) <= 1e-12 * abs(want), kind
+
+
+def test_sine_series_does_not_call_partial_sum(monkeypatch):
+    # the oracle keeps its own per-term loop
+    def forbidden(*args):
+        raise AssertionError("theta1_sine_series called _partial_sum")
+
+    monkeypatch.setattr(series, "_partial_sum", forbidden)
+    z, tau = 0.25 + 0.1j, 0.3 + 1.2j
+    assert abs(theta1_sine_series(z, tau, 1e-12)) > 0.1
