@@ -5,7 +5,7 @@ modular-group generator decomposition, the assembled transformation laws,
 and a deterministic verification harness over all of them.
 """
 
-from .dedekind import dedekind_sum, reciprocity_defect
+from .dedekind import dedekind_sum
 from .errors import DomainError, PrecisionUnreachableError
 from .exact import UnitPhase, jacobi_symbol
 from .modgroup import (
@@ -30,13 +30,10 @@ from .multipliers import (
 )
 from .series import (
     ThetaKind,
-    half_period_shift,
-    theta1_sine_series,
     theta_series,
     truncation_bound,
 )
 from .transform import (
-    automorphy_sqrt,
     conditioning_factor,
     eval_fast,
     eval_fast_report,
@@ -56,7 +53,6 @@ __all__ = [
     "Sl2Matrix",
     "ThetaKind",
     "UnitPhase",
-    "automorphy_sqrt",
     "conditioning_factor",
     "decompose_gamma",
     "decompose_gamma2",
@@ -66,7 +62,6 @@ __all__ = [
     "eval_fast_report",
     "gamma2_alpha",
     "gamma2_prefactor",
-    "half_period_shift",
     "is_gamma2",
     "jacobi_symbol",
     "lemma_sides",
@@ -76,12 +71,10 @@ __all__ = [
     "predict_theta1_chained",
     "predict_theta_gamma2",
     "recompose",
-    "reciprocity_defect",
     "reduce_tau",
     "theta1_epsilon",
     "theta1_epsilon_closed",
     "theta1_epsilon_induction",
-    "theta1_sine_series",
     "theta_series",
     "truncation_bound",
 ]

@@ -9,8 +9,8 @@ Subcommands:
     reduce      fundamental-domain reduction of tau
     verify      run verification suites, write a JSON-Lines report
 
-Exit codes: 0 all selected suites pass (diagnostic suites never fail the
-exit code), 1 suite failures, 2 malformed input or usage errors.
+Exit codes: 0 all selected suites pass, 1 suite failures, 2 malformed input
+or usage errors.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .multipliers import (
     theta1_epsilon,
     theta1_epsilon_closed,
 )
-from .series import ThetaKind
+from .series import DEFAULT_TOL, ThetaKind
 from .transform import eval_fast_report, reduce_tau
 from .verify import (
     SUITES,
@@ -148,8 +148,11 @@ def _cmd_verify(args) -> int:
     else:
         write_report(sys.stdout, records, summaries)
     for s in summaries:
-        tag = "diagnostic" if s.diagnostic else ("pass" if s.ok else "FAIL")
-        print(f"{s.name}: {s.passed}/{s.total} {tag}", file=sys.stderr)
+        tag = "pass" if s.ok else "FAIL"
+        line = f"{s.name}: {s.passed}/{s.total} {tag}, {s.inconclusive} inconclusive"
+        if s.worst_ratio is not None:
+            line += f", worst {s.worst_ratio:.3g} x tol*kappa at trial {s.worst_trial}"
+        print(line, file=sys.stderr)
     return 0 if overall_pass(summaries) else FAIL_EXIT
 
 
@@ -164,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", help="theta1 | theta2 | theta3 | theta4")
     p.add_argument("z")
     p.add_argument("tau")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("dedekind", help="exact Dedekind sum s(h, k)")
@@ -192,9 +195,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=sorted(SUITES),
         help="suite name (repeatable; default: all)",
     )
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--trials", type=int, default=TrialConfig.trials)
+    p.add_argument("--seed", type=int, default=TrialConfig.seed)
+    p.add_argument("--tol", type=float, default=TrialConfig.tol)
     p.add_argument("--out", help="report path (default: stdout)")
     p.add_argument(
         "--corpus",

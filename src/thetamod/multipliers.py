@@ -30,12 +30,9 @@ laws: :func:`right_step` reads it, :func:`lemma_sides` checks it against
 Dedekind sums, and :func:`theta1_epsilon_induction` rebuilds epsilon1 from
 epsilon1(S) = -i with it.
 
-The level-2 laws for theta2/theta3/theta4 are written against the plain
-square root (c*tau+d)^{1/2} rather than (-i(c*tau+d))^{1/2}.  For c > 0 and
-Im tau > 0 the two principal roots differ by exactly e^{-i*pi/4}, so the
-matching multiplier convention is epsilon1 * e^{-i*pi/4}; that reconciliation
-happens in one place, :func:`gamma2_prefactor`, and is pinned by the exact
-identity gamma2_prefactor(THETA3, S2) = 1.
+The level-2 laws for theta2/theta3/theta4 have the same shape, with unit
+factor alpha(kind, A) * epsilon1(A); :func:`law_phase` is the one home of the
+unit factor of all four laws, translations included.
 """
 
 from __future__ import annotations
@@ -90,21 +87,17 @@ def theta1_epsilon_closed(A: Sl2Matrix) -> UnitPhase:
         (c/d) e^{i*pi/4} i^{(1-d)/2} e^{(i*pi/4) d(b-c)}  d odd
 
     (c-odd branch preferred when both apply).  Returned exactly as a unit
-    phase; agreement with :func:`theta1_epsilon` is a reported diagnostic,
-    not a contract -- the verification harness compares the two and logs
-    mismatches rather than asserting.
+    phase; the closed-form-epsilon verify suite checks that it equals
+    :func:`theta1_epsilon`.
     """
     _require_positive_c(A, "theta1_epsilon_closed")
     a, b, c, d = A.a, A.b, A.c, A.d
     if c % 2 == 1:
         jac = jacobi_symbol(d, c)
         phase = Fraction(c - 3, 4) + Fraction(c * (a + d), 4)
-    elif d % 2 == 1:
-        # d may be negative; with c > 0 the symbol extends as (c/|d|)
+    else:  # det 1 makes d odd; for d < 0 the symbol extends as (c/|d|)
         jac = jacobi_symbol(c, abs(d))
         phase = Fraction(1, 4) + Fraction(1 - d, 4) + Fraction(d * (b - c), 4)
-    else:
-        raise RuntimeError(f"c and d cannot both be even under det 1: {A}")
     if jac == -1:
         phase += 1
     return UnitPhase(phase)
@@ -136,14 +129,24 @@ def gamma2_alpha(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
     return i_power(e)
 
 
-def gamma2_prefactor(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
-    """Full unit prefactor alpha * epsilon1 * e^{-i*pi/4} of the level-2 law.
+def law_phase(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
+    """Unit factor of the law of ``kind`` against (-i(c*tau+d))^{1/2}: epsilon1(A)
+    for theta1, alpha(kind, A) * epsilon1(A) for theta2/3/4 and level-2 A.  For
+    A = T^b (root and Gaussian 1) epsilon1 is the T entry of _RIGHT_PHASE times
+    b, and alpha makes the factor 1 for theta3/theta4 (b even)."""
+    if A.c == 0 and A.d == 1:
+        eps1 = UnitPhase(_RIGHT_PHASE["T", False] * A.b)
+    else:
+        eps1 = theta1_epsilon(A)
+    return eps1 if kind is ThetaKind.THETA1 else gamma2_alpha(kind, A) * eps1
 
-    The e^{-i*pi/4} converts epsilon1 to the convention paired with the
-    plain (c*tau+d)^{1/2}; see the module docstring.  Exact sanity anchor:
-    gamma2_prefactor(THETA3, S2) = 1.
-    """
-    return gamma2_alpha(kind, A) * theta1_epsilon(A) * UnitPhase(Fraction(-1, 4))
+
+def gamma2_prefactor(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
+    """law_phase * e^{-i*pi/4}, the unit factor against the plain (c*tau+d)^{1/2}
+    (for c > 0 the two principal roots differ by exactly e^{-i*pi/4}).  Exact
+    sanity anchor: gamma2_prefactor(THETA3, S2) = 1."""
+    _require_positive_c(A, "gamma2_prefactor")
+    return law_phase(kind, A) * UnitPhase(Fraction(-1, 4))
 
 
 def right_step(A: Sl2Matrix, letter: Letter) -> tuple[Sl2Matrix, Fraction]:

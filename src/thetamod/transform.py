@@ -6,14 +6,14 @@ The theta1 law for A = (a b; c d), c > 0, Im tau > 0:
         = epsilon1(A) (-i(c tau+d))^{1/2} e^{i pi c z^2/(c tau+d)} theta1(z, tau)
 
 and for c = 0 the translation law theta1(z, tau+m) = e^{i pi m/4} theta1(z, tau).
+The level-2 laws for theta2/3/4 have the same shape; multipliers.law_phase
+gives the unit factor of every kind, and :func:`_law_factor` assembles the
+whole factor once for both predictors.
 
 Branch safety: for c > 0 and Im tau > 0, Re(-i(c tau+d)) = c Im tau > 0, so
 -i(c tau+d) stays in the open right half-plane and the principal square root
 is continuous and nonvanishing on all admissible inputs; no case analysis is
 needed.
-
-The level-2 laws for theta2/3/4 use the plain (c tau+d)^{1/2}; the matching
-multiplier convention lives in multipliers.gamma2_prefactor.
 
 Fast evaluation reduces tau into the fundamental domain (|Re| <= 1/2,
 |tau| >= 1, where |q| <= e^{-pi sqrt(3)/2} ~ 0.066) and divides the
@@ -40,7 +40,7 @@ from .modgroup import (
     is_gamma2,
     recompose,
 )
-from .multipliers import gamma2_prefactor, theta1_epsilon
+from .multipliers import law_phase
 from .series import (
     _THETA1,
     _THETA2,
@@ -71,6 +71,17 @@ def automorphy_sqrt(A: Sl2Matrix, tau: complex) -> complex:
     return cmath.sqrt(-1j * (A.c * tau + A.d))
 
 
+def _gaussian(A: Sl2Matrix, z: complex, tau: complex) -> complex:
+    """e^{i pi c z^2/(c tau+d)}, the Gaussian factor of the law."""
+    return cmath.exp(1j * math.pi * A.c * z * z / (A.c * tau + A.d))
+
+
+def _law_factor(kind: ThetaKind, A: Sl2Matrix, z: complex, tau: complex) -> complex:
+    """law_phase * (-i(c tau+d))^{1/2} * Gaussian; root and Gaussian are 1 at c = 0."""
+    phase = law_phase(kind, A).to_complex()
+    return phase * automorphy_sqrt(A, tau) * _gaussian(A, z, tau)
+
+
 def conditioning_factor(A: Sl2Matrix, z: complex, tau: complex) -> float:
     """kappa = |e^{i pi c z^2/(c tau+d)}| (1 + |c tau+d|^{1/2}).
 
@@ -79,8 +90,7 @@ def conditioning_factor(A: Sl2Matrix, z: complex, tau: complex) -> float:
     """
     if A.c == 0:
         return 1.0
-    w = A.c * tau + A.d
-    return abs(cmath.exp(1j * math.pi * A.c * z * z / w)) * (1.0 + math.sqrt(abs(w)))
+    return abs(_gaussian(A, z, tau)) * (1.0 + math.sqrt(abs(A.c * tau + A.d)))
 
 
 def predict_theta1(
@@ -94,15 +104,7 @@ def predict_theta1(
     """
     _require_normalized(A, "predict_theta1")
     base = theta_series(ThetaKind.THETA1, z, tau, tol)
-    if A.c == 0:
-        return cmath.exp(1j * math.pi * A.b / 4) * base
-    w = A.c * tau + A.d
-    return (
-        theta1_epsilon(A).to_complex()
-        * automorphy_sqrt(A, tau)
-        * cmath.exp(1j * math.pi * A.c * z * z / w)
-        * base
-    )
+    return _law_factor(ThetaKind.THETA1, A, z, tau) * base
 
 
 def predict_theta_gamma2(
@@ -114,8 +116,7 @@ def predict_theta_gamma2(
 ) -> complex:
     """Predicted theta_kind(z/(c tau+d), A tau) for a level-2 matrix.
 
-    c > 0 uses the full law alpha * epsilon1' * (c tau+d)^{1/2} * gaussian;
-    c = 0 (A = T^{2m}) routes to the period-2 laws: theta3/theta4 are
+    For c = 0 (A = T^{2m}) this is the period-2 law: theta3/theta4 are
     invariant, theta2 picks up e^{i pi m/2}.
     """
     if kind is ThetaKind.THETA1:
@@ -124,18 +125,7 @@ def predict_theta_gamma2(
         raise DomainError(f"{A} is not congruent to the identity mod 2")
     _require_normalized(A, "predict_theta_gamma2")
     base = theta_series(kind, z, tau, tol)
-    if A.c == 0:
-        m = A.b // 2
-        if kind is ThetaKind.THETA2:
-            return cmath.exp(1j * math.pi * m / 2) * base
-        return base
-    w = A.c * tau + A.d
-    return (
-        gamma2_prefactor(kind, A).to_complex()
-        * cmath.sqrt(w)
-        * cmath.exp(1j * math.pi * A.c * z * z / w)
-        * base
-    )
+    return _law_factor(kind, A, z, tau) * base
 
 
 def apply_letter(

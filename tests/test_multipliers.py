@@ -25,6 +25,7 @@ from thetamod.multipliers import (
     eta_epsilon,
     gamma2_alpha,
     gamma2_prefactor,
+    law_phase,
     lemma_sides,
     right_step,
     theta1_epsilon,
@@ -247,6 +248,41 @@ def test_gamma2_prefactor_matches_eta_cube_convention():
                 * UnitPhase(Fraction(-1, 4))
             )
             assert gamma2_prefactor(kind, A) == expected
+
+
+def test_law_phase_table():
+    # theta1: epsilon1 on the whole group
+    for A, _ in _draws(61, 100):
+        assert law_phase(K1, A) == theta1_epsilon(A)
+    # theta2/3/4: the plain-root prefactor turned back by e^{i pi/4}
+    eighth = UnitPhase(Fraction(1, 4))
+    for A, _ in _draws(62, 200, gamma2=True):
+        for kind in (K2, K3, K4):
+            assert law_phase(kind, A) == gamma2_prefactor(kind, A) * eighth
+    # c = 0: the translation laws
+    for b in range(-9, 10):
+        assert law_phase(K1, translation(b)) == UnitPhase(Fraction(b, 4))
+    for m in range(-5, 6):
+        T2m = translation(2 * m)
+        assert law_phase(K1, T2m) == UnitPhase(Fraction(m, 2))
+        assert law_phase(K2, T2m) == UnitPhase(Fraction(m, 2))
+        assert law_phase(K3, T2m) == UnitPhase(0)
+        assert law_phase(K4, T2m) == UnitPhase(0)
+
+
+@pytest.mark.parametrize(
+    "kind, A",
+    [(K3, translation(1)), (K2, translation(-3)), (K4, translation(5)), (K2, S)],
+    ids=str,
+)
+def test_law_phase_rejects_non_level2(kind, A):
+    with pytest.raises(DomainError):
+        law_phase(kind, A)
+
+
+def test_gamma2_prefactor_still_requires_positive_c():
+    with pytest.raises(DomainError):
+        gamma2_prefactor(K3, translation(2))
 
 
 def _eta(tau):

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,8 @@ from thetamod.modgroup import (
     shear,
     translation,
 )
+from thetamod import multipliers
+from thetamod.exact import UnitPhase
 from thetamod.multipliers import theta1_epsilon
 from thetamod.series import (
     ThetaKind,
@@ -40,6 +43,7 @@ from thetamod.transform import (
     predict_theta_gamma2,
     reduce_tau,
 )
+from thetamod.verify import TrialConfig, run_suite
 
 K1, K2, K3, K4 = ThetaKind.THETA1, ThetaKind.THETA2, ThetaKind.THETA3, ThetaKind.THETA4
 
@@ -399,6 +403,55 @@ def test_oracles_do_not_use_apply_letter(monkeypatch):
     assert oracles() == before
     with pytest.raises(_EngineCalled):
         predict_theta1_chained(A, z, tau, 1e-12)
+
+
+THEOREM_SUITES = {
+    K1: "theorem1",
+    K2: "theorem2-theta2",
+    K3: "theorem2-theta3",
+    K4: "theorem2-theta4",
+}
+
+
+@pytest.mark.parametrize("shifted", [K1, K2, K3, K4], ids=str)
+def test_law_phase_shift_fails_its_theorem_suite(monkeypatch, shifted):
+    # both predictors take their unit factor from law_phase: an e^{i pi/4}
+    # shift for one kind must fail every trial of that kind, and only there
+    true_phase = transform.law_phase
+    eighth = UnitPhase(Fraction(1, 4))
+
+    def shifted_phase(kind, A):
+        phase = true_phase(kind, A)
+        return phase * eighth if kind is shifted else phase
+
+    monkeypatch.setattr(transform, "law_phase", shifted_phase)
+    config = TrialConfig(seed=11, trials=25)
+    for kind, suite in THEOREM_SUITES.items():
+        verdicts = {r.passed for r in run_suite(suite, config)}
+        assert verdicts == ({False} if kind is shifted else {True}), suite
+
+
+def test_chained_and_fast_paths_do_not_use_law_phase(monkeypatch):
+    # the chained oracle and eval_fast walk apply_letter only; sharing the
+    # law's unit factor would make chain-vs-direct tautological
+    A = Sl2Matrix(2, 1, 3, 2)
+    z, tau = 0.1 + 0.05j, 0.3 + 0.05j  # reduced by a word with S letters
+
+    def paths():
+        return (
+            predict_theta1_chained(A, z, tau, 1e-12),
+            [eval_fast(kind, z, tau) for kind in (K1, K2, K3, K4)],
+        )
+
+    def refuse(*args, **kwargs):
+        raise _EngineCalled
+
+    before = paths()
+    monkeypatch.setattr(transform, "law_phase", refuse)
+    monkeypatch.setattr(multipliers, "law_phase", refuse)
+    assert paths() == before
+    with pytest.raises(_EngineCalled):
+        predict_theta1(A, z, tau, 1e-12)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

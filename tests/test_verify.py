@@ -13,10 +13,12 @@ import pytest
 
 import thetamod
 import thetamod.dedekind
+import thetamod.multipliers
 import thetamod.verify
-from thetamod.cli import _parse_complex, main
+from thetamod.cli import _build_parser, _parse_complex, main
 from thetamod.errors import DomainError
 from thetamod.modgroup import Sl2Matrix
+from thetamod.series import DEFAULT_TOL
 from thetamod.verify import (
     SUITES,
     TrialConfig,
@@ -155,6 +157,85 @@ def test_theorem1_huge_matrix_is_inconclusive(tmp_path):
     assert "cannot certify" in rec["inputs"]["error"]
 
 
+def test_summary_counts_huge_matrix_as_inconclusive(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(
+        "[[289934904595382591,13857245154460719],"
+        "[394508053350743109,18855248968107092]]\n[[2,1],[1,1]]\n"
+    )
+    records, summaries = run_suites(
+        TrialConfig(trials=2, suites=("theorem1",), corpus=load_corpus(str(corpus)))
+    )
+    (summary,) = summaries
+    assert (summary.total, summary.passed, summary.inconclusive) == (2, 1, 1)
+    # the margin comes from the conclusive trial only
+    assert summary.worst_trial == 1
+    out = tmp_path / "r.jsonl"
+    argv = ["verify", "--suite", "theorem1", "--corpus", str(corpus), "--out", str(out)]
+    assert main(argv) == 1
+    line = json.loads(out.read_text().splitlines()[-1])
+    assert line["summary"]["theorem1"]["inconclusive"] == 1
+    assert line["summary"]["theorem1"]["worst_trial"] == 1
+    assert "theorem1: 1/2 FAIL, 1 inconclusive, worst" in capsys.readouterr().err
+
+
+def test_summary_margin_matches_records():
+    config = TrialConfig(seed=7, trials=20, suites=("lemma1", "eq2", "theorem1"))
+    records, summaries = run_suites(config)
+    for s in summaries:
+        recs = [r for r in records if r.suite == s.name]
+        assert s.inconclusive == sum(r.inconclusive for r in recs) == 0
+        if s.name == "lemma1":
+            assert s.worst_ratio is None and s.worst_trial is None
+            continue
+        ratios = [r.residual / (config.tol * r.kappa) for r in recs]
+        assert s.worst_ratio == max(ratios) < 1
+        assert s.worst_trial == ratios.index(max(ratios))
+    line = json.loads(_render(config).splitlines()[-1])
+    eq2 = summaries[1]
+    assert line["summary"]["eq2"] == {
+        "inconclusive": 0,
+        "passed": eq2.passed,
+        "total": eq2.total,
+        "worst_ratio": eq2.worst_ratio,
+        "worst_trial": eq2.worst_trial,
+    }
+    assert line["summary"]["lemma1"]["worst_ratio"] is None
+
+
+def test_wrong_closed_form_fails_verify(monkeypatch, tmp_path):
+    # closed-form-epsilon is a contract: a mismatch fails the exit code
+    def wrong(A):
+        return thetamod.multipliers.theta1_epsilon_closed(A) * thetamod.UnitPhase(1)
+
+    out = tmp_path / "r.jsonl"
+    argv = ["verify", "--suite", "closed-form-epsilon", "--out", str(out)]
+    assert main(argv) == 0
+    monkeypatch.setattr(thetamod.verify, "theta1_epsilon_closed", wrong)
+    assert main(argv) == 1
+    assert json.loads(out.read_text().splitlines()[-1])["pass"] is False
+
+
+def test_cli_defaults_are_defined_once():
+    parser = _build_parser()
+    args, config = parser.parse_args(["verify"]), TrialConfig()
+    assert (args.trials, args.seed, args.tol) == (config.trials, config.seed, config.tol)
+    assert parser.parse_args(["eval", "theta1", "0", "1i"]).tol == DEFAULT_TOL
+
+
+def test_public_api_leaves_out_the_oracles():
+    assert len(thetamod.__all__) <= 31
+    for name in (
+        "automorphy_sqrt",
+        "half_period_shift",
+        "law_phase",
+        "reciprocity_defect",
+        "theta1_sine_series",
+    ):
+        assert name not in thetamod.__all__
+    assert all(hasattr(thetamod, name) for name in thetamod.__all__)
+
+
 def test_lemma2_covers_both_branches():
     records = run_suite("lemma2", TrialConfig(seed=2, trials=10))
     branches = {r.inputs["branch"] for r in records}
@@ -172,8 +253,6 @@ def test_summary_and_overall_pass():
         TrialConfig(seed=4, trials=4, suites=("lemma1", "closed-form-epsilon"))
     )
     assert overall_pass(summaries)
-    diag = [s for s in summaries if s.name == "closed-form-epsilon"][0]
-    assert diag.diagnostic
 
 
 def test_report_json_lines(tmp_path):
