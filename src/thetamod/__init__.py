@@ -22,11 +22,8 @@ from .modgroup import (
 from .multipliers import (
     eta_epsilon,
     gamma2_alpha,
-    gamma2_prefactor,
-    lemma_sides,
     theta1_epsilon,
     theta1_epsilon_closed,
-    theta1_epsilon_induction,
 )
 from .series import (
     ThetaKind,
@@ -34,11 +31,9 @@ from .series import (
     truncation_bound,
 )
 from .transform import (
-    conditioning_factor,
     eval_fast,
     eval_fast_report,
     predict_theta1,
-    predict_theta1_chained,
     predict_theta_gamma2,
     reduce_tau,
 )
@@ -53,7 +48,6 @@ __all__ = [
     "Sl2Matrix",
     "ThetaKind",
     "UnitPhase",
-    "conditioning_factor",
     "decompose_gamma",
     "decompose_gamma2",
     "dedekind_sum",
@@ -61,20 +55,16 @@ __all__ = [
     "eval_fast",
     "eval_fast_report",
     "gamma2_alpha",
-    "gamma2_prefactor",
     "is_gamma2",
     "jacobi_symbol",
-    "lemma_sides",
     "mobius",
     "normalize_sign",
     "predict_theta1",
-    "predict_theta1_chained",
     "predict_theta_gamma2",
     "recompose",
     "reduce_tau",
     "theta1_epsilon",
     "theta1_epsilon_closed",
-    "theta1_epsilon_induction",
     "theta_series",
     "truncation_bound",
 ]

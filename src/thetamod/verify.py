@@ -7,10 +7,16 @@ Every suite is a trial function
 run by one driver over the suite's trial indices (``range(config.trials)``
 unless the suite names its own range).  ``inputs`` is the record's input
 dict, fixed before any series is summed; ``sides()`` returns the pair
-``(expected, observed)``; ``kappa`` scales the numeric tolerance.  Numeric
-trials sum the direct series (the observed left-hand side) before the
-assembled prediction, so when both are out of reach the error reported is
-the left-hand side's.
+``(expected, observed)``; ``kappa`` scales the numeric tolerance.
+
+eq1 (tau -> tau+1), eq2 (tau -> -1/tau), theorem1 and theorem2-* share one
+law check, :func:`_law_check`: the direct series at (z/(c tau+d), A tau),
+summed first (so when both sides are out of reach the error reported is the
+left-hand side's), against ``predictor(A, z, tau, tol)``, with kappa from
+``conditioning_factor``.  eq1 (A = T^m) and eq2 (A = S) predict through
+``predict_theta1_chained``, which walks the ``apply_letter`` that
+``eval_fast`` uses; the theorems through ``predict_theta1`` and
+``predict_theta_gamma2``.
 
 One record builder decides every verdict.  When ``expected`` is not complex
 (a rational phase, a rational, an integer list) the identity is exact: the
@@ -68,7 +74,6 @@ from .multipliers import (
 )
 from .series import ThetaKind, theta_series
 from .transform import (
-    apply_letter,
     conditioning_factor,
     predict_theta1,
     predict_theta1_chained,
@@ -76,6 +81,7 @@ from .transform import (
 )
 
 RECIPROCITY_BOUND = 200  # < 256: _coprime_pairs packs a pair into 16 bits
+ENTRY_BOUND = 6  # largest |exponent| of a generator letter in a random word
 # Boxes (re_lo, re_hi, im_lo, im_hi) the numeric suites draw tau and z from.
 TAU_BOX = (-1.0, 1.0, 0.5, 2.0)
 Z_BOX = (-0.5, 0.5, -0.5, 0.5)
@@ -87,7 +93,6 @@ class TrialConfig:
 
     seed: int = 0
     trials: int = 100
-    entry_bound: int = 6
     tol: float = 1e-9
     suites: tuple[str, ...] = ()
     corpus: tuple[Sl2Matrix, ...] | None = None
@@ -179,19 +184,13 @@ def _record(
     )
 
 
-def _all_trials(config: TrialConfig) -> range:
-    return range(config.trials)
-
-
 def _run(
     suite: str,
     trial: Trial,
-    indices: Callable[[TrialConfig], range],
     config: TrialConfig,
+    indices: Callable[[TrialConfig], range] = lambda config: range(config.trials),
 ) -> list[VerificationRecord]:
     """The one trial loop: a record per index, in index order."""
-    if suite in _TABLES:
-        trial = partial(trial, _TABLES[suite]())
     return [_record(suite, t, *trial(config, t), config.tol) for t in indices(config)]
 
 
@@ -204,14 +203,12 @@ def _draw_point(rng: random.Random, box) -> complex:
     return complex(rng.uniform(box[0], box[1]), rng.uniform(box[2], box[3]))
 
 
-def _word_matrix(
-    rng: random.Random, entry_bound: int, max_entries: int, gamma2: bool
-) -> Sl2Matrix:
+def _word_matrix(rng: random.Random, max_entries: int, gamma2: bool) -> Sl2Matrix:
     """Product of a random generator word, capped at max_entries growth."""
     M = IDENTITY
     last = None
     for _ in range(rng.randint(1, 12)):
-        exp = rng.randint(1, entry_bound) * rng.choice((-1, 1))
+        exp = rng.randint(1, ENTRY_BOUND) * rng.choice((-1, 1))
         if gamma2:
             use_shear = last != "S2" and (last == "T" or rng.random() < 0.5)
             step = shear(exp) if use_shear else translation(2 * exp)
@@ -256,7 +253,7 @@ def _random_matrix(
             raise DomainError(f"corpus matrix {A} is out of domain for {suite}")
         return A, rng
     for _ in range(200):
-        A = _word_matrix(rng, config.entry_bound, max_entries, gamma2)
+        A = _word_matrix(rng, max_entries, gamma2)
         if want(A):
             return A, rng
     raise RuntimeError(f"could not draw a matrix for {suite} trial {trial}")
@@ -347,35 +344,43 @@ def _inner_tol(config: TrialConfig) -> float:
     return config.tol * 1e-3
 
 
-def _one_letter_rhs(letter: Letter, z: complex, tau: complex, tol: float) -> complex:
-    """theta1(z', tau') predicted from theta1(z, tau) by one generator law."""
-    _, factor, _, _ = apply_letter(ThetaKind.THETA1, letter, z, tau)
-    return theta_series(ThetaKind.THETA1, z, tau, tol) / factor
+def _law_check(
+    kind: ThetaKind,
+    predictor: Callable[[Sl2Matrix, complex, complex, float], complex],
+    A: Sl2Matrix,
+    z: complex,
+    tau: complex,
+    tol: float,
+) -> tuple[Sides, float]:
+    """The sides and kappa of theta_kind(z/(c tau+d), A tau) = predictor(A, z, tau).
+
+    The direct series at the transformed point is summed first, then the
+    prediction.  Callers look the predictor up when the trial runs, never at
+    import, so a patched or hooked module attribute is the one checked.
+    """
+
+    def sides():
+        lhs = theta_series(kind, z / (A.c * tau + A.d), mobius(A, tau), tol)
+        return predictor(A, z, tau, tol), lhs
+
+    return sides, conditioning_factor(A, z, tau)
 
 
 def _eq1(config: TrialConfig, t: int) -> TrialOutput:
     rng = _rng(config, "eq1", t)
     z, tau = _draw_point(rng, Z_BOX), _draw_point(rng, TAU_BOX)
     m = rng.choice([i for i in range(-6, 7) if i != 0])
-    tol_in = _inner_tol(config)
-
-    def sides():
-        lhs = theta_series(ThetaKind.THETA1, z, tau + m, tol_in)
-        return _one_letter_rhs(Letter("T", m), z, tau, tol_in), lhs
-
-    return {"z": z, "tau": tau, "m": m}, sides, 1.0
+    A, tol_in = translation(m), _inner_tol(config)
+    law = _law_check(ThetaKind.THETA1, predict_theta1_chained, A, z, tau, tol_in)
+    return {"z": z, "tau": tau, "m": m}, *law
 
 
 def _eq2(config: TrialConfig, t: int) -> TrialOutput:
     rng = _rng(config, "eq2", t)
     z, tau = _draw_point(rng, Z_BOX), _draw_point(rng, TAU_BOX)
     tol_in = _inner_tol(config)
-
-    def sides():
-        lhs = theta_series(ThetaKind.THETA1, z / tau, -1 / tau, tol_in)
-        return _one_letter_rhs(Letter("S"), z, tau, tol_in), lhs
-
-    return {"z": z, "tau": tau}, sides, conditioning_factor(S, z, tau)
+    law = _law_check(ThetaKind.THETA1, predict_theta1_chained, S, z, tau, tol_in)
+    return {"z": z, "tau": tau}, *law
 
 
 def _lemma5(config: TrialConfig, t: int) -> TrialOutput:
@@ -403,16 +408,9 @@ def _law(suite: str, kind: ThetaKind, config: TrialConfig, t: int) -> TrialOutpu
     gamma2 = kind is not ThetaKind.THETA1
     A, rng = _random_matrix(config, suite, t, gamma2=gamma2, max_entries=20)
     z, tau = _draw_point(rng, Z_BOX), _draw_point(rng, TAU_BOX)
-    tol_in = _inner_tol(config)
-
-    def sides():
-        lhs = theta_series(kind, z / (A.c * tau + A.d), mobius(A, tau), tol_in)
-        if gamma2:
-            return predict_theta_gamma2(kind, A, z, tau, tol_in), lhs
-        return predict_theta1(A, z, tau, tol_in), lhs
-
-    inputs = {"matrix": A, "z": z, "tau": tau}
-    return inputs, sides, conditioning_factor(A, z, tau)
+    predictor = partial(predict_theta_gamma2, kind) if gamma2 else predict_theta1
+    law = _law_check(kind, predictor, A, z, tau, _inner_tol(config))
+    return {"matrix": A, "z": z, "tau": tau}, *law
 
 
 def _chain_vs_direct(config: TrialConfig, t: int) -> TrialOutput:
@@ -429,39 +427,46 @@ def _chain_vs_direct(config: TrialConfig, t: int) -> TrialOutput:
     return {"matrix": A, "z": z, "tau": tau, "word": word}, sides, 1.0
 
 
-# Trial functions in report order.  A suite runs trials 0..config.trials-1
-# unless _INDICES names its own range.
-_TRIALS: dict[str, Trial] = {
-    "lemma1": partial(_translation_lemma, "lemma1", False),
-    "lemma2": partial(_branch_lemma, "lemma2", False, Letter("S"), ("d>0", "d<0")),
-    "lemma3": partial(_translation_lemma, "lemma3", True),
-    "lemma4": partial(
-        _branch_lemma, "lemma4", True, Letter("S2"), ("c+2d>0", "c+2d<0")
-    ),
-    "lemma5": _lemma5,
-    "eq1": _eq1,
-    "eq2": _eq2,
-    "theorem1": partial(_law, "theorem1", ThetaKind.THETA1),
-    "theorem2-theta2": partial(_law, "theorem2-theta2", ThetaKind.THETA2),
-    "theorem2-theta3": partial(_law, "theorem2-theta3", ThetaKind.THETA3),
-    "theorem2-theta4": partial(_law, "theorem2-theta4", ThetaKind.THETA4),
-    "reciprocity": _reciprocity,
-    "closed-form-epsilon": _closed_form,
-    "chain-vs-direct": _chain_vs_direct,
-    "parity-mod4": _parity_mod4,
-}
-_INDICES: dict[str, Callable[[TrialConfig], range]] = {
-    "lemma5": lambda config: range(config.trials + 1),
-    "reciprocity": lambda config: range(len(_coprime_pairs())),
-}
-# Suites whose trials share one table, passed to the trial function first.
-# Each run of the suite builds its own: never at import, never kept.
-_TABLES: dict[str, Callable[[], object]] = {
-    "reciprocity": lambda: DirectTotals(RECIPROCITY_BOUND),
-}
+def _reciprocity_suite(config: TrialConfig) -> list[VerificationRecord]:
+    """Each run builds its own DirectTotals: never at import, never kept."""
+    trial = partial(_reciprocity, DirectTotals(RECIPROCITY_BOUND))
+    return _run("reciprocity", trial, config, lambda c: range(len(_coprime_pairs())))
+
+
+# Suites in report order.  A suite runs trials 0..config.trials-1 unless it
+# names its own range.
 SUITES: dict[str, Callable[[TrialConfig], list[VerificationRecord]]] = {
-    name: partial(_run, name, trial, _INDICES.get(name, _all_trials))
-    for name, trial in _TRIALS.items()
+    "lemma1": partial(_run, "lemma1", partial(_translation_lemma, "lemma1", False)),
+    "lemma2": partial(
+        _run,
+        "lemma2",
+        partial(_branch_lemma, "lemma2", False, Letter("S"), ("d>0", "d<0")),
+    ),
+    "lemma3": partial(_run, "lemma3", partial(_translation_lemma, "lemma3", True)),
+    "lemma4": partial(
+        _run,
+        "lemma4",
+        partial(_branch_lemma, "lemma4", True, Letter("S2"), ("c+2d>0", "c+2d<0")),
+    ),
+    "lemma5": partial(
+        _run, "lemma5", _lemma5, indices=lambda config: range(config.trials + 1)
+    ),
+    "eq1": partial(_run, "eq1", _eq1),
+    "eq2": partial(_run, "eq2", _eq2),
+    "theorem1": partial(_run, "theorem1", partial(_law, "theorem1", ThetaKind.THETA1)),
+    "theorem2-theta2": partial(
+        _run, "theorem2-theta2", partial(_law, "theorem2-theta2", ThetaKind.THETA2)
+    ),
+    "theorem2-theta3": partial(
+        _run, "theorem2-theta3", partial(_law, "theorem2-theta3", ThetaKind.THETA3)
+    ),
+    "theorem2-theta4": partial(
+        _run, "theorem2-theta4", partial(_law, "theorem2-theta4", ThetaKind.THETA4)
+    ),
+    "reciprocity": _reciprocity_suite,
+    "closed-form-epsilon": partial(_run, "closed-form-epsilon", _closed_form),
+    "chain-vs-direct": partial(_run, "chain-vs-direct", _chain_vs_direct),
+    "parity-mod4": partial(_run, "parity-mod4", _parity_mod4),
 }
 
 

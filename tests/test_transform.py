@@ -431,6 +431,25 @@ def test_law_phase_shift_fails_its_theorem_suite(monkeypatch, shifted):
         assert verdicts == ({False} if kind is shifted else {True}), suite
 
 
+@pytest.mark.parametrize("gen", ["T", "S"])
+def test_generator_suites_check_apply_letter(monkeypatch, gen):
+    # eq1 and eq2 predict through the apply_letter that eval_fast walks: an
+    # e^{i pi/4} shift on one generator's law fails exactly its suites
+    true_letter = transform.apply_letter
+    eighth = cmath.exp(1j * math.pi / 4)
+
+    def shifted_letter(kind, letter, z, tau, factor=1 + 0j):
+        kind, factor, z, tau = true_letter(kind, letter, z, tau, factor)
+        return kind, factor * eighth if letter.gen == gen else factor, z, tau
+
+    monkeypatch.setattr(transform, "apply_letter", shifted_letter)
+    config = TrialConfig(seed=11, trials=25)
+    failing = {"T": {"eq1", "chain-vs-direct"}, "S": {"eq2", "chain-vs-direct"}}[gen]
+    for suite in ("eq1", "eq2", "theorem1", "chain-vs-direct"):
+        verdicts = {r.passed for r in run_suite(suite, config)}
+        assert verdicts == ({False} if suite in failing else {True}), suite
+
+
 def test_chained_and_fast_paths_do_not_use_law_phase(monkeypatch):
     # the chained oracle and eval_fast walk apply_letter only; sharing the
     # law's unit factor would make chain-vs-direct tautological

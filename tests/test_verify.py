@@ -224,12 +224,17 @@ def test_cli_defaults_are_defined_once():
 
 
 def test_public_api_leaves_out_the_oracles():
-    assert len(thetamod.__all__) <= 31
+    assert len(thetamod.__all__) <= 26
     for name in (
         "automorphy_sqrt",
+        "conditioning_factor",
+        "gamma2_prefactor",
         "half_period_shift",
         "law_phase",
+        "lemma_sides",
+        "predict_theta1_chained",
         "reciprocity_defect",
+        "theta1_epsilon_induction",
         "theta1_sine_series",
     ):
         assert name not in thetamod.__all__
@@ -394,6 +399,17 @@ def test_cli_eval(capsys):
     assert main(["eval", "theta3", "0", "1i"]) == 0
     out = capsys.readouterr().out
     assert "value:" in out and "terms:" in out and "reduction:" in out
+
+
+def test_cli_eval_overflow_is_an_error(capsys):
+    # |theta1| is near 10^342.5 here (mpmath); eval_fast's value is not finite
+    z = "0.22439049295111113+0.1935581235235162i"
+    tau = "1.8586507194712882+0.00014944734396056655i"  # eval-grid seed 41, item 139
+    assert main(["eval", "theta1", z, tau]) == 2
+    out, err = capsys.readouterr()
+    assert "value:" not in out and "overflowed" in err
+    assert main(["eval", "theta1", "0.1", "0.3+0.02i"]) == 0
+    assert "value:" in capsys.readouterr().out
 
 
 def test_cli_verify_pass(tmp_path, capsys):
