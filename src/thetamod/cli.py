@@ -210,9 +210,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(token: str) -> bool:
+    try:
+        _parse_complex(token)
+    except DomainError:
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    # A number that starts with "-" is a value, not an option: a leading
+    # space hides the "-" from argparse, and _parse_complex, float and int
+    # all ignore it.
+    tokens = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(
+        [" " + t if t.startswith("-") and _is_number(t) else t for t in tokens]
+    )
     try:
         return args.func(args)
     except (DomainError, PrecisionUnreachableError, OSError) as err:

@@ -123,6 +123,8 @@ class Letter:
 
     def matrix(self) -> Sl2Matrix:
         if self.gen == "S":
+            if self.exp != 1:  # S^2 = -I, so no other power of S is S
+                raise DomainError(f"an S letter has exponent 1, not {self.exp}")
             return S
         if self.gen == "T":
             return translation(self.exp)
@@ -131,11 +133,7 @@ class Letter:
         raise DomainError(f"unknown generator {self.gen!r}")
 
     def __str__(self) -> str:
-        if self.gen == "S":
-            return "S"
-        if self.exp == 1:
-            return self.gen
-        return f"{self.gen}^{self.exp}"
+        return self.gen if self.exp == 1 else f"{self.gen}^{self.exp}"
 
 
 @dataclass(frozen=True)
@@ -164,6 +162,8 @@ class GeneratorWord:
 
 def recompose(word: GeneratorWord) -> Sl2Matrix:
     """Signed ordered product of the word's letters."""
+    if word.sign not in (1, -1):
+        raise DomainError(f"a word's sign is +1 or -1, not {word.sign}")
     M = IDENTITY
     for letter in word.letters:
         M = M * letter.matrix()

@@ -160,7 +160,7 @@ def apply_letter(
         elif m % 2 != 0:
             kind = _THETA4 if kind is _THETA3 else _THETA3
         return kind, factor, z, tau + m
-    if letter.gen == "S":
+    if letter.gen == "S" and letter.exp == 1:
         J = cmath.sqrt(-1j * tau) * cmath.exp(1j * math.pi * z * z / tau)
         if kind is _THETA1:
             factor *= 1j / J
@@ -253,6 +253,8 @@ def eval_fast_report(
     series once at the reduced point where it converges in a handful of
     terms.
     """
+    if not tol > 0:  # NaN too; the message gives the caller's tol, not tol/|factor|
+        raise DomainError(f"tol must be positive, got {tol}")
     require_upper_half(tau, z)
     word, _, steps = _reduce_steps(tau)
     kind_c, factor, z_c, tau_c = kind, 1.0 + 0.0j, complex(z), complex(tau)

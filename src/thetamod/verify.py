@@ -1,13 +1,16 @@
 """Deterministic verification suites over the exact and numeric claims.
 
-Every suite is a trial function
+Every suite is one callable
 
-    trial(config, t) -> (inputs, sides, kappa)
+    suite(name, config) -> iterable of (inputs, sides, kappa)
 
-run by one driver over the suite's trial indices (``range(config.trials)``
-unless the suite names its own range).  ``inputs`` is the record's input
-dict, fixed before any series is summed; ``sides()`` returns the pair
+that yields its trials in order; one driver, :func:`run_suite`, numbers
+them and builds each record.  ``inputs`` is the record's input dict, fixed
+before any series is summed; ``sides()`` returns the pair
 ``(expected, observed)``; ``kappa`` scales the numeric tolerance.
+:func:`_each` makes a suite of ``config.trials`` runs of a per-trial
+function ``trial(name, config, t)``; the reciprocity suite yields every
+coprime pair whatever ``config.trials`` is.
 
 eq1 (tau -> tau+1), eq2 (tau -> -1/tau), theorem1 and theorem2-* share one
 law check, :func:`_law_check`: the direct series at (z/(c tau+d), A tau),
@@ -45,11 +48,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
-from typing import Callable, TextIO
+from functools import partial
+from typing import Callable, Iterable, TextIO
 
 from .dedekind import DirectTotals
 from .errors import DomainError, PrecisionUnreachableError
@@ -80,7 +82,7 @@ from .transform import (
     predict_theta_gamma2,
 )
 
-RECIPROCITY_BOUND = 200  # < 256: _coprime_pairs packs a pair into 16 bits
+RECIPROCITY_BOUND = 200  # the reciprocity suite checks 1 <= h, k <= this
 ENTRY_BOUND = 6  # largest |exponent| of a generator letter in a random word
 # Boxes (re_lo, re_hi, im_lo, im_hi) the numeric suites draw tau and z from.
 TAU_BOX = (-1.0, 1.0, 0.5, 2.0)
@@ -160,7 +162,8 @@ def _encode(v):
 
 Sides = Callable[[], tuple[object, object]]
 TrialOutput = tuple[dict, Sides, float]
-Trial = Callable[[TrialConfig, int], TrialOutput]
+Trial = Callable[[str, TrialConfig, int], TrialOutput]
+Suite = Callable[[str, TrialConfig], Iterable[TrialOutput]]
 
 
 def _record(
@@ -184,14 +187,13 @@ def _record(
     )
 
 
-def _run(
-    suite: str,
-    trial: Trial,
-    config: TrialConfig,
-    indices: Callable[[TrialConfig], range] = lambda config: range(config.trials),
-) -> list[VerificationRecord]:
-    """The one trial loop: a record per index, in index order."""
-    return [_record(suite, t, *trial(config, t), config.tol) for t in indices(config)]
+def _each(trial: Trial, extra: int = 0) -> Suite:
+    """The suite of trial(name, config, t) for t < config.trials + extra."""
+
+    def suite(name: str, config: TrialConfig) -> Iterable[TrialOutput]:
+        return (trial(name, config, t) for t in range(config.trials + extra))
+
+    return suite
 
 
 def _rng(config: TrialConfig, suite: str, trial: int) -> random.Random:
@@ -263,22 +265,20 @@ def _random_matrix(
 
 
 def _translation_lemma(
-    suite: str, gamma2: bool, config: TrialConfig, t: int
+    gamma2: bool, name: str, config: TrialConfig, t: int
 ) -> TrialOutput:
     """lemma1 (T^m) or lemma3 (T^{2m} on a level-2 matrix)."""
-    A, rng = _random_matrix(
-        config, suite, t, gamma2=gamma2, corpus_ok=lambda M: M.c > 0
-    )
+    A, rng = _random_matrix(config, name, t, gamma2=gamma2, corpus_ok=lambda M: M.c > 0)
     m = rng.randint(-10, 10)
     letter = Letter("T", 2 * m if gamma2 else m)
     return {"matrix": A, "m": m}, partial(lemma_sides, A, letter), 1.0
 
 
 def _branch_lemma(
-    suite: str,
     gamma2: bool,
     letter: Letter,
     labels: tuple[str, str],
+    name: str,
     config: TrialConfig,
     t: int,
 ) -> TrialOutput:
@@ -291,7 +291,7 @@ def _branch_lemma(
 
     A, _ = _random_matrix(
         config,
-        suite,
+        name,
         t,
         gamma2=gamma2,
         want=lambda M: M.c > 0 and (c := lower_left(M)) != 0 and (c > 0) == positive,
@@ -304,35 +304,33 @@ def _branch_lemma(
 _ZERO = Fraction(0)
 
 
-@cache
-def _coprime_pairs() -> array:
-    """Coprime ordered pairs 1 <= h, k <= RECIPROCITY_BOUND, h-major.
-
-    Each pair is packed as h * 256 + k: 2 bytes an entry instead of a tuple,
-    so the 24,463-entry table does not add to the run's peak memory.
-    """
-    bound = range(1, RECIPROCITY_BOUND + 1)
-    pairs = (h * 256 + k for h in bound for k in bound if math.gcd(h, k) == 1)
-    return array("H", pairs)
-
-
-def _reciprocity(sums: DirectTotals, config: TrialConfig, t: int) -> TrialOutput:
-    """Trial t is the t-th coprime pair; the defect is exactly zero."""
-    h, k = divmod(_coprime_pairs()[t], 256)
+def _reciprocity_pair(sums: DirectTotals, h: int, k: int) -> TrialOutput:
+    """The defect of one coprime pair is exactly zero."""
     return {"h": h, "k": k}, lambda: (_ZERO, sums.reciprocity_defect(h, k)), 1.0
 
 
-def _parity_mod4(config: TrialConfig, t: int) -> TrialOutput:
-    A, _ = _random_matrix(config, "parity-mod4", t, gamma2=True, want=lambda M: True)
+def _reciprocity(name: str, config: TrialConfig) -> Iterable[TrialOutput]:
+    """Every coprime pair 1 <= h, k <= RECIPROCITY_BOUND, h-major.
+
+    Each run builds its own DirectTotals: never at import, never kept.
+    """
+    sums = DirectTotals(RECIPROCITY_BOUND)
+    bound = range(1, RECIPROCITY_BOUND + 1)
+    for h in bound:
+        for k in bound:
+            if math.gcd(h, k) == 1:
+                yield _reciprocity_pair(sums, h, k)
+
+
+def _parity_mod4(name: str, config: TrialConfig, t: int) -> TrialOutput:
+    A, _ = _random_matrix(config, name, t, gamma2=True, want=lambda M: True)
     residues = [((A.c + 1) ** 2 - A.a**2) % 4, (A.d**2 - A.b**2) % 4]
     return {"matrix": A}, lambda: ([0, 1], residues), 1.0
 
 
-def _closed_form(config: TrialConfig, t: int) -> TrialOutput:
+def _closed_form(name: str, config: TrialConfig, t: int) -> TrialOutput:
     """-i*epsilon^3 vs the closed-form multiplier."""
-    A, _ = _random_matrix(
-        config, "closed-form-epsilon", t, corpus_ok=lambda M: M.c > 0
-    )
+    A, _ = _random_matrix(config, name, t, corpus_ok=lambda M: M.c > 0)
     inputs = {"matrix": A, "branch": "c-odd" if A.c % 2 == 1 else "d-odd"}
     return inputs, lambda: (theta1_epsilon(A), theta1_epsilon_closed(A)), 1.0
 
@@ -366,8 +364,8 @@ def _law_check(
     return sides, conditioning_factor(A, z, tau)
 
 
-def _eq1(config: TrialConfig, t: int) -> TrialOutput:
-    rng = _rng(config, "eq1", t)
+def _eq1(name: str, config: TrialConfig, t: int) -> TrialOutput:
+    rng = _rng(config, name, t)
     z, tau = _draw_point(rng, Z_BOX), _draw_point(rng, TAU_BOX)
     m = rng.choice([i for i in range(-6, 7) if i != 0])
     A, tol_in = translation(m), _inner_tol(config)
@@ -375,15 +373,15 @@ def _eq1(config: TrialConfig, t: int) -> TrialOutput:
     return {"z": z, "tau": tau, "m": m}, *law
 
 
-def _eq2(config: TrialConfig, t: int) -> TrialOutput:
-    rng = _rng(config, "eq2", t)
+def _eq2(name: str, config: TrialConfig, t: int) -> TrialOutput:
+    rng = _rng(config, name, t)
     z, tau = _draw_point(rng, Z_BOX), _draw_point(rng, TAU_BOX)
     tol_in = _inner_tol(config)
     law = _law_check(ThetaKind.THETA1, predict_theta1_chained, S, z, tau, tol_in)
     return {"z": z, "tau": tau}, *law
 
 
-def _lemma5(config: TrialConfig, t: int) -> TrialOutput:
+def _lemma5(name: str, config: TrialConfig, t: int) -> TrialOutput:
     """The S2 law for theta3; trial 0 is the exact unit-prefactor identity."""
     if t == 0:
 
@@ -391,7 +389,7 @@ def _lemma5(config: TrialConfig, t: int) -> TrialOutput:
             return UnitPhase(0), gamma2_prefactor(ThetaKind.THETA3, shear(1))
 
         return {"identity": "alpha(theta3,S2)*epsilon1'(S2)"}, sides, 1.0
-    rng = _rng(config, "lemma5", t)
+    rng = _rng(config, name, t)
     z, tau = _draw_point(rng, Z_BOX), _draw_point(rng, TAU_BOX)
     w = 2 * tau + 1
     tol_in = _inner_tol(config)
@@ -403,19 +401,19 @@ def _lemma5(config: TrialConfig, t: int) -> TrialOutput:
     return {"z": z, "tau": tau}, sides, 1.0
 
 
-def _law(suite: str, kind: ThetaKind, config: TrialConfig, t: int) -> TrialOutput:
+def _law(kind: ThetaKind, name: str, config: TrialConfig, t: int) -> TrialOutput:
     """theorem1 (theta1, full group) or a theorem2 suite (level 2)."""
     gamma2 = kind is not ThetaKind.THETA1
-    A, rng = _random_matrix(config, suite, t, gamma2=gamma2, max_entries=20)
+    A, rng = _random_matrix(config, name, t, gamma2=gamma2, max_entries=20)
     z, tau = _draw_point(rng, Z_BOX), _draw_point(rng, TAU_BOX)
     predictor = partial(predict_theta_gamma2, kind) if gamma2 else predict_theta1
     law = _law_check(kind, predictor, A, z, tau, _inner_tol(config))
     return {"matrix": A, "z": z, "tau": tau}, *law
 
 
-def _chain_vs_direct(config: TrialConfig, t: int) -> TrialOutput:
+def _chain_vs_direct(name: str, config: TrialConfig, t: int) -> TrialOutput:
     """Letter-by-letter chained prediction (observed) vs the single-shot law."""
-    A, rng = _random_matrix(config, "chain-vs-direct", t, max_entries=20)
+    A, rng = _random_matrix(config, name, t, max_entries=20)
     z, tau = _draw_point(rng, Z_BOX), _draw_point(rng, TAU_BOX)
     tol_in = _inner_tol(config)
 
@@ -427,56 +425,37 @@ def _chain_vs_direct(config: TrialConfig, t: int) -> TrialOutput:
     return {"matrix": A, "z": z, "tau": tau, "word": word}, sides, 1.0
 
 
-def _reciprocity_suite(config: TrialConfig) -> list[VerificationRecord]:
-    """Each run builds its own DirectTotals: never at import, never kept."""
-    trial = partial(_reciprocity, DirectTotals(RECIPROCITY_BOUND))
-    return _run("reciprocity", trial, config, lambda c: range(len(_coprime_pairs())))
-
-
-# Suites in report order.  A suite runs trials 0..config.trials-1 unless it
-# names its own range.
-SUITES: dict[str, Callable[[TrialConfig], list[VerificationRecord]]] = {
-    "lemma1": partial(_run, "lemma1", partial(_translation_lemma, "lemma1", False)),
-    "lemma2": partial(
-        _run,
-        "lemma2",
-        partial(_branch_lemma, "lemma2", False, Letter("S"), ("d>0", "d<0")),
+# Suites in report order.
+SUITES: dict[str, Suite] = {
+    "lemma1": _each(partial(_translation_lemma, False)),
+    "lemma2": _each(partial(_branch_lemma, False, Letter("S"), ("d>0", "d<0"))),
+    "lemma3": _each(partial(_translation_lemma, True)),
+    "lemma4": _each(
+        partial(_branch_lemma, True, Letter("S2"), ("c+2d>0", "c+2d<0"))
     ),
-    "lemma3": partial(_run, "lemma3", partial(_translation_lemma, "lemma3", True)),
-    "lemma4": partial(
-        _run,
-        "lemma4",
-        partial(_branch_lemma, "lemma4", True, Letter("S2"), ("c+2d>0", "c+2d<0")),
-    ),
-    "lemma5": partial(
-        _run, "lemma5", _lemma5, indices=lambda config: range(config.trials + 1)
-    ),
-    "eq1": partial(_run, "eq1", _eq1),
-    "eq2": partial(_run, "eq2", _eq2),
-    "theorem1": partial(_run, "theorem1", partial(_law, "theorem1", ThetaKind.THETA1)),
-    "theorem2-theta2": partial(
-        _run, "theorem2-theta2", partial(_law, "theorem2-theta2", ThetaKind.THETA2)
-    ),
-    "theorem2-theta3": partial(
-        _run, "theorem2-theta3", partial(_law, "theorem2-theta3", ThetaKind.THETA3)
-    ),
-    "theorem2-theta4": partial(
-        _run, "theorem2-theta4", partial(_law, "theorem2-theta4", ThetaKind.THETA4)
-    ),
-    "reciprocity": _reciprocity_suite,
-    "closed-form-epsilon": partial(_run, "closed-form-epsilon", _closed_form),
-    "chain-vs-direct": partial(_run, "chain-vs-direct", _chain_vs_direct),
-    "parity-mod4": partial(_run, "parity-mod4", _parity_mod4),
+    "lemma5": _each(_lemma5, extra=1),
+    "eq1": _each(_eq1),
+    "eq2": _each(_eq2),
+    "theorem1": _each(partial(_law, ThetaKind.THETA1)),
+    "theorem2-theta2": _each(partial(_law, ThetaKind.THETA2)),
+    "theorem2-theta3": _each(partial(_law, ThetaKind.THETA3)),
+    "theorem2-theta4": _each(partial(_law, ThetaKind.THETA4)),
+    "reciprocity": _reciprocity,
+    "closed-form-epsilon": _each(_closed_form),
+    "chain-vs-direct": _each(_chain_vs_direct),
+    "parity-mod4": _each(_parity_mod4),
 }
 
 
 def run_suite(name: str, config: TrialConfig) -> list[VerificationRecord]:
-    """Run one suite; deterministic given the config (seed included)."""
+    """Run one suite, a record per trial in trial order; deterministic given
+    the config (seed included)."""
     if name not in SUITES:
         raise DomainError(
             f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}"
         )
-    return SUITES[name](config)
+    trials = enumerate(SUITES[name](name, config))
+    return [_record(name, t, *trial, config.tol) for t, trial in trials]
 
 
 @dataclass

@@ -214,3 +214,20 @@ def test_serialization():
 def test_from_lists_rejects_non_integer_entries(rows):
     with pytest.raises(DomainError, match="must be integers"):
         Sl2Matrix.from_lists(rows)
+
+
+@pytest.mark.parametrize("exp", [2, -1, 0])
+def test_s_letter_with_an_exponent_is_rejected(exp):
+    # S^2 = -I, so an S letter read as S would give a wrong matrix
+    with pytest.raises(DomainError, match="exponent 1"):
+        Letter("S", exp).matrix()
+    with pytest.raises(DomainError):
+        recompose(GeneratorWord((Letter("S", exp),)))
+
+
+@pytest.mark.parametrize("sign", [0, 5, -2])
+def test_recompose_rejects_a_sign_other_than_plus_minus_one(sign):
+    with pytest.raises(DomainError, match="sign"):
+        recompose(GeneratorWord((Letter("T", 1),), sign))
+    with pytest.raises(DomainError, match="sign"):
+        recompose(GeneratorWord((), sign))

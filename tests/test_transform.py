@@ -499,3 +499,18 @@ def test_nonfinite_points_are_domain_errors(part, bad):
     for call in calls:
         with pytest.raises(DomainError):
             call()
+
+
+@pytest.mark.parametrize("exp", [2, -1])
+def test_apply_letter_rejects_an_s_letter_with_an_exponent(exp):
+    # the S law is for S itself; S^2 = -I is not S
+    with pytest.raises(DomainError, match=f"S\\^{exp}"):
+        apply_letter(K1, Letter("S", exp), 0.1, 0.2 + 1j)
+
+
+@pytest.mark.parametrize("tol", [-1e-3, 0.0, float("nan")])
+def test_eval_fast_reports_the_callers_tol(tol):
+    # at this point the prefactor is large, so the inner tolerance differs
+    with pytest.raises(DomainError) as err:
+        eval_fast(K1, 0.1, 0.3 + 0.02j, tol=tol)
+    assert str(err.value) == f"tol must be positive, got {tol}"

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -592,3 +593,50 @@ def test_reciprocity_table_not_built_at_import():
         timeout=60,
     )
     assert out.stdout.strip() == "0"
+
+
+# --- the suite table ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("trials", [1, 6])
+def test_suite_record_counts(trials):
+    # lemma5's trial 0 is its exact anchor; reciprocity checks every coprime
+    # pair whatever `trials` is; every other suite runs `trials` trials
+    config = TrialConfig(seed=7, trials=trials)
+    for name in SUITES:
+        records = run_suite(name, config)
+        want = {"lemma5": trials + 1, "reciprocity": 24463}.get(name, trials)
+        assert len(records) == want, name
+        assert [r.trial for r in records] == list(range(want)), name
+        assert {r.suite for r in records} == {name}
+
+
+def test_reciprocity_pairs_are_coprime_and_h_major():
+    bound = range(1, thetamod.verify.RECIPROCITY_BOUND + 1)
+    pairs = [(h, k) for h in bound for k in bound if math.gcd(h, k) == 1]
+    records = run_suite("reciprocity", SMALL)
+    assert [(r.inputs["h"], r.inputs["k"]) for r in records] == pairs
+
+
+# --- values that start with "-" ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["eval", "theta1", "-0.1+0.2i", "0.3+0.5i"], "value:"),
+        (["reduce", "-0.5+1i"], "tau': -0.5+1i"),
+        (["dedekind", "-1", "3"], "-1/18"),
+    ],
+    ids=["eval", "reduce", "dedekind"],
+)
+def test_cli_accepts_values_that_start_with_a_minus(capsys, argv, shown):
+    assert main(argv) == 0
+    assert shown in capsys.readouterr().out
+
+
+def test_cli_option_like_non_number_keeps_its_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--out", "-x.jsonl"])
+    assert exit_info.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
