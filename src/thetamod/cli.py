@@ -218,15 +218,20 @@ def _is_number(token: str) -> bool:
     return True
 
 
+def _takes_path(token: str) -> bool:  # argparse expands a prefix, such as --o
+    return len(token) > 2 and any(o.startswith(token) for o in ("--out", "--corpus"))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     # A number that starts with "-" is a value, not an option: a leading
     # space hides the "-" from argparse, and _parse_complex, float and int
-    # all ignore it.
+    # all ignore it.  A path keeps its name (argparse reads -5 there, not -1e3).
     tokens = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(
-        [" " + t if t.startswith("-") and _is_number(t) else t for t in tokens]
-    )
+    args = parser.parse_args([
+        " " + t if t.startswith("-") and _is_number(t) and not _takes_path(prev) else t
+        for prev, t in zip(["", *tokens], tokens)
+    ])
     try:
         return args.func(args)
     except (DomainError, PrecisionUnreachableError, OSError) as err:

@@ -6,8 +6,8 @@ so multiplier phases with 12c denominators never overflow or round.
 
 A ``UnitPhase`` stores a unit complex number e^{i*pi*t} exactly as the
 rational t reduced into [0, 2).  Multiplication of unit values is then exact
-addition of phases mod 2, which turns multiplier identities into pure
-rational equalities.
+addition of phases mod 2 (``p ** -1`` inverts), which turns multiplier
+identities into pure rational equalities.
 
 Everything here is immutable and pure; values are safe to share between
 threads.
@@ -49,17 +49,12 @@ def rational_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(s: str) -> Fraction:
-    """Inverse of :func:`rational_str`; also accepts bare integers."""
-    return Fraction(s.strip())
-
-
 @dataclass(frozen=True)
 class UnitPhase:
     """A unit complex number e^{i*pi*phase}, phase a rational in [0, 2).
 
-    The group law is exact: multiplication adds phases mod 2, inversion
-    negates.  ``UnitPhase(0)`` is the identity.
+    The group law is exact: multiplication adds phases mod 2, and ``** -1``
+    inverts by negating.  ``UnitPhase(0)`` is the identity.
     """
 
     phase: Fraction
@@ -73,16 +68,8 @@ class UnitPhase:
     def __pow__(self, n: int) -> "UnitPhase":
         return UnitPhase(self.phase * n)
 
-    def inverse(self) -> "UnitPhase":
-        return UnitPhase(-self.phase)
-
     def to_complex(self) -> complex:
         return cmath.exp(1j * math.pi * float(self.phase))
 
     def __str__(self) -> str:
         return rational_str(self.phase)
-
-
-def i_power(k: int) -> UnitPhase:
-    """i**k as an exact unit phase (k may be negative)."""
-    return UnitPhase(Fraction(k, 2))

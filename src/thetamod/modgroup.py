@@ -47,9 +47,6 @@ class Sl2Matrix:
     def __neg__(self) -> "Sl2Matrix":
         return Sl2Matrix(-self.a, -self.b, -self.c, -self.d)
 
-    def inverse(self) -> "Sl2Matrix":
-        return Sl2Matrix(self.d, -self.b, -self.c, self.a)
-
     def max_entry(self) -> int:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
@@ -143,12 +140,6 @@ class GeneratorWord:
     letters: tuple[Letter, ...]
     sign: int = 1
 
-    def is_normal_form(self) -> bool:
-        """No two adjacent letters are powers of the same generator."""
-        return all(
-            x.gen != y.gen for x, y in zip(self.letters, self.letters[1:])
-        )
-
     def to_json(self) -> dict:
         return {
             "sign": self.sign,
@@ -192,8 +183,8 @@ def decompose_gamma(A: Sl2Matrix) -> GeneratorWord:
 
     Euclidean reduction: while c != 0, peel T^{round(a/c)} then S from the
     left; |c| at least halves each round, so the word length is
-    O(log max-entry).  Zero T-exponents are dropped so the output is in
-    normal form.
+    O(log max-entry).  Zero T-exponents are dropped, so no two adjacent
+    letters are powers of the same generator.
     """
     letters: list[Letter] = []
     M = A
@@ -203,7 +194,7 @@ def decompose_gamma(A: Sl2Matrix) -> GeneratorWord:
             letters.append(Letter("T", m))
         letters.append(Letter("S"))
         # peel: M = T^m S M'  =>  M' = S^{-1} T^{-m} M
-        M = S.inverse() * (translation(-m) * M)
+        M = Sl2Matrix(M.c, M.d, m * M.c - M.a, m * M.d - M.b)
     return _close_word(letters, M)
 
 

@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from .dedekind import dedekind_sum
 from .errors import DomainError
-from .exact import UnitPhase, i_power, jacobi_symbol
+from .exact import UnitPhase, jacobi_symbol
 from .modgroup import (
     S,
     Letter,
@@ -62,6 +62,8 @@ _RIGHT_PHASE = {
     ("S2", True): Fraction(1),
 }
 
+_MINUS_I = UnitPhase(Fraction(-1, 2))  # theta1's factor beside epsilon^3; epsilon1(S)
+
 
 def _require_positive_c(A: Sl2Matrix, op: str) -> None:
     if A.c <= 0:
@@ -77,7 +79,7 @@ def eta_epsilon(A: Sl2Matrix) -> UnitPhase:
 def theta1_epsilon(A: Sl2Matrix) -> UnitPhase:
     """theta1 multiplier -i*epsilon^3, for c > 0."""
     _require_positive_c(A, "theta1_epsilon")
-    return eta_epsilon(A) ** 3 * UnitPhase(Fraction(-1, 2))
+    return eta_epsilon(A) ** 3 * _MINUS_I
 
 
 def theta1_epsilon_closed(A: Sl2Matrix) -> UnitPhase:
@@ -126,7 +128,7 @@ def gamma2_alpha(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
         e = (d - 1) * (c // 2 + 1) - (b // 2) * a + c // 2
     else:
         e = (a - 1) * (b // 2 - 1) - b // 2
-    return i_power(e)
+    return UnitPhase(Fraction(e, 2))
 
 
 def law_phase(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
@@ -203,7 +205,7 @@ def theta1_epsilon_induction(A: Sl2Matrix) -> UnitPhase:
     if not letters:
         raise DomainError("translation matrices carry no inversion multiplier")
     _, phase = right_step(S, Letter("T", j))
-    phase += Fraction(3, 2)  # epsilon1(S) = -i
+    phase += _MINUS_I.phase  # epsilon1(S) = -i
     N = translation(j) * S
     for letter in letters[1:]:
         N, delta = right_step(N, letter)

@@ -37,7 +37,6 @@ from .modgroup import (
     Letter,
     Sl2Matrix,
     decompose_gamma,
-    is_gamma2,
     recompose,
 )
 from .multipliers import law_phase
@@ -59,15 +58,15 @@ def _require_normalized(A: Sl2Matrix, op: str) -> None:
 
 
 def automorphy_sqrt(A: Sl2Matrix, tau: complex) -> complex:
-    """Principal (-i(c tau+d))^{1/2} for c > 0; sqrt(d) = 1 for c = 0, d > 0.
+    """Principal (-i(c tau+d))^{1/2} for c > 0; 1 for c = 0, d > 0.
 
-    The c = 0 case belongs to the translation law, which carries no weight
-    factor, hence the convention sqrt(d) rather than sqrt(-i d).
+    The c = 0 case is the translation T^m (d = 1 once normalized), whose law
+    carries no weight factor.
     """
     require_upper_half(tau)
     _require_normalized(A, "automorphy_sqrt")
     if A.c == 0:
-        return complex(math.sqrt(A.d))
+        return 1 + 0j
     return cmath.sqrt(-1j * (A.c * tau + A.d))
 
 
@@ -100,11 +99,10 @@ def predict_theta1(
 
     For c = 0 (A = T^m) this is the translation law e^{i pi m/4} theta1(z, tau).
     Agreement with the directly summed left-hand side within tol * kappa is
-    the tested contract.
+    the tested contract.  The factor comes first, so a refused matrix sums
+    no series.
     """
-    _require_normalized(A, "predict_theta1")
-    base = theta_series(ThetaKind.THETA1, z, tau, tol)
-    return _law_factor(ThetaKind.THETA1, A, z, tau) * base
+    return _law_factor(_THETA1, A, z, tau) * theta_series(_THETA1, z, tau, tol)
 
 
 def predict_theta_gamma2(
@@ -121,11 +119,7 @@ def predict_theta_gamma2(
     """
     if kind is ThetaKind.THETA1:
         raise DomainError("predict_theta_gamma2 applies to theta2/3/4")
-    if not is_gamma2(A):
-        raise DomainError(f"{A} is not congruent to the identity mod 2")
-    _require_normalized(A, "predict_theta_gamma2")
-    base = theta_series(kind, z, tau, tol)
-    return _law_factor(kind, A, z, tau) * base
+    return _law_factor(kind, A, z, tau) * theta_series(kind, z, tau, tol)
 
 
 def apply_letter(

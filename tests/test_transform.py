@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from thetamod import transform
+from thetamod import series, transform
 from thetamod.errors import DomainError
 from thetamod.modgroup import (
     IDENTITY,
@@ -240,6 +240,35 @@ def test_predict_gamma2_random_all_kinds():
 def test_predict_gamma2_rejects():
     with pytest.raises(DomainError):
         predict_theta_gamma2(K3, S, 0.1, 1j)
+    with pytest.raises(DomainError):
+        predict_theta_gamma2(K1, S2, 0.1, 1j)
+
+
+def test_predictors_refuse_before_summing(monkeypatch):
+    def summed(*args):
+        raise AssertionError("a refused input reached the series")
+
+    monkeypatch.setattr(series, "_partial_sum", summed)
+    parts = (math.inf, -math.inf, math.nan, 0.3)
+    bad_points = [(0.1, tau) for tau in (0.5, -1j)]
+    bad_points += [(complex(x, y), 1j) for x in parts for y in parts if not x == y == 0.3]
+    # c < 0, c = 0 with d = -1, and good matrices at points outside the domain
+    for A in (-S, -IDENTITY, -translation(2)):
+        with pytest.raises(DomainError):
+            predict_theta1(A, 0.1, 1j)
+    for A in (S, translation(1)):
+        for z, tau in bad_points:
+            with pytest.raises(DomainError):
+                predict_theta1(A, z, tau)
+    # the same for theta2/3/4, plus a matrix that is not level 2, and theta1
+    for kind in (K2, K3, K4):
+        for A in (-S2, -IDENTITY, -translation(2), S):
+            with pytest.raises(DomainError):
+                predict_theta_gamma2(kind, A, 0.1, 1j)
+        for A in (S2, translation(2)):
+            for z, tau in bad_points:
+                with pytest.raises(DomainError):
+                    predict_theta_gamma2(kind, A, z, tau)
     with pytest.raises(DomainError):
         predict_theta_gamma2(K1, S2, 0.1, 1j)
 

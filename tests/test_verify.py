@@ -640,3 +640,42 @@ def test_cli_option_like_non_number_keeps_its_error(capsys):
         main(["verify", "--out", "-x.jsonl"])
     assert exit_info.value.code == 2
     assert "expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["-5", "-0.5"])
+def test_cli_numeric_path_keeps_its_name(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--suite", "lemma1", "--trials", "1", "--out", name]) == 0
+    assert (tmp_path / name).exists() and not (tmp_path / f" {name}").exists()
+    (tmp_path / name).write_text("[[0,-1],[1,0]]\n", encoding="utf-8")
+    assert main(["verify", "--suite", "lemma1", "--co", name, "--o", "r.jsonl"]) == 0
+
+
+@pytest.mark.parametrize("option", ["--out", "--corpus"])
+def test_cli_path_that_argparse_reads_as_an_option_keeps_its_error(capsys, option):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", option, "-1e3"])
+    assert exit_info.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+# --- perfbench's hooks -------------------------------------------------------
+
+
+def test_every_name_perfbench_hooks_exists(monkeypatch):
+    """A deleted or renamed hooked name fails here, not only in a traced run."""
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    hooks = tracer._hooks()
+    assert any(h.attr == "Sl2Matrix.__mul__" for h in hooks)
+    for hook in hooks:
+        target = importlib.import_module(f"thetamod.{hook.module}")
+        for part in hook.attr.split("."):
+            target = getattr(target, part, None)
+        assert callable(target), f"thetamod.{hook.module}.{hook.attr} is absent"
