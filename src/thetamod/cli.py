@@ -32,6 +32,7 @@ from .modgroup import (
     recompose,
 )
 from .multipliers import (
+    ALPHA_KINDS,
     eta_epsilon,
     gamma2_alpha,
     theta1_epsilon,
@@ -109,7 +110,7 @@ def _cmd_multiplier(args) -> int:
     agree = "agrees" if closed == eps1 else "MISMATCH"
     print(f"closed form phase:    {closed}  ({agree})")
     if is_gamma2(A):
-        for kind in (ThetaKind.THETA2, ThetaKind.THETA3, ThetaKind.THETA4):
+        for kind in ALPHA_KINDS:
             alpha = gamma2_alpha(kind, A)
             print(f"alpha({kind}) phase:  {alpha}  ({_fmt_complex(alpha.to_complex())})")
     else:

@@ -204,7 +204,7 @@ def decompose_gamma2(A: Sl2Matrix) -> GeneratorWord:
     Euclidean reduction by even multiples only: reduce c against 2a, then a
     against 2c, so every prefix stays congruent to the identity mod 2.  The
     odd/even split of a and c makes exact ties impossible and guarantees
-    strict decrease.
+    strict decrease.  Each step peels its letter with one constructor.
     """
     if not is_gamma2(A):
         raise DomainError(f"{A} is not congruent to the identity mod 2")
@@ -214,9 +214,9 @@ def decompose_gamma2(A: Sl2Matrix) -> GeneratorWord:
         if abs(M.c) >= abs(M.a):
             m = _round_half_down(M.c, 2 * M.a)
             letters.append(Letter("S2", m))
-            M = shear(-m) * M
+            M = Sl2Matrix(M.a, M.b, M.c - 2 * m * M.a, M.d - 2 * m * M.b)  # S2^-m M
         else:
             m = _round_half_down(M.a, 2 * M.c)
             letters.append(Letter("T", 2 * m))
-            M = translation(-2 * m) * M
+            M = Sl2Matrix(M.a - 2 * m * M.c, M.b - 2 * m * M.d, M.c, M.d)  # T^-2m M
     return _close_word(letters, M)

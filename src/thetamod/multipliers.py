@@ -105,7 +105,7 @@ def theta1_epsilon_closed(A: Sl2Matrix) -> UnitPhase:
     return UnitPhase(phase)
 
 
-_ALPHA_KINDS = (ThetaKind.THETA2, ThetaKind.THETA3, ThetaKind.THETA4)
+ALPHA_KINDS = (ThetaKind.THETA2, ThetaKind.THETA3, ThetaKind.THETA4)
 
 
 def gamma2_alpha(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
@@ -117,7 +117,7 @@ def gamma2_alpha(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
         theta3: (d-1)(c/2 + 1) - (b/2) a + c/2
         theta4: (a-1)(b/2 - 1) - b/2
     """
-    if kind not in _ALPHA_KINDS:
+    if kind not in ALPHA_KINDS:
         raise DomainError(f"gamma2_alpha applies to theta2/3/4, not {kind}")
     if not is_gamma2(A):
         raise DomainError(f"{A} is not congruent to the identity mod 2")

@@ -37,6 +37,7 @@ from .modgroup import (
     Letter,
     Sl2Matrix,
     decompose_gamma,
+    normalize_sign,
     recompose,
 )
 from .multipliers import law_phase
@@ -52,19 +53,16 @@ from .series import (
     theta_series_report,
 )
 
-def _require_normalized(A: Sl2Matrix, op: str) -> None:
-    if A.c < 0 or (A.c == 0 and A.d < 0):
-        raise DomainError(f"{op} needs c > 0 or (c = 0, d > 0); normalize first")
-
 
 def automorphy_sqrt(A: Sl2Matrix, tau: complex) -> complex:
     """Principal (-i(c tau+d))^{1/2} for c > 0; 1 for c = 0, d > 0.
 
     The c = 0 case is the translation T^m (d = 1 once normalized), whose law
-    carries no weight factor.
+    carries no weight factor.  A matrix normalize_sign would negate is refused.
     """
     require_upper_half(tau)
-    _require_normalized(A, "automorphy_sqrt")
+    if normalize_sign(A)[1]:
+        raise DomainError(f"automorphy_sqrt needs c > 0 or (c = 0, d > 0), not {A}")
     if A.c == 0:
         return 1 + 0j
     return cmath.sqrt(-1j * (A.c * tau + A.d))
@@ -222,7 +220,6 @@ def _reduce_steps(tau: complex) -> tuple[GeneratorWord, complex, list[Letter]]:
 class FastEvaluation:
     value: complex
     terms: int
-    index: int
     tau_reduced: complex
     reduced_kind: ThetaKind
     word: GeneratorWord
@@ -259,7 +256,6 @@ def eval_fast_report(
     return FastEvaluation(
         value=factor * rep.value,
         terms=rep.terms,
-        index=rep.index,
         tau_reduced=tau_c,
         reduced_kind=kind_c,
         word=word,

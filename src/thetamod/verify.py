@@ -12,14 +12,14 @@ before any series is summed; ``sides()`` returns the pair
 function ``trial(name, config, t)``; the reciprocity suite yields every
 coprime pair whatever ``config.trials`` is.
 
-eq1 (tau -> tau+1), eq2 (tau -> -1/tau), theorem1 and theorem2-* share one
-law check, :func:`_law_check`: the direct series at (z/(c tau+d), A tau),
-summed first (so when both sides are out of reach the error reported is the
-left-hand side's), against ``predictor(A, z, tau, tol)``, with kappa from
-``conditioning_factor``.  eq1 (A = T^m) and eq2 (A = S) predict through
-``predict_theta1_chained``, which walks the ``apply_letter`` that
-``eval_fast`` uses; the theorems through ``predict_theta1`` and
-``predict_theta_gamma2``.
+eq1, eq2, lemma5, theorem1 and theorem2-* share one law check,
+:func:`_law_check`: the direct series at (z/(c tau+d), A tau), summed first
+(so when both sides are out of reach the error reported is the left-hand
+side's), against ``predictor(A, z, tau, tol)``, with kappa from
+``conditioning_factor`` (lemma5 keeps kappa 1).  eq1 (A = T^m) and eq2
+(A = S) are one trial, :func:`_eq`, through ``predict_theta1_chained``,
+which walks the ``apply_letter`` of ``eval_fast``; lemma5 (theta3, A = S2)
+and the theorems through ``predict_theta1`` and ``predict_theta_gamma2``.
 
 One record builder decides every verdict.  When ``expected`` is not complex
 (a rational phase, a rational, an integer list) the identity is exact: the
@@ -151,7 +151,6 @@ _ENCODERS = {
     Fraction: lambda v: rational_str(v),
     UnitPhase: lambda v: rational_str(v.phase),
     Sl2Matrix: Sl2Matrix.to_lists,
-    ThetaKind: str,
 }
 
 
@@ -364,25 +363,21 @@ def _law_check(
     return sides, conditioning_factor(A, z, tau)
 
 
-def _eq1(name: str, config: TrialConfig, t: int) -> TrialOutput:
+def _eq(translate: bool, name: str, config: TrialConfig, t: int) -> TrialOutput:
+    """eq1 (A = T^m, m drawn after z and tau) or eq2 (A = S), predicted chained."""
     rng = _rng(config, name, t)
     z, tau = _draw_point(rng, Z_BOX), _draw_point(rng, TAU_BOX)
-    m = rng.choice([i for i in range(-6, 7) if i != 0])
-    A, tol_in = translation(m), _inner_tol(config)
-    law = _law_check(ThetaKind.THETA1, predict_theta1_chained, A, z, tau, tol_in)
-    return {"z": z, "tau": tau, "m": m}, *law
-
-
-def _eq2(name: str, config: TrialConfig, t: int) -> TrialOutput:
-    rng = _rng(config, name, t)
-    z, tau = _draw_point(rng, Z_BOX), _draw_point(rng, TAU_BOX)
+    inputs = {"z": z, "tau": tau}
+    if translate:
+        inputs["m"] = rng.choice([i for i in range(-6, 7) if i != 0])
+    A = translation(inputs["m"]) if translate else S
     tol_in = _inner_tol(config)
-    law = _law_check(ThetaKind.THETA1, predict_theta1_chained, S, z, tau, tol_in)
-    return {"z": z, "tau": tau}, *law
+    law = _law_check(ThetaKind.THETA1, predict_theta1_chained, A, z, tau, tol_in)
+    return inputs, *law
 
 
 def _lemma5(name: str, config: TrialConfig, t: int) -> TrialOutput:
-    """The S2 law for theta3; trial 0 is the exact unit-prefactor identity."""
+    """The S2 law for theta3, kappa 1; trial 0 is the exact unit-prefactor identity."""
     if t == 0:
 
         def sides():
@@ -391,13 +386,9 @@ def _lemma5(name: str, config: TrialConfig, t: int) -> TrialOutput:
         return {"identity": "alpha(theta3,S2)*epsilon1'(S2)"}, sides, 1.0
     rng = _rng(config, name, t)
     z, tau = _draw_point(rng, Z_BOX), _draw_point(rng, TAU_BOX)
-    w = 2 * tau + 1
-    tol_in = _inner_tol(config)
-
-    def sides():
-        lhs = theta_series(ThetaKind.THETA3, z / w, tau / w, tol_in)
-        return predict_theta_gamma2(ThetaKind.THETA3, shear(1), z, tau, tol_in), lhs
-
+    kind, tol_in = ThetaKind.THETA3, _inner_tol(config)
+    predictor = partial(predict_theta_gamma2, kind)
+    sides, _ = _law_check(kind, predictor, shear(1), z, tau, tol_in)
     return {"z": z, "tau": tau}, sides, 1.0
 
 
@@ -434,8 +425,8 @@ SUITES: dict[str, Suite] = {
         partial(_branch_lemma, True, Letter("S2"), ("c+2d>0", "c+2d<0"))
     ),
     "lemma5": _each(_lemma5, extra=1),
-    "eq1": _each(_eq1),
-    "eq2": _each(_eq2),
+    "eq1": _each(partial(_eq, True)),
+    "eq2": _each(partial(_eq, False)),
     "theorem1": _each(partial(_law, ThetaKind.THETA1)),
     "theorem2-theta2": _each(partial(_law, ThetaKind.THETA2)),
     "theorem2-theta3": _each(partial(_law, ThetaKind.THETA3)),

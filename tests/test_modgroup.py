@@ -225,6 +225,11 @@ def test_s_letter_with_an_exponent_is_rejected(exp):
         recompose(GeneratorWord((Letter("S", exp),)))
 
 
+def test_unknown_generator_is_rejected():
+    with pytest.raises(DomainError, match="unknown generator"):
+        Letter("X").matrix()
+
+
 @pytest.mark.parametrize("sign", [0, 5, -2])
 def test_recompose_rejects_a_sign_other_than_plus_minus_one(sign):
     with pytest.raises(DomainError, match="sign"):

@@ -230,6 +230,11 @@ def test_domain_errors():
         theta_series(K3, 0, 1j, tol=-1e-9)
 
 
+def test_truncation_index_rejects_max_index_below_one():
+    with pytest.raises(DomainError, match="max_index must be >= 1"):
+        truncation_index(K3, 0, 1j, 1e-10, max_index=0)
+
+
 def test_precision_unreachable_names_achievable_bound():
     with pytest.raises(PrecisionUnreachableError) as exc:
         theta_series(K3, 0, 1e-7j, 1e-12, max_index=500)

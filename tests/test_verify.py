@@ -342,6 +342,22 @@ def test_cli_multiplier_huge_matrix(capsys, huge_matrices):
     assert "(agrees)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "matrix, normalized, then",
+    [
+        ("[[-1,-3],[0,-1]]", "[[1,3],[0,1]]", "translation matrix: "),
+        ("[[0,1],[-1,0]]", "[[0,-1],[1,0]]", "eta epsilon phase: "),
+    ],
+    ids=["minus-translation", "minus-S"],
+)
+def test_cli_multiplier_names_the_normalized_matrix(capsys, matrix, normalized, then):
+    assert main(["multiplier", normalized]) == 0
+    rest = capsys.readouterr().out
+    assert rest.startswith(then)
+    assert main(["multiplier", matrix]) == 0
+    assert capsys.readouterr().out == f"normalized: {normalized}\n" + rest
+
+
 def test_cli_multiplier_bad_matrix(capsys):
     assert main(["multiplier", "[[1,0],[0,2]]"]) == 2
     assert main(["multiplier", "nonsense"]) == 2
@@ -487,6 +503,21 @@ def test_cli_verify_bad_corpus(tmp_path, capsys):
     assert (
         main(["verify", "--suite", "lemma1", "--corpus", str(corpus)]) == 2
     )
+
+
+def test_cli_verify_corpus_out_of_the_suites_domain(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("[[1,4],[0,1]]\n")  # lemma2 needs c > 0
+    assert main(["verify", "--suite", "lemma2", "--corpus", str(corpus)]) == 2
+    err = capsys.readouterr().err
+    assert "corpus matrix [[1,4],[0,1]] is out of domain for lemma2" in err
+
+
+def test_cli_verify_corpus_without_matrices(tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("# only a comment\n\n   \n# and another\n")
+    assert main(["verify", "--suite", "lemma1", "--corpus", str(corpus)]) == 2
+    assert f"corpus {corpus} contains no matrices" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", [b"not json", b"[[1,2,3],[4,5]]", b"\xff\xfe"])
@@ -662,9 +693,8 @@ def test_cli_path_that_argparse_reads_as_an_option_keeps_its_error(capsys, optio
 # --- perfbench's hooks -------------------------------------------------------
 
 
-def test_every_name_perfbench_hooks_exists(monkeypatch):
-    """A deleted or renamed hooked name fails here, not only in a traced run."""
-    import importlib
+def _perfbench_tracer(monkeypatch):
+    """perfbench/tracer.py, loaded by path without writing bytecode there."""
     import importlib.util
 
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -672,10 +702,23 @@ def test_every_name_perfbench_hooks_exists(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    hooks = tracer._hooks()
+    return tracer
+
+
+def test_every_name_perfbench_hooks_exists(monkeypatch):
+    """A deleted or renamed hooked name fails here, not only in a traced run."""
+    import importlib
+
+    hooks = _perfbench_tracer(monkeypatch)._hooks()
     assert any(h.attr == "Sl2Matrix.__mul__" for h in hooks)
     for hook in hooks:
         target = importlib.import_module(f"thetamod.{hook.module}")
         for part in hook.attr.split("."):
             target = getattr(target, part, None)
         assert callable(target), f"thetamod.{hook.module}.{hook.attr} is absent"
+
+
+def test_perfbench_times_every_suite(monkeypatch):
+    """The tracer reports run_suite time only for the suites it lists; a renamed
+    or added suite would read 0 s there without this test."""
+    assert _perfbench_tracer(monkeypatch).SUITES == tuple(SUITES)
