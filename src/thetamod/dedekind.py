@@ -29,11 +29,11 @@ from fractions import Fraction
 from .errors import DomainError
 
 
-def _require_coprime(h: int, k: int) -> None:
+def _require_coprime(h: int, k: int, op: str) -> None:
     if k <= 0:
-        raise DomainError(f"dedekind_sum needs k >= 1, got k={k}")
+        raise DomainError(f"{op} needs k >= 1, got k={k}")
     if math.gcd(h, k) != 1:
-        raise DomainError(f"dedekind_sum needs gcd(h, k) = 1, got ({h}, {k})")
+        raise DomainError(f"{op} needs gcd(h, k) = 1, got ({h}, {k})")
 
 
 def dedekind_sum(h: int, k: int) -> Fraction:
@@ -49,7 +49,7 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     recursion is folded back from there over integers only, and the one
     Fraction is built at the end.
     """
-    _require_coprime(h, k)
+    _require_coprime(h, k, "dedekind_sum")
     pairs = []
     a, b = h % k, k
     while a:
@@ -85,7 +85,7 @@ def _dedekind_sum_direct(h: int, k: int) -> Fraction:
 
         s(h, k) = T(h mod k, k)/k^2 - (k-1)/4.
     """
-    _require_coprime(h, k)
+    _require_coprime(h, k, "_dedekind_sum_direct")
     return Fraction(_direct_total(h % k, k), k * k) - Fraction(k - 1, 4)
 
 
@@ -117,7 +117,7 @@ def reciprocity_defect(h: int, k: int) -> Fraction:
     """
     if h <= 0 or k <= 0:
         raise DomainError(f"reciprocity_defect needs h, k >= 1, got ({h}, {k})")
-    _require_coprime(h, k)
+    _require_coprime(h, k, "reciprocity_defect")
     return _defect(h, k, _direct_total(h % k, k), _direct_total(k % h, h))
 
 
@@ -141,6 +141,12 @@ class DirectTotals:
                     totals[k * n + h] = _direct_total(h, k)
 
     def reciprocity_defect(self, h: int, k: int) -> Fraction:
-        """:func:`reciprocity_defect` for coprime 1 <= h, k <= bound."""
+        """:func:`reciprocity_defect` for coprime 1 <= h, k <= bound, else a
+        DomainError; for k >= 2, T(h mod k, k) is 0 iff gcd(h, k) > 1."""
         n, totals = self.stride, self.totals
-        return _defect(h, k, totals[k * n + h % k], totals[h * n + k % h])
+        if 0 < h < n and 0 < k < n:
+            t_hk = totals[k * n + h % k]
+            if t_hk or k == 1:
+                return _defect(h, k, t_hk, totals[h * n + k % h])
+        msg = f"needs coprime 1 <= h, k <= {n - 1}, got ({h}, {k})"
+        raise DomainError(f"DirectTotals.reciprocity_defect {msg}")

@@ -16,6 +16,7 @@ inserting S twice: the multiplier bookkeeping downstream needs the sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, require_upper_half
 
@@ -111,8 +112,7 @@ def normalize_sign(A: Sl2Matrix) -> tuple[Sl2Matrix, bool]:
     return A, False
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(NamedTuple):
     """One word letter: gen is "S", "T", or "S2"; S always has exp 1."""
 
     gen: str

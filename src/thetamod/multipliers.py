@@ -160,13 +160,12 @@ def right_step(A: Sl2Matrix, letter: Letter) -> tuple[Sl2Matrix, Fraction]:
     """
     _require_positive_c(A, "right_step")
     gen = letter.gen
+    if gen == "S2" and letter.exp != 1:
+        raise DomainError(f"right_step takes T^m, S or S2, not {letter}")
+    M = A * letter.matrix()  # refuses an unknown generator and S^k, k != 1
     if gen == "T":
         rate = _RIGHT_PHASE["T", False]  # rate * m, built as one Fraction
-        delta = Fraction(rate.numerator * letter.exp, rate.denominator)
-        return A * translation(letter.exp), delta
-    if gen not in ("S", "S2") or letter.exp != 1:
-        raise DomainError(f"right_step takes T^m, S or S2, not {letter}")
-    M = A * letter.matrix()
+        return M, Fraction(rate.numerator * letter.exp, rate.denominator)
     if M.c == 0:
         raise DomainError(f"{A} * {letter} has lower-left entry 0")
     flipped = M.c < 0

@@ -39,7 +39,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, PrecisionUnreachableError, require_upper_half
 
@@ -279,8 +279,7 @@ def _partial_sum(kind: ThetaKind, z: complex, tau: complex, N: int) -> complex:
     return -1j * total if kind is _THETA1 else total
 
 
-@dataclass(frozen=True)
-class SeriesEvaluation:
+class SeriesEvaluation(NamedTuple):
     value: complex
     index: int
     terms: int

@@ -27,9 +27,8 @@ function.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, require_upper_half
 from .modgroup import (
@@ -216,17 +215,16 @@ def _reduce_steps(tau: complex) -> tuple[GeneratorWord, complex, list[Letter]]:
     raise RuntimeError(f"fundamental-domain reduction did not terminate for {tau}")
 
 
-@dataclass(frozen=True)
-class FastEvaluation:
+class FastEvaluation(NamedTuple):
     value: complex
     terms: int
     tau_reduced: complex
     reduced_kind: ThetaKind
     word: GeneratorWord
 
-    @functools.cached_property
+    @property
     def reduction(self) -> Sl2Matrix:
-        """The reducing matrix A, with A tau = tau_reduced."""
+        """The reducing matrix A, with A tau = tau_reduced; recomputed on each read."""
         return recompose(self.word)
 
 

@@ -9,7 +9,8 @@ them and builds each record.  ``inputs`` is the record's input dict, fixed
 before any series is summed; ``sides()`` returns the pair
 ``(expected, observed)``; ``kappa`` scales the numeric tolerance.
 :func:`_each` makes a suite of ``config.trials`` runs of a per-trial
-function ``trial(name, config, t)``; the reciprocity suite yields every
+function ``trial(name, config, t)``; lemma5 yields its exact anchor, then
+``config.trials`` numeric trials; the reciprocity suite yields every
 coprime pair whatever ``config.trials`` is.
 
 eq1, eq2, lemma5, theorem1 and theorem2-* share one law check,
@@ -186,11 +187,11 @@ def _record(
     )
 
 
-def _each(trial: Trial, extra: int = 0) -> Suite:
-    """The suite of trial(name, config, t) for t < config.trials + extra."""
+def _each(trial: Trial) -> Suite:
+    """The suite of trial(name, config, t) for t < config.trials."""
 
     def suite(name: str, config: TrialConfig) -> Iterable[TrialOutput]:
-        return (trial(name, config, t) for t in range(config.trials + extra))
+        return (trial(name, config, t) for t in range(config.trials))
 
     return suite
 
@@ -274,14 +275,9 @@ def _translation_lemma(
 
 
 def _branch_lemma(
-    gamma2: bool,
-    letter: Letter,
-    labels: tuple[str, str],
-    name: str,
-    config: TrialConfig,
-    t: int,
+    letter: Letter, labels: tuple[str, str], name: str, config: TrialConfig, t: int
 ) -> TrialOutput:
-    """lemma2 (S) or lemma4 (S2): even trials take c(A L) > 0, odd ones < 0."""
+    """lemma2 (S) or lemma4 (S2, level-2 A): even trials take c(A L) > 0, odd < 0."""
     L = letter.matrix()
     positive = t % 2 == 0
 
@@ -292,7 +288,7 @@ def _branch_lemma(
         config,
         name,
         t,
-        gamma2=gamma2,
+        gamma2=letter.gen == "S2",
         want=lambda M: M.c > 0 and (c := lower_left(M)) != 0 and (c > 0) == positive,
         corpus_ok=lambda M: M.c > 0 and lower_left(M) != 0,
     )
@@ -376,20 +372,21 @@ def _eq(translate: bool, name: str, config: TrialConfig, t: int) -> TrialOutput:
     return inputs, *law
 
 
-def _lemma5(name: str, config: TrialConfig, t: int) -> TrialOutput:
-    """The S2 law for theta3, kappa 1; trial 0 is the exact unit-prefactor identity."""
-    if t == 0:
+def _lemma5(name: str, config: TrialConfig) -> Iterable[TrialOutput]:
+    """The exact unit-prefactor identity (trial 0), then the S2 law for theta3
+    (trials 1 to config.trials, kappa 1)."""
 
-        def sides():
-            return UnitPhase(0), gamma2_prefactor(ThetaKind.THETA3, shear(1))
+    def anchor():
+        return UnitPhase(0), gamma2_prefactor(ThetaKind.THETA3, shear(1))
 
-        return {"identity": "alpha(theta3,S2)*epsilon1'(S2)"}, sides, 1.0
-    rng = _rng(config, name, t)
-    z, tau = _draw_point(rng, Z_BOX), _draw_point(rng, TAU_BOX)
+    yield {"identity": "alpha(theta3,S2)*epsilon1'(S2)"}, anchor, 1.0
     kind, tol_in = ThetaKind.THETA3, _inner_tol(config)
     predictor = partial(predict_theta_gamma2, kind)
-    sides, _ = _law_check(kind, predictor, shear(1), z, tau, tol_in)
-    return {"z": z, "tau": tau}, sides, 1.0
+    for t in range(1, config.trials + 1):
+        rng = _rng(config, name, t)
+        z, tau = _draw_point(rng, Z_BOX), _draw_point(rng, TAU_BOX)
+        sides, _ = _law_check(kind, predictor, shear(1), z, tau, tol_in)
+        yield {"z": z, "tau": tau}, sides, 1.0
 
 
 def _law(kind: ThetaKind, name: str, config: TrialConfig, t: int) -> TrialOutput:
@@ -419,12 +416,10 @@ def _chain_vs_direct(name: str, config: TrialConfig, t: int) -> TrialOutput:
 # Suites in report order.
 SUITES: dict[str, Suite] = {
     "lemma1": _each(partial(_translation_lemma, False)),
-    "lemma2": _each(partial(_branch_lemma, False, Letter("S"), ("d>0", "d<0"))),
+    "lemma2": _each(partial(_branch_lemma, Letter("S"), ("d>0", "d<0"))),
     "lemma3": _each(partial(_translation_lemma, True)),
-    "lemma4": _each(
-        partial(_branch_lemma, True, Letter("S2"), ("c+2d>0", "c+2d<0"))
-    ),
-    "lemma5": _each(_lemma5, extra=1),
+    "lemma4": _each(partial(_branch_lemma, Letter("S2"), ("c+2d>0", "c+2d<0"))),
+    "lemma5": _lemma5,
     "eq1": _each(partial(_eq, True)),
     "eq2": _each(partial(_eq, False)),
     "theorem1": _each(partial(_law, ThetaKind.THETA1)),

@@ -168,3 +168,25 @@ def test_domain_errors():
         dedekind_sum(2, 4)
     with pytest.raises(DomainError):
         reciprocity_defect(0, 3)
+
+
+def test_direct_totals_answer_exactly_the_coprime_pairs_in_range():
+    # not coprime, h or k < 1, or beyond the bound: a DomainError, never a wrong
+    # value, a ZeroDivisionError or an IndexError, e.g. (2, 4), (6, 9), (-3, 5),
+    # (0, 5) and (3, 11) at bound 10
+    bound = 10
+    table = DirectTotals(bound)
+    for h in range(-3, bound + 2):
+        for k in range(-3, bound + 2):
+            if 1 <= h <= bound and 1 <= k <= bound and math.gcd(h, k) == 1:
+                assert table.reciprocity_defect(h, k) == 0, (h, k)
+                continue
+            with pytest.raises(DomainError, match=r"^DirectTotals\.reciprocity_defect"):
+                table.reciprocity_defect(h, k)
+
+
+def test_reciprocity_defect_names_itself():
+    with pytest.raises(DomainError, match=r"^reciprocity_defect needs gcd"):
+        reciprocity_defect(2, 4)
+    with pytest.raises(DomainError, match=r"^reciprocity_defect needs h, k"):
+        reciprocity_defect(0, 3)

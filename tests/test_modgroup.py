@@ -236,3 +236,13 @@ def test_recompose_rejects_a_sign_other_than_plus_minus_one(sign):
         recompose(GeneratorWord((Letter("T", 1),), sign))
     with pytest.raises(DomainError, match="sign"):
         recompose(GeneratorWord((), sign))
+
+
+def test_a_generator_word_is_not_a_sequence():
+    # GeneratorWord stays a dataclass: as a tuple, len(word) would be 2 and
+    # iterating it would walk (letters, sign)
+    word = GeneratorWord((Letter("T", 2), Letter("S")), -1)
+    with pytest.raises(TypeError):
+        len(word)
+    with pytest.raises(TypeError):
+        iter(word)

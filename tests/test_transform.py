@@ -543,3 +543,15 @@ def test_eval_fast_reports_the_callers_tol(tol):
     with pytest.raises(DomainError) as err:
         eval_fast(K1, 0.1, 0.3 + 0.02j, tol=tol)
     assert str(err.value) == f"tol must be positive, got {tol}"
+
+
+def test_evaluation_records_are_immutable():
+    rep = eval_fast_report(K3, 0.1, 0.3 + 0.02j, 1e-8)
+    records = [
+        (Letter("T", 2), "exp", 3),
+        (theta_series_report(K3, 0.1, 0.5 + 1j), "terms", 0),
+        (rep, "value", 0j),
+    ]
+    for record, field, value in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
