@@ -8,15 +8,16 @@ With q = e^{i*pi*tau}, Im tau > 0:
     theta4(z,tau) =    sum_n (-1)^n q^{n^2}       e^{2 n pi i z}
 
 Terms come from a ratio recurrence (as in Johansson, arXiv:1806.06725): at
-most five exp calls per partial sum, whatever N is (the two starting terms,
-each side's first ratio, and q^2), then two complex products per term.  The
-walk starts at the summed index nearest the peak of |term| and goes
-outward, so every ratio has modulus <= 1 and only the starting terms, each
-the per-term exp(i*pi*(...)) of its index, can overflow: exactly where a
-per-term evaluation would.  A term n steps from the start carries a
-relative rounding error of about n ulps.  The two sides go into one total
-alternately, largest first; at z = 0 the two sides of theta1 are exact
-negatives of each other, so theta1(0, tau) is exactly 0.0.
+most four exp calls per partial sum whatever N is (the starting term, the
+first ratio of each side, and q^2; three from index 0, whose term is 1),
+then two complex products per term.  The walk starts at the summed index
+nearest the peak of |term| and goes outward, so only the starting term, the
+per-term exp of its index, can overflow: exactly where a per-term sum
+would.  The ratio k steps out holds k roundings of q^2, so a term n steps
+from the start carries a relative error of about n^2/2 ulps (twice that if
+q^2 were the product of the first ratios, hence its own exp).  The two
+sides go into one total alternately, largest first; at z = 0 the two sides
+of theta1 are exact negatives of each other, so theta1(0, tau) is 0.0.
 
 Truncation is certified: the tail beyond the returned partial sum is bounded
 by a geometric majorant of e^{-pi n^2 Im tau + 2 pi n |Im z|}, and the
@@ -201,12 +202,15 @@ def _partial_sum(kind: ThetaKind, z: complex, tau: complex, N: int) -> complex:
         t(m-1) = t(m) D(m),  D(m) = s e^{i pi (tau (1-2m) - 2z)},  D(m-1) = D(m) q^2
 
     with q^2 = e^{2 pi i tau}.  The upward side is c .. top and the
-    downward side c-1 .. bottom.  Each side's first term is the per-term
-    exponential of its index, so the peak overflows exactly where it would
-    alone; the first ratios have modulus <= 1 because c is nearest the
-    peak, so no later step can.  An exp that this call does not need is not
-    evaluated, and theta3/4 walked from c = 0 need two: t(0) = 1,
-    R(0) = t(1), q^2 = t(1) t(-1) and D(-1) = t(-1) q^2.
+    downward side c-1 .. bottom.  Every start makes the same four exps,
+    t(c), R(c), D(c) and q^2 (three at c = 0, where t(c) = 1); then
+    t(c-1) = t(c) D(c) and D(c-1) = D(c) q^2.  q^2 is not R(c) D(c): R(c+k) holds q^2 to the k-th
+    power, so the rounding of that product would enter it k times.  Only
+    t(c) can overflow, exactly where a per-term sum would: a ratio of a
+    walked side has modulus <= 1 because c is nearest the peak, and at a c
+    clamped to an end of the range the unused outward ratio has
+    log|t(c)| - log|R(c)| = pi y ((c-1)(2m* - c + 1) + 2) > 0 (and the
+    mirror image for D(c)).
 
     The terms go into one total alternately, upward first, never pre-summed
     in pairs: then, from the same start, the additions of S_N are a
@@ -226,37 +230,20 @@ def _partial_sum(kind: ThetaKind, z: complex, tau: complex, N: int) -> complex:
         lo = -N
         s += 0.5
         j = m = lo if s < lo else N if s >= N else math.floor(s)
-    flip = kind is _THETA1 or kind is _THETA4
     a = N - j + 1  # upward terms
     b = j - lo  # downward terms
     zz = 2 * z
-    if m:
-        q2 = e(2 * ipi * tau) if a > 2 or b > 2 else 0j
-        up = e(ipi * (tau * (m * m) + zz * m))
-        if flip and j % 2:
+    up = e(ipi * (tau * (m * m) + zz * m)) if m else 1.0 + 0.0j
+    ru = e(ipi * (tau * (2 * m + 1) + zz))
+    rd = e(ipi * (tau * (1 - 2 * m) - zz))
+    q2 = e(2 * ipi * tau)
+    if kind is _THETA1 or kind is _THETA4:
+        ru = -ru
+        rd = -rd
+        if j % 2:
             up = -up
-        if a > 1:
-            ru = e(ipi * (tau * (2 * m + 1) + zz))
-            if flip:
-                ru = -ru
-        if b:
-            d = m - 1
-            down = e(ipi * (tau * (d * d) + zz * d)) if d else 1.0 + 0.0j
-            if flip and not j % 2:
-                down = -down
-            if b > 1:
-                rd = e(ipi * (tau * (3 - 2 * m) - zz))
-                if flip:
-                    rd = -rd
-    else:
-        up = 1.0 + 0.0j
-        ru = e(ipi * (tau + zz))
-        down = e(ipi * (tau - zz))
-        if flip:
-            ru = -ru
-            down = -down
-        q2 = ru * down
-        rd = down * q2
+    down = up * rd
+    rd *= q2
     total = up
     n = 0
     if b:

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import sys
 
 import pytest
 
@@ -381,14 +382,19 @@ def _per_term_sum(kind, z, tau, N):
     return total if kind is K2 else -1j * total
 
 
-def _peak_term(kind, z, tau, N):
-    """max |t(m)| over the indices S_N sums."""
+def _log_peak_term(kind, z, tau, N):
+    """max log|t(m)| over the indices S_N sums."""
     if kind in (K1, K2):
         indices = [n + 0.5 for n in range(-N - 1, N + 1)]
     else:
         indices = range(-N, N + 1)
     y, beta = tau.imag, z.imag
-    return math.exp(max(-math.pi * y * m * m - 2 * math.pi * m * beta for m in indices))
+    return max(-math.pi * y * m * m - 2 * math.pi * m * beta for m in indices)
+
+
+def _peak_term(kind, z, tau, N):
+    """max |t(m)| over the indices S_N sums."""
+    return math.exp(_log_peak_term(kind, z, tau, N))
 
 
 class _CountingCmath:
@@ -402,7 +408,7 @@ class _CountingCmath:
         return cmath.exp(w)
 
 
-def test_partial_sum_makes_at_most_five_exponentials(monkeypatch):
+def test_partial_sum_makes_at_most_four_exponentials(monkeypatch):
     shim = _CountingCmath()
     monkeypatch.setattr(series, "cmath", shim)
     # peak at the centre, off-centre, and at m* = -+40: clamped to either
@@ -418,14 +424,21 @@ def test_partial_sum_makes_at_most_five_exponentials(monkeypatch):
             for N in range(1, 401):
                 shim.exp_calls = 0
                 _partial_sum(kind, z, tau, N)
-                assert shim.exp_calls <= 5, (kind, z, tau, N)
+                assert shim.exp_calls <= 4, (kind, z, tau, N)
+    # theta3/4 walked from c = 0 start at t(0) = 1
+    for kind in (K3, K4):
+        for N in range(1, 401):
+            shim.exp_calls = 0
+            _partial_sum(kind, 0.3, 0.2 + 0.01j, N)
+            assert shim.exp_calls == 3, (kind, N)
 
 
 def test_recurrence_matches_per_term_reference():
-    # Each recurrence term carries a relative rounding error that grows by
-    # about u per step, and each reference term one of about u times its
-    # exponent's size; both are bounded by the peak term, so the sums agree
-    # to a small multiple of (N + 1) u max(1, peak).
+    # A recurrence term n steps from the start carries a relative rounding
+    # error of about n^2/2 u (the ratio n steps out holds n roundings of
+    # q^2), and each reference term one of about u times its exponent's
+    # size.  The far terms are small, so the sums still agree to a small
+    # multiple of (N + 1) u max(1, peak).
     u = 2.0**-52
     rng = random.Random(17)
     clamped = 0
@@ -441,6 +454,32 @@ def test_recurrence_matches_per_term_reference():
         bound = 256 * u * (N + 1) * max(1.0, _peak_term(kind, z, tau, N))
         assert abs(got - want) <= bound, (kind, z, tau, N)
     assert clamped > 50
+
+
+def test_partial_sum_overflows_exactly_where_a_per_term_sum_would():
+    # Only t(c), the largest summed term, may overflow: every ratio the start
+    # computes is smaller, the unused outward one at a clamped c included.
+    # Within 1 of the threshold a term's components may or may not overflow.
+    tau = 0.1 + 0.05j
+    log_max = math.log(sys.float_info.max)
+    sizes = [0.0] + [10 ** (k / 40) for k in range(-80, 105)]
+    heights = sorted({s * x for x in sizes for s in (1, -1)})  # Im z to 398
+    overflowed = 0
+    for kind in ALL_KINDS:
+        for N in range(1, 41):
+            for h in heights:
+                z = complex(0.3, h)
+                peak = _log_peak_term(kind, z, tau, N)
+                if abs(peak - log_max) <= 1:
+                    continue
+                try:
+                    _partial_sum(kind, z, tau, N)
+                    raised = False
+                except OverflowError:
+                    raised = True
+                assert raised == (peak > log_max), (kind, N, h, peak)
+                overflowed += raised
+    assert overflowed > 1000
 
 
 def test_theta1_zero_sides_mirror_at_every_index():
@@ -476,6 +515,27 @@ def test_peaks_far_from_zero_agree_with_mpmath(z, tau, kinds):
             assert cmath.isfinite(got)
             want = mpmath.jtheta(kind.value, mpmath.pi * mpmath.mpc(z), q)
             assert abs(got - want) <= 1e-12 * abs(want), kind
+
+
+def test_series_accuracy_against_mpmath():
+    # Relative to the peak term e^{pi (Im z)^2 / Im tau}, and to the
+    # 1 + Im tau^{-1/2} size of the sum of the terms near it.  The mean error
+    # is about 9.5e-16 here; with q^2 formed as R(c) D(c) it is 2.5e-15.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(1)
+    errors = []
+    with mpmath.workdps(25):
+        for i in range(200):
+            kind = ALL_KINDS[i % 4]
+            y = math.exp(rng.uniform(math.log(1e-4), math.log(2.0)))
+            tau = complex(rng.uniform(-0.5, 0.5), y)
+            z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-3, 3) * y)
+            got = theta_series(kind, z, tau, 1e-14)
+            q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+            want = complex(mpmath.jtheta(kind.value, mpmath.pi * mpmath.mpc(z), q))
+            scale = math.exp(math.pi * z.imag**2 / y) * (1 + y**-0.5)
+            errors.append(abs(got - want) / scale)
+    assert sum(errors) / len(errors) < 1.5e-15
 
 
 def test_sine_series_does_not_call_partial_sum(monkeypatch):
