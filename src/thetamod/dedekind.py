@@ -89,6 +89,9 @@ def _dedekind_sum_direct(h: int, k: int) -> Fraction:
     return Fraction(_direct_total(h % k, k), k * k) - Fraction(k - 1, 4)
 
 
+_ZERO = Fraction(0)
+
+
 def _defect(h: int, k: int, t_hk: int, t_kh: int) -> Fraction:
     """The reciprocity defect of coprime h, k >= 1 from two direct totals.
 
@@ -98,6 +101,9 @@ def _defect(h: int, k: int, t_hk: int, t_kh: int) -> Fraction:
 
         12h^2k^2 * defect = 12h^2*t_hk + 12k^2*t_kh
                             - 3h^2k^2(h + k - 3) - hk(h^2 + k^2 + 1).
+
+    A zero defect is the one shared ``Fraction(0)``; a Fraction is built
+    only for a nonzero one.
     """
     hk = h * k
     scaled = (
@@ -106,7 +112,7 @@ def _defect(h: int, k: int, t_hk: int, t_kh: int) -> Fraction:
         - 3 * hk * hk * (h + k - 3)
         - hk * (h * h + k * k + 1)
     )
-    return Fraction(scaled, 12 * hk * hk)
+    return Fraction(scaled, 12 * hk * hk) if scaled else _ZERO
 
 
 def reciprocity_defect(h: int, k: int) -> Fraction:

@@ -79,6 +79,10 @@ def test_config_validation():
         TrialConfig(tol=0)
     with pytest.raises(DomainError):
         TrialConfig(tol=float("nan"))
+    # an infinite tol would stop every series after about one term and pass
+    with pytest.raises(DomainError, match="tol must be positive and finite"):
+        TrialConfig(tol=float("inf"))
+    assert main(["verify", "--suite", "eq2", "--trials", "3", "--tol", "inf"]) == 2
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -121,6 +125,59 @@ def test_exact_records_pinned_seed7():
     assert len(exact) == 25064
     digest = hashlib.sha256("".join(f"{line}\n" for line in exact).encode())
     assert digest.hexdigest() == EXACT_RECORDS_SEED7_SHA256
+
+
+def _corrupt_direct_total(monkeypatch):
+    """Add 1 to T(3, 7); return the pairs that read it, {7, j} with j = 3 mod 7,
+    in either order.  Each one's defect becomes 1/7^2 = 1/49."""
+    direct_total = thetamod.dedekind._direct_total
+
+    def corrupt(h, k):
+        return direct_total(h, k) + ((h, k) == (3, 7))
+
+    monkeypatch.setattr(thetamod.dedekind, "_direct_total", corrupt)
+    return {(j, 7) for j in range(3, 201, 7)} | {(7, j) for j in range(3, 201, 7)}
+
+
+def test_report_lines_equal_the_encoder(monkeypatch):
+    # write_report formats exact records with int inputs from a cached
+    # template; every line must be the encoder's text of rec.to_json_dict()
+    corpus = (Sl2Matrix(1, 0, 10**6, 1),)  # out of the series' reach
+    inconclusive = run_suite("theorem1", TrialConfig(trials=1, corpus=corpus))
+    assert inconclusive[0].inconclusive
+    with monkeypatch.context() as patch:
+        _corrupt_direct_total(patch)
+        failing = [r for r in run_suite("reciprocity", SMALL) if not r.passed]
+    assert len(failing) == 58
+    records, summaries = run_suites(TrialConfig(seed=7, trials=8))
+    # shapes no suite makes yet: unsorted keys, a bool input, 0.0 beside -0.0
+    made = [
+        thetamod.verify.VerificationRecord(
+            "x%d", 1, inputs, Fraction(1, 3), Fraction(0), "exact", False, kappa
+        )
+        for inputs in ({"k": 2, "h": 1}, {"h": True}, {"h": -1})
+        for kappa in (0.0, -0.0, 2.5, 1)
+    ]
+    records += inconclusive + failing + made
+    encode = thetamod.verify._RECORD_ENCODER.encode
+    want = [encode(r.to_json_dict()) + "\n" for r in records]
+
+    encoded = []  # the records that took the encoder's path
+    to_json_dict = thetamod.verify.VerificationRecord.to_json_dict
+
+    def spy(rec):
+        encoded.append(rec)
+        return to_json_dict(rec)
+
+    monkeypatch.setattr(thetamod.verify.VerificationRecord, "to_json_dict", spy)
+    buf = io.StringIO()
+    write_report(buf, records, summaries)
+    assert buf.getvalue().splitlines(keepends=True)[:-1] == want
+    # the template builder encodes marker records, whose trial is not an int
+    slow = [r for r in encoded if type(r.trial) is int]
+    assert not [r for r in slow if r.suite == "reciprocity"]
+    assert sum(r.suite == "reciprocity" for r in records) == 24463 + 58
+    assert inconclusive[0] in slow
 
 
 def test_inconclusive_record_is_strict_json(tmp_path):
@@ -575,15 +632,21 @@ def test_reciprocity_suite_does_not_use_dedekind_sum(monkeypatch):
 
 
 def test_reciprocity_corrupt_entry_fails_exactly_its_readers(monkeypatch):
-    # T(3, 7) is read by every pair {7, j} with j = 3 mod 7, in either order
-    direct_total = thetamod.dedekind._direct_total
-
-    def corrupt(h, k):
-        return direct_total(h, k) + ((h, k) == (3, 7))
-
-    monkeypatch.setattr(thetamod.dedekind, "_direct_total", corrupt)
-    readers = {(j, 7) for j in range(3, 201, 7)} | {(7, j) for j in range(3, 201, 7)}
-    assert _reciprocity_failures() == readers
+    readers = _corrupt_direct_total(monkeypatch)
+    config = TrialConfig(seed=7, trials=8, suites=("reciprocity",))
+    records, summaries = run_suites(config)
+    assert len(records) == 24463
+    assert {(r.inputs["h"], r.inputs["k"]) for r in records if not r.passed} == readers
+    # the written report says so too, line by line and in the summary
+    buf = io.StringIO()
+    write_report(buf, records, summaries)
+    *lines, summary = map(json.loads, buf.getvalue().splitlines())
+    for line in lines:
+        pair = line["inputs"]["h"], line["inputs"]["k"]
+        verdict = (False, "1/49") if pair in readers else (True, "0/1")
+        assert (line["pass"], line["observed"]) == verdict, pair
+    assert summary["pass"] is False
+    assert summary["summary"]["reciprocity"]["passed"] == 24463 - len(readers)
 
 
 def test_reciprocity_table_built_once_per_run(monkeypatch):
