@@ -10,12 +10,12 @@ in-scope input.
 :func:`dedekind_sum` runs in O(log k) steps: it follows the Euclidean
 algorithm on (h, k) and folds the reciprocity law back over the pairs,
 carrying the integer g(h, k) = 12k*s(h, k) (an integer because 6k*s(h, k)
-is).  The O(k) summation survives only as the oracle behind
-:func:`reciprocity_defect`: checking reciprocity with a reciprocity-based
-algorithm would prove nothing.  The oracle is one integer loop,
-``_direct_total``; the reciprocity suite of ``thetamod verify`` reads each
-sum it needs once from a :class:`DirectTotals` table built for that run,
-and never uses a derived symmetry of s(h, k) to fill it.
+is; ``_g`` returns it for the eta multiplier).  The O(k) summation survives
+only as the oracle behind :func:`reciprocity_defect`: checking reciprocity
+with a reciprocity-based algorithm would prove nothing.  The oracle is one
+integer loop, ``_direct_total``; the reciprocity suite of ``thetamod
+verify`` reads each sum it needs once from a :class:`DirectTotals` table
+built for that run, and never uses a derived symmetry of s(h, k) to fill it.
 
 All arithmetic is exact; no floating point is used anywhere in this module.
 """
@@ -36,20 +36,17 @@ def _require_coprime(h: int, k: int, op: str) -> None:
         raise DomainError(f"{op} needs gcd(h, k) = 1, got ({h}, {k})")
 
 
-def dedekind_sum(h: int, k: int) -> Fraction:
-    """Exact s(h, k) for k >= 1 and gcd(h, k) = 1, in O(log k) steps.
+def _g(h: int, k: int) -> int:
+    """g(h, k) = 12k*s(h, k), an integer, for k >= 1 and gcd(h, k) = 1.
 
-    With g(h, k) = 12k*s(h, k), an integer, reciprocity
-    s(h,k) + s(k,h) = (h^2 + k^2 + 1)/(12hk) - 1/4 and periodicity in h give
+    Reciprocity s(h,k) + s(k,h) = (h^2+k^2+1)/(12hk) - 1/4 and periodicity give
 
         g(h, k) = (h^2 + k^2 + 1 - k*g(k mod h, h)) // h - 3k,
 
     with the division exact.  The Euclid pairs (h, k) -> (k mod h, h) of
     the reduced h end at (0, 1), where g(0, 1) = 0 (so s(h, 1) = 0); the
-    recursion is folded back from there over integers only, and the one
-    Fraction is built at the end.
+    recursion is folded back from there over integers only.
     """
-    _require_coprime(h, k, "dedekind_sum")
     pairs = []
     a, b = h % k, k
     while a:
@@ -58,7 +55,13 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     g = 0
     for a, b in reversed(pairs):
         g = (a * a + b * b + 1 - b * g) // a - 3 * b
-    return Fraction(g, 12 * k)
+    return g
+
+
+def dedekind_sum(h: int, k: int) -> Fraction:
+    """Exact s(h, k) = g(h, k)/(12k) for k >= 1 and gcd(h, k) = 1, O(log k) steps."""
+    _require_coprime(h, k, "dedekind_sum")
+    return Fraction(_g(h, k), 12 * k)
 
 
 def _direct_total(h: int, k: int) -> int:

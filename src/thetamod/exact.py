@@ -1,13 +1,10 @@
 """Exact integer, rational, and unit-phase arithmetic.
 
-Rational values are ``fractions.Fraction`` throughout: Python integers are
-arbitrary precision, and ``Fraction`` keeps gcd(|num|, den) = 1 with den >= 1,
-so multiplier phases with 12c denominators never overflow or round.
-
-A ``UnitPhase`` stores a unit complex number e^{i*pi*t} exactly as the
-rational t reduced into [0, 2).  Multiplication of unit values is then exact
-addition of phases mod 2 (``p ** -1`` inverts), which turns multiplier
-identities into pure rational equalities.
+Rationals are ``fractions.Fraction`` over Python's arbitrary-precision
+integers, so they never overflow or round.  A ``UnitPhase`` stores
+e^{i*pi*t}, t = k/12, exactly as the residue k mod 24: every exact phase of
+the package (the eta multiplier, epsilon1 and the level-2 prefactors) is a
+24th root of unity, so multiplier identities are integer equalities.
 
 Everything here is immutable and pure; values are safe to share between
 threads.
@@ -51,25 +48,36 @@ def rational_str(x: Fraction) -> str:
 
 @dataclass(frozen=True)
 class UnitPhase:
-    """A unit complex number e^{i*pi*phase}, phase a rational in [0, 2).
+    """A 24th root of unity e^{i*pi*phase}, phase = residue/12 in [0, 2).
 
-    The group law is exact: multiplication adds phases mod 2, and ``** -1``
-    inverts by negating.  ``UnitPhase(0)`` is the identity.
+    ``UnitPhase(t)`` takes a rational t in (1/12)Z and refuses any other;
+    ``UnitPhase._of(k)`` is e^{i*pi*k/12} for an integer k.  Multiplication
+    adds residues mod 24, ``** -1`` inverts, ``UnitPhase(0)`` is the identity.
     """
 
-    phase: Fraction
+    residue: int
+    phase = property(lambda self: Fraction(self.residue, 12))
 
     def __init__(self, phase: Fraction | int | str):
-        object.__setattr__(self, "phase", Fraction(phase) % 2)
+        k = Fraction(phase) * 12
+        if k.denominator != 1:
+            raise DomainError(f"UnitPhase needs a phase in (1/12)Z, got {phase}")
+        object.__setattr__(self, "residue", k.numerator % 24)
+
+    @classmethod
+    def _of(cls, k: int) -> "UnitPhase":
+        p = object.__new__(cls)
+        object.__setattr__(p, "residue", k % 24)
+        return p
 
     def __mul__(self, other: "UnitPhase") -> "UnitPhase":
-        return UnitPhase(self.phase + other.phase)
+        return UnitPhase._of(self.residue + other.residue)
 
     def __pow__(self, n: int) -> "UnitPhase":
-        return UnitPhase(self.phase * n)
+        return UnitPhase._of(self.residue * n)
 
-    def to_complex(self) -> complex:
-        return cmath.exp(1j * math.pi * float(self.phase))
+    def to_complex(self) -> complex:  # k/12 rounds as float(Fraction(k, 12)) does
+        return cmath.exp(1j * math.pi * (self.residue / 12))
 
     def __str__(self) -> str:
         return rational_str(self.phase)

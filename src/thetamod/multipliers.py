@@ -13,16 +13,20 @@ the unit factor in
     theta1(z/(c*tau+d), A*tau)
         = epsilon1(A) (-i(c*tau+d))^{1/2} e^{i*pi*c*z^2/(c*tau+d)} theta1(z, tau).
 
-Everything is computed as an exact rational phase (UnitPhase); floating
-point never adjudicates an identity here.
+Every phase is a 24th root of unity, computed exactly as an integer mod 24
+in units of pi/12 (UnitPhase); floating point never adjudicates an identity.
+With g = 12c*s(d, c), epsilon(A) is q = (a + d - g)/c and epsilon1(A) is
+3q - 6.  The division is exact: 12hk*s(h, k) = h^2 + 1 (mod k) (Rademacher
+and Grosswald, Dedekind Sums, ch. 3) gives d*g = d^2 + 1 (mod c), and then
+a*d = 1 (mod c) gives g = a + d (mod c).
 
 Right multiplication by a generator L moves epsilon1 by a fixed phase.  For
 c > 0 let N = A L, negated ("flipped") when its lower-left entry is
-negative; then epsilon1(N) = epsilon1(A) e^{i*pi*delta} with
+negative; then epsilon1(N) = epsilon1(A) e^{i*pi*delta/12} with
 
-    L = T^m   c_N = c        delta = m/4
-    L = S     c_N = d        delta = -3/4 (d > 0),      +3/4 (d < 0)
-    L = S2    c_N = c + 2d   delta = -1/2 (c + 2d > 0),  1  (c + 2d < 0)
+    L = T^m   c_N = c        delta = 3m
+    L = S     c_N = d        delta = -9 (d > 0),      +9 (d < 0)
+    L = S2    c_N = c + 2d   delta = -6 (c + 2d > 0), 12 (c + 2d < 0)
 
 (Apostol, Modular Functions and Dirichlet Series, ch. 3: consequences of
 Dedekind reciprocity).  This table, _RIGHT_PHASE, is the one home of these
@@ -37,9 +41,7 @@ unit factor of all four laws, translations included.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .dedekind import dedekind_sum
+from .dedekind import _g
 from .errors import DomainError
 from .exact import UnitPhase, jacobi_symbol
 from .modgroup import (
@@ -52,17 +54,15 @@ from .modgroup import (
 )
 from .series import ThetaKind
 
-# The right-multiplication laws, keyed by (generator, flipped); the T entry
-# is per unit exponent.  See the module docstring.
+# The right-multiplication laws in units of pi/12, keyed by (generator,
+# flipped); the T entry is per unit exponent.  See the module docstring.
 _RIGHT_PHASE = {
-    ("T", False): Fraction(1, 4),
-    ("S", False): Fraction(-3, 4),
-    ("S", True): Fraction(3, 4),
-    ("S2", False): Fraction(-1, 2),
-    ("S2", True): Fraction(1),
+    ("T", False): 3,
+    ("S", False): -9,
+    ("S", True): 9,
+    ("S2", False): -6,
+    ("S2", True): 12,
 }
-
-_MINUS_I = UnitPhase(Fraction(-1, 2))  # theta1's factor beside epsilon^3; epsilon1(S)
 
 
 def _require_positive_c(A: Sl2Matrix, op: str) -> None:
@@ -71,15 +71,18 @@ def _require_positive_c(A: Sl2Matrix, op: str) -> None:
 
 
 def eta_epsilon(A: Sl2Matrix) -> UnitPhase:
-    """Eta multiplier phase (a+d)/(12c) - s(d, c), for c > 0."""
+    """Eta multiplier phase (a+d)/(12c) - s(d, c) = q/12, for c > 0."""
     _require_positive_c(A, "eta_epsilon")
-    return UnitPhase(Fraction(A.a + A.d, 12 * A.c) - dedekind_sum(A.d, A.c))
+    q, r = divmod(A.a + A.d - _g(A.d, A.c), A.c)
+    if r:  # the congruence in the module docstring rules this out
+        raise ArithmeticError(f"12c*s(d, c) is not a + d mod c for {A}")
+    return UnitPhase._of(q)
 
 
 def theta1_epsilon(A: Sl2Matrix) -> UnitPhase:
     """theta1 multiplier -i*epsilon^3, for c > 0."""
     _require_positive_c(A, "theta1_epsilon")
-    return eta_epsilon(A) ** 3 * _MINUS_I
+    return UnitPhase._of(3 * eta_epsilon(A).residue - 6)
 
 
 def theta1_epsilon_closed(A: Sl2Matrix) -> UnitPhase:
@@ -96,13 +99,11 @@ def theta1_epsilon_closed(A: Sl2Matrix) -> UnitPhase:
     a, b, c, d = A.a, A.b, A.c, A.d
     if c % 2 == 1:
         jac = jacobi_symbol(d, c)
-        phase = Fraction(c - 3, 4) + Fraction(c * (a + d), 4)
+        k = 3 * (c - 3) + 3 * c * (a + d)
     else:  # det 1 makes d odd; for d < 0 the symbol extends as (c/|d|)
         jac = jacobi_symbol(c, abs(d))
-        phase = Fraction(1, 4) + Fraction(1 - d, 4) + Fraction(d * (b - c), 4)
-    if jac == -1:
-        phase += 1
-    return UnitPhase(phase)
+        k = 3 + 3 * (1 - d) + 3 * d * (b - c)
+    return UnitPhase._of(k + 12 if jac == -1 else k)
 
 
 ALPHA_KINDS = (ThetaKind.THETA2, ThetaKind.THETA3, ThetaKind.THETA4)
@@ -128,7 +129,7 @@ def gamma2_alpha(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
         e = (d - 1) * (c // 2 + 1) - (b // 2) * a + c // 2
     else:
         e = (a - 1) * (b // 2 - 1) - b // 2
-    return UnitPhase(Fraction(e, 2))
+    return UnitPhase._of(6 * e)
 
 
 def law_phase(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
@@ -137,7 +138,7 @@ def law_phase(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
     A = T^b (root and Gaussian 1) epsilon1 is the T entry of _RIGHT_PHASE times
     b, and alpha makes the factor 1 for theta3/theta4 (b even)."""
     if A.c == 0 and A.d == 1:
-        eps1 = UnitPhase(_RIGHT_PHASE["T", False] * A.b)
+        eps1 = UnitPhase._of(_RIGHT_PHASE["T", False] * A.b)
     else:
         eps1 = theta1_epsilon(A)
     return eps1 if kind is ThetaKind.THETA1 else gamma2_alpha(kind, A) * eps1
@@ -148,11 +149,11 @@ def gamma2_prefactor(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
     (for c > 0 the two principal roots differ by exactly e^{-i*pi/4}).  Exact
     sanity anchor: gamma2_prefactor(THETA3, S2) = 1."""
     _require_positive_c(A, "gamma2_prefactor")
-    return law_phase(kind, A) * UnitPhase(Fraction(-1, 4))
+    return UnitPhase._of(law_phase(kind, A).residue - 3)
 
 
-def right_step(A: Sl2Matrix, letter: Letter) -> tuple[Sl2Matrix, Fraction]:
-    """(N, delta) with N = +-A L, c_N > 0 and epsilon1(N) = epsilon1(A) e^{i*pi*delta}.
+def right_step(A: Sl2Matrix, letter: Letter) -> tuple[Sl2Matrix, int]:
+    """(N, delta): N = +-A L, c_N > 0, epsilon1(N) = epsilon1(A) e^{i*pi*delta/12}.
 
     For c_A > 0 and L one of T^m, S, S2; delta is read from _RIGHT_PHASE (see
     the module docstring).  Any other letter, or a product with lower-left
@@ -164,8 +165,7 @@ def right_step(A: Sl2Matrix, letter: Letter) -> tuple[Sl2Matrix, Fraction]:
         raise DomainError(f"right_step takes T^m, S or S2, not {letter}")
     M = A * letter.matrix()  # refuses an unknown generator and S^k, k != 1
     if gen == "T":
-        rate = _RIGHT_PHASE["T", False]  # rate * m, built as one Fraction
-        return M, Fraction(rate.numerator * letter.exp, rate.denominator)
+        return M, _RIGHT_PHASE["T", False] * letter.exp
     if M.c == 0:
         raise DomainError(f"{A} * {letter} has lower-left entry 0")
     flipped = M.c < 0
@@ -176,11 +176,11 @@ def lemma_sides(A: Sl2Matrix, letter: Letter) -> tuple[UnitPhase, UnitPhase]:
     """The right-multiplication law of ``letter`` as (expected, observed).
 
     With (N, delta) = right_step(A, letter), expected is
-    epsilon1(A) e^{i*pi*delta} and observed is epsilon1(N), each epsilon1
+    epsilon1(A) e^{i*pi*delta/12} and observed is epsilon1(N), each epsilon1
     from Dedekind sums; the law holds iff the two unit phases are equal.
     """
     N, delta = right_step(A, letter)
-    return theta1_epsilon(A) * UnitPhase(delta), theta1_epsilon(N)
+    return theta1_epsilon(A) * UnitPhase._of(delta), theta1_epsilon(N)
 
 
 def theta1_epsilon_induction(A: Sl2Matrix) -> UnitPhase:
@@ -203,10 +203,9 @@ def theta1_epsilon_induction(A: Sl2Matrix) -> UnitPhase:
         j, letters = letters[0].exp, letters[1:]
     if not letters:
         raise DomainError("translation matrices carry no inversion multiplier")
-    _, phase = right_step(S, Letter("T", j))
-    phase += _MINUS_I.phase  # epsilon1(S) = -i
+    k = right_step(S, Letter("T", j))[1] - 6  # epsilon1(S) = -i
     N = translation(j) * S
     for letter in letters[1:]:
         N, delta = right_step(N, letter)
-        phase += delta
-    return UnitPhase(phase)
+        k += delta
+    return UnitPhase._of(k)

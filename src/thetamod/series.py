@@ -70,12 +70,7 @@ class ThetaKind(enum.Enum):
 
 # The members, bound once: looking an enum member up on its class is slow
 # enough to show in the per-call cost of the short sums and of each bound.
-_THETA1, _THETA2, _THETA3, _THETA4 = (
-    ThetaKind.THETA1,
-    ThetaKind.THETA2,
-    ThetaKind.THETA3,
-    ThetaKind.THETA4,
-)
+_THETA1, _THETA2, _THETA3, _THETA4 = ThetaKind
 
 HALF_PERIOD_PARTNER = {
     ThetaKind.THETA1: ThetaKind.THETA2,
@@ -145,8 +140,8 @@ def truncation_index(
     (theta1/2) or N + 1 (theta3/4), so N starts at ceil(m - 1.5) or
     ceil(m - 1), a few steps from the answer; the bound certifies it.
     """
-    if not tol > 0:  # also rejects NaN
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:  # also rejects NaN
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     require_upper_half(tau, z)
     if max_index < 1:
         raise DomainError(f"max_index must be >= 1, got {max_index}")

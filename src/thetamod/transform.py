@@ -242,8 +242,8 @@ def eval_fast_report(
     series once at the reduced point where it converges in a handful of
     terms.
     """
-    if not tol > 0:  # NaN too; the message gives the caller's tol, not tol/|factor|
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:  # NaN too; names the caller's tol, not tol/|factor|
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     require_upper_half(tau, z)
     word, _, steps = _reduce_steps(tau)
     kind_c, factor, z_c, tau_c = kind, 1.0 + 0.0j, complex(z), complex(tau)

@@ -23,7 +23,7 @@ which walks the ``apply_letter`` of ``eval_fast``; lemma5 (theta3, A = S2)
 and the theorems through ``predict_theta1`` and ``predict_theta_gamma2``.
 
 One record builder decides every verdict.  When ``expected`` is not complex
-(a rational phase, a rational, an integer list) the identity is exact: the
+(a unit phase, a rational, an integer list) the identity is exact: the
 record says ``"residual": "exact"`` and passes iff the two sides are equal,
 so floating point never adjudicates it.  Otherwise the trial passes when
 
@@ -58,7 +58,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterable, TextIO
 
-from .dedekind import DirectTotals
+from .dedekind import _ZERO, DirectTotals
 from .errors import DomainError, PrecisionUnreachableError
 from .exact import UnitPhase, rational_str
 from .modgroup import (
@@ -155,7 +155,7 @@ _ENCODERS = {
     float: _encode_float,
     complex: lambda v: [_encode_float(v.real), _encode_float(v.imag)],
     Fraction: lambda v: rational_str(v),
-    UnitPhase: lambda v: rational_str(v.phase),
+    UnitPhase: str,
     Sl2Matrix: Sl2Matrix.to_lists,
 }
 
@@ -301,9 +301,6 @@ def _branch_lemma(
     return inputs, partial(lemma_sides, A, letter), 1.0
 
 
-_ZERO = Fraction(0)
-
-
 def _reciprocity_pair(sums: DirectTotals, h: int, k: int) -> TrialOutput:
     """The defect of one coprime pair is exactly zero."""
     return {"h": h, "k": k}, lambda: (_ZERO, sums.reciprocity_defect(h, k)), 1.0
@@ -442,9 +439,7 @@ def run_suite(name: str, config: TrialConfig) -> list[VerificationRecord]:
     """Run one suite, a record per trial in trial order; deterministic given
     the config (seed included)."""
     if name not in SUITES:
-        raise DomainError(
-            f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}"
-        )
+        raise DomainError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     trials = enumerate(SUITES[name](name, config))
     return [_record(name, t, *trial, config.tol) for t, trial in trials]
 

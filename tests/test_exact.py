@@ -1,5 +1,6 @@
 """Exact integer/rational/phase arithmetic against brute-force oracles."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -85,7 +86,8 @@ def test_phase_mul_examples():
     )
 
 
-phases = st.fractions(max_denominator=1000)
+# UnitPhase holds 24th roots of unity: its phases are the rationals in (1/12)Z
+phases = st.integers(-(10**6), 10**6).map(lambda k: Fraction(k, 12))
 
 
 @given(phases, phases, phases)
@@ -112,7 +114,7 @@ def test_phase_modulus_bulk():
 
     rng = random.Random(99)
     for _ in range(1000):
-        p = UnitPhase(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)))
+        p = UnitPhase(Fraction(rng.randint(-10**6, 10**6), 12))
         assert abs(abs(p.to_complex()) - 1.0) < 1e-15
 
 
@@ -122,6 +124,22 @@ def test_phase_known_values():
     assert UnitPhase(1).to_complex() == pytest.approx(-1)
     assert UnitPhase(Fraction(-1, 2)) == UnitPhase(Fraction(3, 2))
     assert UnitPhase(Fraction(6, 2)) == UnitPhase(1)
+
+
+def test_phase_outside_twelfths_is_refused():
+    with pytest.raises(DomainError):
+        UnitPhase(Fraction(1, 16))
+    assert UnitPhase("-1/12") == UnitPhase._of(-1) == UnitPhase(Fraction(23, 12))
+
+
+def test_phase_residue_round_trip_is_bit_identical():
+    # residue k stands for phase k/12: the same "p/q" and the same float as
+    # a phase held as the Fraction k/12 reduced mod 2
+    for k in range(-30, 31):
+        t = Fraction(k, 12) % 2
+        p = UnitPhase(Fraction(k, 12))
+        assert p.phase == t and str(p) == rational_str(t)
+        assert p.to_complex() == cmath.exp(1j * math.pi * float(t))
 
 
 def test_rational_serialization():

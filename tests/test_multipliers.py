@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from thetamod import multipliers
+from thetamod.dedekind import dedekind_sum
 from thetamod.errors import DomainError
 from thetamod.exact import UnitPhase
 from thetamod.modgroup import (
@@ -161,16 +162,18 @@ def test_lemma4_both_branches():
 @pytest.mark.parametrize(
     "A, letter, N, delta",
     [
-        (S, Letter("T", 3), Sl2Matrix(0, -1, 1, 3), Fraction(3, 4)),
-        (Sl2Matrix(1, 0, 1, 1), Letter("S"), Sl2Matrix(0, -1, 1, -1), Fraction(-3, 4)),
-        (Sl2Matrix(0, -1, 1, -1), Letter("S"), Sl2Matrix(1, 0, 1, 1), Fraction(3, 4)),
-        (S2, Letter("S2"), Sl2Matrix(1, 0, 4, 1), Fraction(-1, 2)),
-        (Sl2Matrix(1, -2, 2, -3), Letter("S2"), Sl2Matrix(3, 2, 4, 3), Fraction(1)),
+        (S, Letter("T", 3), Sl2Matrix(0, -1, 1, 3), 9),
+        (Sl2Matrix(1, 0, 1, 1), Letter("S"), Sl2Matrix(0, -1, 1, -1), -9),
+        (Sl2Matrix(0, -1, 1, -1), Letter("S"), Sl2Matrix(1, 0, 1, 1), 9),
+        (S2, Letter("S2"), Sl2Matrix(1, 0, 4, 1), -6),
+        (Sl2Matrix(1, -2, 2, -3), Letter("S2"), Sl2Matrix(3, 2, 4, 3), 12),
     ],
+    ids=[f"A{i}-letter{i}-N{i}-delta{i}" for i in range(5)],  # not the delta's value
 )
 def test_right_step_table_entries(A, letter, N, delta):
+    # delta in units of pi/12
     assert right_step(A, letter) == (N, delta)
-    assert theta1_epsilon(N) == theta1_epsilon(A) * UnitPhase(delta)
+    assert theta1_epsilon(N) == theta1_epsilon(A) * UnitPhase(Fraction(delta, 12))
 
 
 @pytest.mark.parametrize(
@@ -205,7 +208,7 @@ def test_phase_table_is_the_one_home(monkeypatch, entry, suite):
     """A wrong table entry breaks its lemma suite and the induction."""
     config = TrialConfig(seed=3, trials=20)
     assert all(r.passed for r in run_suite(suite, config))
-    wrong = multipliers._RIGHT_PHASE[entry] + Fraction(1, 4)
+    wrong = multipliers._RIGHT_PHASE[entry] + 3  # e^{i pi/4}, in units of pi/12
     monkeypatch.setitem(multipliers._RIGHT_PHASE, entry, wrong)
     assert not all(r.passed for r in run_suite(suite, config))
     if entry[0] != "S2":  # full-group words have no S2 letters
@@ -231,6 +234,35 @@ def test_three_multipliers_agree_on_huge_matrices(huge_matrices):
         eps1 = theta1_epsilon(A)
         assert theta1_epsilon_closed(A) == eps1, A
         assert theta1_epsilon_induction(A) == eps1, A
+
+
+def _integer_phase_matrices():
+    """20,000 seeded matrices with 1 <= c <= 10^4 and |d| <= 4c, either sign."""
+    rng = random.Random(17)
+    out = []
+    while len(out) < 20000:
+        c = rng.randint(1, 10**4)
+        d = rng.randint(-4 * c, 4 * c)
+        if math.gcd(c, d) != 1:
+            continue
+        a = pow(d, -1, c) + c * rng.randint(-3, 3)
+        out.append(Sl2Matrix(a, (a * d - 1) // c, c, d))
+    return out
+
+
+def test_integer_phase_identities(huge_matrices):
+    # eta's phase (a + d - 12c*s(d, c))/c in units of pi/12 is an integer,
+    # and the three theta1 multipliers agree with -i*eta^3 taken from it
+    minus_i = UnitPhase(Fraction(-1, 2))
+    for A in _integer_phase_matrices() + huge_matrices:
+        s = dedekind_sum(A.d, A.c)
+        g = 12 * A.c * s
+        assert g.denominator == 1 and (A.a + A.d - g.numerator) % A.c == 0, A
+        eta = eta_epsilon(A)  # against the rational formula it replaced
+        assert eta.phase == (Fraction(A.a + A.d, 12 * A.c) - s) % 2, A
+        eps1 = theta1_epsilon(A)
+        assert theta1_epsilon_closed(A) == eps1 == theta1_epsilon_induction(A), A
+        assert eps1 == eta**3 * minus_i, A
 
 
 def test_induction_on_translation_raises():

@@ -231,6 +231,15 @@ def test_domain_errors():
         theta_series(K3, 0, 1j, tol=-1e-9)
 
 
+@pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+def test_non_finite_tolerance_is_refused(tol):
+    # an infinite tol would certify nothing: the scan would stop at N = 1
+    with pytest.raises(DomainError, match="tol must be positive and finite"):
+        truncation_index(K3, 0.1, 1j, tol)
+    with pytest.raises(DomainError, match="tol must be positive and finite"):
+        theta_series(K3, 0.1, 1j, tol)
+
+
 def test_truncation_index_rejects_max_index_below_one():
     with pytest.raises(DomainError, match="max_index must be >= 1"):
         truncation_index(K3, 0, 1j, 1e-10, max_index=0)
@@ -320,7 +329,9 @@ def test_truncation_index_first_good_property():
 def test_truncation_index_edge_inputs(kind):
     for tau in (0.2 + 1e-12j, 0.2 + 1j, 50j):
         for z in (0, 0.3j * tau.imag, 1.5j * tau.imag):
-            for tol in (1e300, math.inf, 1e-10, 5e-324):
+            with pytest.raises(DomainError):  # an infinite tol certifies nothing
+                truncation_index(kind, z, tau, math.inf)
+            for tol in (1e300, 1e-10, 5e-324):
                 for max_index in (1, 400, MAX_INDEX):
                     N = _check_first_good(kind, z, tau, tol, max_index)
                     if tol == 5e-324:  # tol/2 rounds to 0: nothing certifies it

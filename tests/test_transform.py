@@ -537,12 +537,12 @@ def test_apply_letter_rejects_an_s_letter_with_an_exponent(exp):
         apply_letter(K1, Letter("S", exp), 0.1, 0.2 + 1j)
 
 
-@pytest.mark.parametrize("tol", [-1e-3, 0.0, float("nan")])
+@pytest.mark.parametrize("tol", [-1e-3, 0.0, float("nan"), float("inf")])
 def test_eval_fast_reports_the_callers_tol(tol):
     # at this point the prefactor is large, so the inner tolerance differs
     with pytest.raises(DomainError) as err:
         eval_fast(K1, 0.1, 0.3 + 0.02j, tol=tol)
-    assert str(err.value) == f"tol must be positive, got {tol}"
+    assert str(err.value) == f"tol must be positive and finite, got {tol}"
 
 
 def test_evaluation_records_are_immutable():

@@ -393,6 +393,50 @@ def test_cli_multiplier_gamma2(capsys):
     assert "alpha(theta3) phase:  1/2" in out
 
 
+_MULTIPLIER_LINES = {
+    "[[0,-1],[1,0]]": [
+        "eta epsilon phase:    0/1  (1+0i)",
+        "theta1 epsilon phase: 3/2  (-1.83697019872e-16-1i)",
+        "closed form phase:    3/2  (agrees)",
+        "not congruent to the identity mod 2: no level-2 alpha factors",
+    ],
+    "[[1,0],[2,1]]": [
+        "eta epsilon phase:    1/12  (0.965925826289+0.258819045103i)",
+        "theta1 epsilon phase: 7/4  (0.707106781187-0.707106781187i)",
+        "closed form phase:    7/4  (agrees)",
+        "alpha(theta2) phase:  1/2  (6.12323399574e-17+1i)",
+        "alpha(theta3) phase:  1/2  (6.12323399574e-17+1i)",
+        "alpha(theta4) phase:  0/1  (1+0i)",
+    ],
+    "[[3,2],[4,3]]": [
+        "eta epsilon phase:    1/4  (0.707106781187+0.707106781187i)",
+        "theta1 epsilon phase: 1/4  (0.707106781187+0.707106781187i)",
+        "closed form phase:    1/4  (agrees)",
+        "alpha(theta2) phase:  0/1  (1+0i)",
+        "alpha(theta3) phase:  1/2  (6.12323399574e-17+1i)",
+        "alpha(theta4) phase:  3/2  (-1.83697019872e-16-1i)",
+    ],
+    "[[1056113946650232179,771899484960074878],"
+    "[362239472736906304,264755960589951547]]": [
+        "eta epsilon phase:    5/4  (-0.707106781187-0.707106781187i)",
+        "theta1 epsilon phase: 5/4  (-0.707106781187-0.707106781187i)",
+        "closed form phase:    5/4  (agrees)",
+        "alpha(theta2) phase:  1/1  (-1+1.22464679915e-16i)",
+        "alpha(theta3) phase:  1/2  (6.12323399574e-17+1i)",
+        "alpha(theta4) phase:  1/2  (6.12323399574e-17+1i)",
+    ],
+}
+
+
+def test_cli_multiplier_output_is_pinned(capsys, huge_matrices):
+    # the "p/q" text and the printed complex value of every phase, byte for
+    # byte: S, S2, a level-2 matrix and the first huge matrix
+    assert str(huge_matrices[0]) in _MULTIPLIER_LINES
+    for matrix, lines in _MULTIPLIER_LINES.items():
+        assert main(["multiplier", matrix]) == 0
+        assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+
+
 def test_cli_multiplier_huge_matrix(capsys, huge_matrices):
     A = max(huge_matrices, key=lambda M: M.c)
     assert main(["multiplier", str(A)]) == 0
@@ -447,6 +491,12 @@ def test_cli_reduce(capsys):
 def test_cli_eval_nan_tolerance(capsys):
     assert main(["eval", "theta3", "0.1", "1i", "--tol", "nan"]) == 2
     assert "tol must be positive" in capsys.readouterr().err
+
+
+def test_cli_eval_infinite_tolerance(capsys):
+    # an infinite tol would stop the series after a few terms with no bound
+    assert main(["eval", "theta3", "0.1", "1i", "--tol", "inf"]) == 2
+    assert "tol must be positive and finite, got inf" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
