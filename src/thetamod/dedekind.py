@@ -14,8 +14,8 @@ is; ``_g`` returns it for the eta multiplier).  The O(k) summation survives
 only as the oracle behind :func:`reciprocity_defect`: checking reciprocity
 with a reciprocity-based algorithm would prove nothing.  The oracle is one
 integer loop, ``_direct_total``; the reciprocity suite of ``thetamod
-verify`` reads each sum it needs once from a :class:`DirectTotals` table
-built for that run, and never uses a derived symmetry of s(h, k) to fill it.
+verify`` walks :func:`reciprocity_defects`, which tables each sum it needs
+once per walk and never uses a derived symmetry of s(h, k) to fill it.
 
 All arithmetic is exact; no floating point is used anywhere in this module.
 """
@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from array import array
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import DomainError
 
@@ -130,32 +131,25 @@ def reciprocity_defect(h: int, k: int) -> Fraction:
     return _defect(h, k, _direct_total(h % k, k), _direct_total(k % h, h))
 
 
-class DirectTotals:
-    """T(h, k) for every coprime 0 <= h < k <= bound, each by the O(k) loop.
+def reciprocity_defects(bound: int) -> Iterator[tuple[int, int, Fraction]]:
+    """(h, k, reciprocity_defect(h, k)) for every coprime 1 <= h, k <= bound, h-major.
 
-    The table behind the reciprocity suite: the suite's pairs (h, k) and
-    (k, h) share both sums, and s(h, k) only depends on h mod k, so reading
-    T from here computes each distinct direct sum once instead of twice or
-    more.  One array of (bound + 1)^2 8-byte integers, T(h, k) at
-    k*(bound + 1) + h and 0 off the coprime pairs.  Build one per use: it
-    is never cached.
+    The walk behind the reciprocity suite.  It first tables T(h, k) for every
+    coprime 0 <= h < k <= bound, each once by the O(k) loop, in one local
+    array of (bound + 1)^2 8-byte integers, T(h, k) at k*(bound + 1) + h and
+    0 off the coprime pairs; then it reads each defect from two entries, as
+    s(h, k) only depends on h mod k.  For k >= 2, T(h mod k, k) is 0 exactly
+    when gcd(h, k) > 1, and every k = 1 is coprime, so the table decides
+    which pairs are walked.  Nothing is cached between calls.
     """
-
-    def __init__(self, bound: int):
-        self.stride = n = bound + 1
-        self.totals = totals = array("q", [0]) * (n * n)
+    n = bound + 1
+    totals = array("q", [0]) * (n * n)
+    for k in range(1, n):
+        for h in range(k):
+            if math.gcd(h, k) == 1:
+                totals[k * n + h] = _direct_total(h, k)
+    for h in range(1, n):
         for k in range(1, n):
-            for h in range(k):
-                if math.gcd(h, k) == 1:
-                    totals[k * n + h] = _direct_total(h, k)
-
-    def reciprocity_defect(self, h: int, k: int) -> Fraction:
-        """:func:`reciprocity_defect` for coprime 1 <= h, k <= bound, else a
-        DomainError; for k >= 2, T(h mod k, k) is 0 iff gcd(h, k) > 1."""
-        n, totals = self.stride, self.totals
-        if 0 < h < n and 0 < k < n:
             t_hk = totals[k * n + h % k]
             if t_hk or k == 1:
-                return _defect(h, k, t_hk, totals[h * n + k % h])
-        msg = f"needs coprime 1 <= h, k <= {n - 1}, got ({h}, {k})"
-        raise DomainError(f"DirectTotals.reciprocity_defect {msg}")
+                yield h, k, _defect(h, k, t_hk, totals[h * n + k % h])

@@ -59,7 +59,10 @@ class UnitPhase:
     phase = property(lambda self: Fraction(self.residue, 12))
 
     def __init__(self, phase: Fraction | int | str):
-        k = Fraction(phase) * 12
+        try:
+            k = Fraction(phase) * 12
+        except (ArithmeticError, TypeError, ValueError):  # 1/0, inf, nan, "abc", None
+            raise DomainError(f"UnitPhase needs a rational, got {phase!r}") from None
         if k.denominator != 1:
             raise DomainError(f"UnitPhase needs a phase in (1/12)Z, got {phase}")
         object.__setattr__(self, "residue", k.numerator % 24)

@@ -210,6 +210,8 @@ def _reduce_steps(tau: complex) -> tuple[GeneratorWord, complex, list[Letter]]:
         if abs(t) < 1.0 - 1e-12:
             t = -1 / t
             steps.append(Letter("S"))
+            if not cmath.isfinite(t):  # e.g. Im tau = 1e-320 at Re tau = 1/2
+                raise DomainError(f"reducing tau = {tau} leaves the float range")
         else:
             return GeneratorWord(tuple(reversed(steps))), t, steps
     raise RuntimeError(f"fundamental-domain reduction did not terminate for {tau}")
@@ -250,6 +252,8 @@ def eval_fast_report(
     for letter in steps:
         kind_c, factor, z_c, tau_c = apply_letter(kind_c, letter, z_c, tau_c, factor)
     inner_tol = tol / max(abs(factor), 1.0)
+    if not inner_tol > 0:  # NaN too; the factor, not the caller's tol, is at fault
+        raise DomainError(f"reduction prefactor {factor} out of range for tol {tol}")
     rep = theta_series_report(kind_c, z_c, tau_c, inner_tol, max_index)
     return FastEvaluation(
         value=factor * rep.value,

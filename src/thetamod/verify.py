@@ -11,7 +11,8 @@ before any series is summed; ``sides()`` returns the pair
 :func:`_each` makes a suite of ``config.trials`` runs of a per-trial
 function ``trial(name, config, t)``; lemma5 yields its exact anchor, then
 ``config.trials`` numeric trials; the reciprocity suite yields every
-coprime pair whatever ``config.trials`` is.
+coprime pair of the walk ``dedekind.reciprocity_defects`` whatever
+``config.trials`` is.
 
 eq1, eq2, lemma5, theorem1 and theorem2-* share one law check,
 :func:`_law_check`: the direct series at (z/(c tau+d), A tau), summed first
@@ -58,7 +59,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterable, TextIO
 
-from .dedekind import _ZERO, DirectTotals
+from .dedekind import _ZERO, reciprocity_defects
 from .errors import DomainError, PrecisionUnreachableError
 from .exact import UnitPhase, rational_str
 from .modgroup import (
@@ -301,22 +302,11 @@ def _branch_lemma(
     return inputs, partial(lemma_sides, A, letter), 1.0
 
 
-def _reciprocity_pair(sums: DirectTotals, h: int, k: int) -> TrialOutput:
-    """The defect of one coprime pair is exactly zero."""
-    return {"h": h, "k": k}, lambda: (_ZERO, sums.reciprocity_defect(h, k)), 1.0
-
-
 def _reciprocity(name: str, config: TrialConfig) -> Iterable[TrialOutput]:
-    """Every coprime pair 1 <= h, k <= RECIPROCITY_BOUND, h-major.
-
-    Each run builds its own DirectTotals: never at import, never kept.
-    """
-    sums = DirectTotals(RECIPROCITY_BOUND)
-    bound = range(1, RECIPROCITY_BOUND + 1)
-    for h in bound:
-        for k in bound:
-            if math.gcd(h, k) == 1:
-                yield _reciprocity_pair(sums, h, k)
+    """Every coprime pair 1 <= h, k <= RECIPROCITY_BOUND, h-major: its defect
+    is exactly zero.  Each run walks its own table: never at import, never kept."""
+    for h, k, defect in reciprocity_defects(RECIPROCITY_BOUND):
+        yield {"h": h, "k": k}, lambda defect=defect: (_ZERO, defect), 1.0
 
 
 def _parity_mod4(name: str, config: TrialConfig, t: int) -> TrialOutput:

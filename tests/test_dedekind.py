@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 import thetamod.dedekind
 from thetamod.dedekind import (
-    DirectTotals,
+    _ZERO,
     _dedekind_sum_direct,
     dedekind_sum,
     reciprocity_defect,
+    reciprocity_defects,
 )
 from thetamod.errors import DomainError
 
@@ -143,20 +145,30 @@ def test_reciprocity_oracle_does_not_use_dedekind_sum(monkeypatch):
         reciprocity_defect(0, 3)
 
 
-def test_direct_totals_match_direct_sums():
-    bound = 200  # the reciprocity suite's bound, every entry it reads
-    table = DirectTotals(bound)
-    n = bound + 1
-    assert table.stride == n and len(table.totals) == n * n
-    assert table.totals.itemsize <= 8
-    for k in range(1, n):
-        for h in range(k):
-            total = table.totals[k * n + h]
-            if math.gcd(h, k) != 1:
-                assert total == 0, (h, k)
-                continue
-            direct = Fraction(total, k * k) - Fraction(k - 1, 4)
-            assert direct == _dedekind_sum_direct(h, k), (h, k)
+def test_reciprocity_walk_matches_the_per_pair_oracle():
+    # the walk yields exactly the coprime pairs in h-major order, each with the
+    # defect reciprocity_defect computes without a table
+    for bound in (1, 10, 30):
+        pairs = range(1, bound + 1)
+        want = [
+            (h, k, reciprocity_defect(h, k))
+            for h in pairs
+            for k in pairs
+            if math.gcd(h, k) == 1
+        ]
+        walked = list(reciprocity_defects(bound))
+        assert walked == want, bound
+        # the report writer serializes the one shared zero once, by its id
+        assert all(defect is _ZERO for _, _, defect in walked), bound
+    # the table stays one array of 8-byte entries: 201^2 * 8 B is about 323 KB
+    tracemalloc.start()
+    try:
+        for _ in reciprocity_defects(200):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400_000
 
 
 def test_domain_errors():
@@ -168,21 +180,6 @@ def test_domain_errors():
         dedekind_sum(2, 4)
     with pytest.raises(DomainError):
         reciprocity_defect(0, 3)
-
-
-def test_direct_totals_answer_exactly_the_coprime_pairs_in_range():
-    # not coprime, h or k < 1, or beyond the bound: a DomainError, never a wrong
-    # value, a ZeroDivisionError or an IndexError, e.g. (2, 4), (6, 9), (-3, 5),
-    # (0, 5) and (3, 11) at bound 10
-    bound = 10
-    table = DirectTotals(bound)
-    for h in range(-3, bound + 2):
-        for k in range(-3, bound + 2):
-            if 1 <= h <= bound and 1 <= k <= bound and math.gcd(h, k) == 1:
-                assert table.reciprocity_defect(h, k) == 0, (h, k)
-                continue
-            with pytest.raises(DomainError, match=r"^DirectTotals\.reciprocity_defect"):
-                table.reciprocity_defect(h, k)
 
 
 def test_reciprocity_defect_names_itself():

@@ -132,6 +132,12 @@ def test_phase_outside_twelfths_is_refused():
     assert UnitPhase("-1/12") == UnitPhase._of(-1) == UnitPhase(Fraction(23, 12))
 
 
+@pytest.mark.parametrize("phase", ["1/0", math.inf, "abc", math.nan, None], ids=repr)
+def test_phase_that_is_not_rational_is_refused(phase):
+    with pytest.raises(DomainError, match="^UnitPhase needs a rational"):
+        UnitPhase(phase)
+
+
 def test_phase_residue_round_trip_is_bit_identical():
     # residue k stands for phase k/12: the same "p/q" and the same float as
     # a phase held as the Fraction k/12 reduced mod 2

@@ -545,6 +545,39 @@ def test_eval_fast_reports_the_callers_tol(tol):
     assert str(err.value) == f"tol must be positive and finite, got {tol}"
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: reduce_tau(0.5 + 1e-320j),
+        lambda: reduce_tau(1e-310 + 1e-320j),
+        lambda: eval_fast(K3, 0.1, 0.5 + 1e-320j),
+    ],
+    ids=["reduce-cusp", "reduce-origin", "eval-cusp"],
+)
+def test_reduction_beyond_the_float_range_is_refused(call):
+    # the reduced point would have Im 2.5e319, or an infinite real part: not an
+    # inf point, a raw OverflowError or a complaint about tol
+    with pytest.raises(DomainError, match="^reducing tau = .* leaves the float range"):
+        call()
+
+
+def test_reduction_near_the_float_range_stays_finite():
+    A, t = reduce_tau(0.5 + 1e-300j)
+    assert A == Sl2Matrix(-1, 0, 2, -1)
+    assert t == pytest.approx(2.5e299j, rel=1e-12)
+    assert cmath.isfinite(eval_fast(K3, 0, 0.5 + 1e-300j))
+
+
+@pytest.mark.parametrize("kind", [K1, K2, K3, K4], ids=str)
+def test_eval_fast_names_an_overflowed_prefactor(kind):
+    # an eval-grid point whose letter laws overflow the prefactor; the message
+    # named tol, "got 0.0" or "got nan", before
+    z = complex(-0.004882725548315758, -0.3141166930398977)
+    tau = complex(-0.48952943145463523, 0.0003284312129589953)
+    with pytest.raises(DomainError, match=r"^reduction prefactor \(.*\) out of range"):
+        eval_fast(kind, z, tau, 1e-10)
+
+
 def test_evaluation_records_are_immutable():
     rep = eval_fast_report(K3, 0.1, 0.3 + 0.02j, 1e-8)
     records = [

@@ -488,6 +488,14 @@ def test_cli_reduce(capsys):
     assert main(["reduce", "1-1i"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [["reduce", "0.5+1e-320i"], ["eval", "theta3", "0.1", "0.5+1e-320i"]]
+)
+def test_cli_reduction_beyond_the_float_range(capsys, argv):
+    assert main(argv) == 2
+    assert "leaves the float range" in capsys.readouterr().err
+
+
 def test_cli_eval_nan_tolerance(capsys):
     assert main(["eval", "theta3", "0.1", "1i", "--tol", "nan"]) == 2
     assert "tol must be positive" in capsys.readouterr().err
@@ -700,18 +708,18 @@ def test_reciprocity_corrupt_entry_fails_exactly_its_readers(monkeypatch):
 
 
 def test_reciprocity_table_built_once_per_run(monkeypatch):
-    builds = []
+    walks = []
+    walk = thetamod.verify.reciprocity_defects
 
-    class Counting(thetamod.dedekind.DirectTotals):
-        def __init__(self, bound):
-            builds.append(bound)
-            super().__init__(bound)
+    def counting(bound):
+        walks.append(bound)
+        return walk(bound)
 
-    monkeypatch.setattr(thetamod.verify, "DirectTotals", Counting)
+    monkeypatch.setattr(thetamod.verify, "reciprocity_defects", counting)
     _reciprocity_failures()
-    assert builds == [thetamod.verify.RECIPROCITY_BOUND]
+    assert walks == [thetamod.verify.RECIPROCITY_BOUND]
     run_suites(TrialConfig(seed=7, trials=2, suites=("lemma1", "reciprocity")))
-    assert len(builds) == 2
+    assert len(walks) == 2
 
 
 def test_reciprocity_table_not_built_at_import():
