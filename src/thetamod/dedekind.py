@@ -8,9 +8,9 @@ direct summand x - [x] - 1/2 and the sawtooth convention agree on every
 in-scope input.
 
 :func:`dedekind_sum` runs in O(log k) steps: it follows the Euclidean
-algorithm on (h, k) and folds the reciprocity law back over the pairs,
-carrying the integer g(h, k) = 12k*s(h, k) (an integer because 6k*s(h, k)
-is; ``_g`` returns it for the eta multiplier).  The O(k) summation survives
+algorithm on (h, k) once, summing the reciprocity law over its pairs with
+alternating signs into the integer g(h, k) = 12k*s(h, k) (an integer
+because 6k*s(h, k) is; ``_g`` returns it for the eta multiplier).  The O(k) summation survives
 only as the oracle behind :func:`reciprocity_defect`: checking reciprocity
 with a reciprocity-based algorithm would prove nothing.  The oracle is one
 integer loop, ``_direct_total``; the reciprocity suite of ``thetamod
@@ -40,23 +40,28 @@ def _require_coprime(h: int, k: int, op: str) -> None:
 def _g(h: int, k: int) -> int:
     """g(h, k) = 12k*s(h, k), an integer, for k >= 1 and gcd(h, k) = 1.
 
-    Reciprocity s(h,k) + s(k,h) = (h^2+k^2+1)/(12hk) - 1/4 and periodicity give
+    Euclid on r_0 = k, r_1 = h mod k, with r_{i-1} = a_i r_i + r_{i+1},
+    ends at r_n = 1.  Reciprocity s(h,k) + s(k,h) = (h^2+k^2+1)/(12hk) - 1/4
+    on each pair (r_i, r_{i-1}), summed with alternating signs, telescopes
+    (the continued-fraction form of Barkan, Hickerson and Knuth) to
 
-        g(h, k) = (h^2 + k^2 + 1 - k*g(k mod h, h)) // h - 3k,
+        g(h, k) = r_1 + k*(a_1 - a_2 + ... + (-1)^(n+1) a_n - 3[n odd]) + t_n,
 
-    with the division exact.  The Euclid pairs (h, k) -> (k mod h, h) of
-    the reduced h end at (0, 1), where g(0, 1) = 0 (so s(h, 1) = 0); the
-    recursion is folded back from there over integers only.
+    with t_n the Bezout coefficient of r_n = s_n k + t_n r_1.  So one
+    forward pass over integers gives g; s(h, 1) = 0.
     """
-    pairs = []
-    a, b = h % k, k
-    while a:
-        pairs.append((a, b))
-        a, b = b % a, a
-    g = 0
-    for a, b in reversed(pairs):
-        g = (a * a + b * b + 1 - b * g) // a - 3 * b
-    return g
+    r0 = k
+    h1 = r1 = h % k
+    if not r1:
+        return 0
+    t0, t1, alt, odd = 0, 1, 0, False
+    while True:
+        a, r2 = divmod(r0, r1)
+        odd = not odd
+        alt = alt + a if odd else alt - a
+        if not r2:
+            return h1 + k * (alt - 3 if odd else alt) + t1
+        r0, r1, t0, t1 = r1, r2, t1, t0 - a * t1
 
 
 def dedekind_sum(h: int, k: int) -> Fraction:

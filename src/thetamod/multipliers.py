@@ -70,13 +70,18 @@ def _require_positive_c(A: Sl2Matrix, op: str) -> None:
         raise DomainError(f"{op} needs c > 0 (normalize first), got c = {A.c}")
 
 
+def _eta_q(a: int, c: int, d: int) -> int:
+    """q = (a + d - 12c*s(d, c))/c, the eta phase in units of pi/12, for c > 0."""
+    q, r = divmod(a + d - _g(d, c), c)
+    if r:  # the congruence in the module docstring rules this out
+        raise ArithmeticError(f"12c*s(d, c) is not a + d mod c for {(a, c, d) = }")
+    return q
+
+
 def eta_epsilon(A: Sl2Matrix) -> UnitPhase:
     """Eta multiplier phase (a+d)/(12c) - s(d, c) = q/12, for c > 0."""
     _require_positive_c(A, "eta_epsilon")
-    q, r = divmod(A.a + A.d - _g(A.d, A.c), A.c)
-    if r:  # the congruence in the module docstring rules this out
-        raise ArithmeticError(f"12c*s(d, c) is not a + d mod c for {A}")
-    return UnitPhase._of(q)
+    return UnitPhase._of(_eta_q(A.a, A.c, A.d))
 
 
 def theta1_epsilon(A: Sl2Matrix) -> UnitPhase:

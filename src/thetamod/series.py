@@ -185,7 +185,9 @@ def term_count(kind: ThetaKind, N: int) -> int:
     return 2 * N + 2 if kind in _HALF_INTEGER_KINDS else 2 * N + 1
 
 
-def _partial_sum(kind: ThetaKind, z: complex, tau: complex, N: int) -> complex:
+def _partial_sum(
+    kind: ThetaKind, z: complex, tau: complex, N: int, shift: complex = 0j
+) -> complex:
     """S_N: indices |n| <= N (theta3/4), or n = -N-1 .. N (theta1/2).
 
     In the index m = n (theta3/4) or n + 1/2 (theta1/2) the terms are
@@ -213,6 +215,10 @@ def _partial_sum(kind: ThetaKind, z: complex, tau: complex, N: int) -> complex:
     and not by a reordered rounding; and at z = 0 the downward terms of
     theta1 are the exact negatives of the upward ones, so the total is
     exactly 0.0.
+
+    A nonzero ``shift`` multiplies every term by e^shift, folded into the
+    exponent of t(c): a factor e^shift that overflows or underflows alone
+    leaves the sum finite wherever its largest term is.
     """
     e = cmath.exp
     ipi = 1j * _PI
@@ -228,7 +234,7 @@ def _partial_sum(kind: ThetaKind, z: complex, tau: complex, N: int) -> complex:
     a = N - j + 1  # upward terms
     b = j - lo  # downward terms
     zz = 2 * z
-    up = e(ipi * (tau * (m * m) + zz * m)) if m else 1.0 + 0.0j
+    up = e(ipi * (tau * (m * m) + zz * m) + shift) if m or shift else 1.0 + 0.0j
     ru = e(ipi * (tau * (2 * m + 1) + zz))
     rd = e(ipi * (tau * (1 - 2 * m) - zz))
     q2 = e(2 * ipi * tau)

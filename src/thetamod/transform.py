@@ -17,11 +17,16 @@ needed.
 
 Fast evaluation reduces tau into the fundamental domain (|Re| <= 1/2,
 |tau| >= 1, where |q| <= e^{-pi sqrt(3)/2} ~ 0.066) and divides the
-transformation factors back out.  The reducing matrix is generally not
-level-2, so theta2/3/4 are tracked letter by letter through the
-one-generator laws of :func:`apply_letter` (theta1 always maps to itself);
-the chained theta1 prediction walks its generator word through the same
-function.
+transformation factor back out in one step, with the exact integer matrix
+(as Johansson, arXiv:1806.06725, does).  The reduction loop carries the
+reducing matrix beside tau and, for theta2/3/4, the kind the letters lead
+to and that kind's unit phase relative to theta1's, read off the table of
+:func:`apply_letter` (theta1 always maps to itself).  The law is then
+applied once on the normalized matrix, with theta1's multiplier from the
+eta phase and the Gaussian factor folded into the exponent of the series'
+largest term, so only a value beyond the float range fails.
+:func:`apply_letter` stays off that path: it is the chained
+oracle that :func:`predict_theta1_chained` walks along a generator word.
 """
 
 from __future__ import annotations
@@ -31,15 +36,15 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError, require_upper_half
+from .exact import UnitPhase
 from .modgroup import (
     GeneratorWord,
     Letter,
     Sl2Matrix,
     decompose_gamma,
     normalize_sign,
-    recompose,
 )
-from .multipliers import law_phase
+from .multipliers import _eta_q, law_phase
 from .series import (
     _THETA1,
     _THETA2,
@@ -48,8 +53,10 @@ from .series import (
     DEFAULT_TOL,
     MAX_INDEX,
     ThetaKind,
+    _partial_sum,
+    term_count,
     theta_series,
-    theta_series_report,
+    truncation_index,
 )
 
 
@@ -83,10 +90,19 @@ def conditioning_factor(A: Sl2Matrix, z: complex, tau: complex) -> float:
 
     Residual tolerances scale by kappa so that honest rounding in the
     exponential prefactor is not misread as a failed identity at large |z|.
+    A kappa outside the float range is a DomainError.
     """
     if A.c == 0:
         return 1.0
-    return abs(_gaussian(A, z, tau)) * (1.0 + math.sqrt(abs(A.c * tau + A.d)))
+    try:
+        kappa = abs(_gaussian(A, z, tau)) * (1.0 + math.sqrt(abs(A.c * tau + A.d)))
+    except (OverflowError, ValueError):  # exp of an overflowing or non-finite exponent
+        kappa = math.inf
+    if kappa < math.inf:  # not NaN either
+        return kappa
+    raise DomainError(
+        f"conditioning factor of {A} at z = {z}, tau = {tau} is not finite"
+    )
 
 
 def predict_theta1(
@@ -189,31 +205,49 @@ def reduce_tau(tau: complex) -> tuple[Sl2Matrix, complex]:
     increases at every inversion inside the strip, so the loop terminates.
     """
     require_upper_half(tau)
-    word, tau_red, _ = _reduce_steps(tau)
-    return recompose(word), tau_red
+    entries, tau_red = _reduce_steps(tau)[:2]
+    return Sl2Matrix(*entries), tau_red
 
 
-def _reduce_steps(tau: complex) -> tuple[GeneratorWord, complex, list[Letter]]:
-    """Reduction word, reduced point, and the letters in application order.
+def _reduce_steps(
+    tau: complex, kind: ThetaKind = _THETA1
+) -> tuple[tuple[int, int, int, int], complex, list[int], ThetaKind, int]:
+    """Reduce tau, carrying the reducing matrix and the kind it leads to.
 
-    The word lists the letters last-applied first, so recompose(word) is the
-    reducing matrix; no matrix is multiplied here.  tau must already have
-    passed require_upper_half.
+    Returns ((a, b, c, d), tau', letters, kind', rel).  A = (a b; c d) is the
+    left product of the letters, not normalized, and A tau = tau'.  The
+    letters are ints in application order: T^k as k != 0, S as 0.  By the
+    table of apply_letter, theta_kind becomes theta_kind', with unit phase
+    e^{i pi rel/12} relative to theta1's: T^k adds 3k to theta3 and theta4
+    and swaps them for odd k; S adds -6 (theta1's extra i) to theta2/3/4 and
+    swaps theta2 and theta4.  tau must already have passed require_upper_half.
     """
-    steps: list[Letter] = []
+    letters: list[int] = []
+    a, b, c, d = 1, 0, 0, 1
+    rel = 0
     t = complex(tau)
     for _ in range(10000):
         m = round(t.real)
         if m != 0:
             t = t - m
-            steps.append(Letter("T", -m))
+            a, b = a - m * c, b - m * d  # T^-m A
+            letters.append(-m)
+            if kind is _THETA3 or kind is _THETA4:
+                rel -= 3 * m
+                if m % 2:
+                    kind = _THETA4 if kind is _THETA3 else _THETA3
         if abs(t) < 1.0 - 1e-12:
             t = -1 / t
-            steps.append(Letter("S"))
+            a, b, c, d = -c, -d, a, b  # S A
+            letters.append(0)
+            if kind is not _THETA1:
+                rel -= 6
+                if kind is not _THETA3:
+                    kind = _THETA4 if kind is _THETA2 else _THETA2
             if not cmath.isfinite(t):  # e.g. Im tau = 1e-320 at Re tau = 1/2
                 raise DomainError(f"reducing tau = {tau} leaves the float range")
         else:
-            return GeneratorWord(tuple(reversed(steps))), t, steps
+            return (a, b, c, d), t, letters, kind, rel
     raise RuntimeError(f"fundamental-domain reduction did not terminate for {tau}")
 
 
@@ -222,12 +256,25 @@ class FastEvaluation(NamedTuple):
     terms: int
     tau_reduced: complex
     reduced_kind: ThetaKind
-    word: GeneratorWord
+    letters: tuple[int, ...]  # applied first to last: T^k as k != 0, S as 0
+    entries: tuple[int, int, int, int]  # (a, b, c, d) of the reducing matrix
+
+    @property
+    def word(self) -> GeneratorWord:
+        """The reduction word, last-applied letter first; built on each read."""
+        return GeneratorWord(
+            tuple(Letter("T", k) if k else Letter("S") for k in reversed(self.letters))
+        )
 
     @property
     def reduction(self) -> Sl2Matrix:
-        """The reducing matrix A, with A tau = tau_reduced; recomputed on each read."""
-        return recompose(self.word)
+        """The reducing matrix A, with A tau = tau_reduced; built on each read."""
+        return Sl2Matrix(*self.entries)
+
+
+# e^{i pi k/12} for k mod 24, the unit factor of every law
+_UNIT = tuple(UnitPhase._of(k).to_complex() for k in range(24))
+_INF = complex(math.inf, math.inf)
 
 
 def eval_fast_report(
@@ -239,28 +286,67 @@ def eval_fast_report(
 ) -> FastEvaluation:
     """Argument-reduced evaluation with term-count telemetry.
 
-    Walks the reduction letters through :func:`apply_letter`, tracking
-    which theta function and which prefactor they produce, then sums the
-    series once at the reduced point where it converges in a handful of
-    terms.
+    Reduces tau with the integer matrix A, normalized to c > 0, then applies
+    the law of A once, with j = c tau + d:
+
+        theta_kind(z, tau) = unit / ((-i j)^{1/2} e^{i pi c z^2/j})
+                             * theta_kind'(z/j, A tau)
+
+    (for A = T^b: the unit alone, at (z, tau + b)).  The unit is theta1's
+    multiplier inverted, times the phase of kind' relative to theta1 that
+    the reduction loop carries, times -1 for theta2/3/4 when A was negated
+    (theta1 is odd in z, the others even).  Re j is rounded once, from the
+    exact ratio of Re tau.  The series is summed once, at the reduced point,
+    where it converges in a handful of terms, with e^{-i pi c z^2/j} folded
+    into the exponent of its largest term: the Gaussian may overflow or
+    underflow alone while the value is a float.  A value beyond the float
+    range is a DomainError, raised outside any handler: it chains no inner
+    exception, and its traceback holds only the frames it passed through.
     """
     if not 0 < tol < math.inf:  # NaN too; names the caller's tol, not tol/|factor|
         raise DomainError(f"tol must be positive and finite, got {tol}")
     require_upper_half(tau, z)
-    word, _, steps = _reduce_steps(tau)
-    kind_c, factor, z_c, tau_c = kind, 1.0 + 0.0j, complex(z), complex(tau)
-    for letter in steps:
-        kind_c, factor, z_c, tau_c = apply_letter(kind_c, letter, z_c, tau_c, factor)
-    inner_tol = tol / max(abs(factor), 1.0)
-    if not inner_tol > 0:  # NaN too; the factor, not the caller's tol, is at fault
-        raise DomainError(f"reduction prefactor {factor} out of range for tol {tol}")
-    rep = theta_series_report(kind_c, z_c, tau_c, inner_tol, max_index)
+    z = complex(z)
+    entries, tau_c, letters, kind_c, rel = _reduce_steps(tau, kind)
+    a, b, c, d = entries
+    if c == 0:  # A = T^b: theta1 and theta2 pick up e^{i pi b/4}, nothing else
+        factor, z_c, gauss, inner_tol = _UNIT[(rel - 3 * b) % 24], z, 0j, tol
+    else:
+        if c < 0:  # -A acts alike
+            a, b, c, d = -a, -b, -c, -d
+            if kind is not _THETA1:
+                rel += 12
+        p, q = tau.real.as_integer_ratio()
+        j = (c * p + d * q) / q + 1j * (c * tau.imag)  # Re j rounded once
+        z_c = z / j
+        gauss = 1j * math.pi * c * z * z_c  # i pi c z^2/j
+        if not cmath.isfinite(gauss):
+            raise DomainError(
+                f"reduction prefactor (Gaussian exponent {gauss:.6g}) out of range"
+                f" of floats"
+            )
+        root = cmath.sqrt(-1j * j)
+        factor = _UNIT[(rel - 3 * _eta_q(a, c, d) + 6) % 24] / root
+        log_scale = -gauss.real - math.log(abs(root))  # log |factor e^-gauss|
+        inner_tol = tol * math.exp(-log_scale) if log_scale > 0 else tol
+        if not inner_tol / 2 > 0:  # truncation_index's target; the factor is at fault
+            raise DomainError(
+                f"reduction prefactor (Gaussian exponent {gauss:.6g}) out of range of"
+                f" floats for tol {tol}"
+            )
+        tau_c = a / c - 1 / (c * j)
+    N = truncation_index(kind_c, z_c, tau_c, inner_tol, max_index)
+    try:  # the largest term's exp, the only one that can overflow
+        value = factor * _partial_sum(kind_c, z_c, tau_c, N, -gauss)
+    except OverflowError:
+        value = _INF
+    if not cmath.isfinite(value):  # raised outside the handler: nothing chained
+        raise DomainError(
+            f"reduction prefactor (Gaussian exponent {gauss:.6g}) out of range of"
+            f" floats: {kind} overflowed here"
+        )
     return FastEvaluation(
-        value=factor * rep.value,
-        terms=rep.terms,
-        tau_reduced=tau_c,
-        reduced_kind=kind_c,
-        word=word,
+        value, term_count(kind_c, N), tau_c, kind_c, tuple(letters), entries
     )
 
 
@@ -272,5 +358,6 @@ def eval_fast(
     max_index: int = MAX_INDEX,
 ) -> complex:
     """Theta value via fundamental-domain reduction; agrees with the direct
-    series within tol * kappa wherever the direct series is feasible."""
+    series within tol * kappa wherever the direct series is feasible.  A
+    value beyond the float range is a DomainError."""
     return eval_fast_report(kind, z, tau, tol, max_index).value

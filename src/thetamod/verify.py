@@ -20,8 +20,9 @@ eq1, eq2, lemma5, theorem1 and theorem2-* share one law check,
 side's), against ``predictor(A, z, tau, tol)``, with kappa from
 ``conditioning_factor`` (lemma5 keeps kappa 1).  eq1 (A = T^m) and eq2
 (A = S) are one trial, :func:`_eq`, through ``predict_theta1_chained``,
-which walks the ``apply_letter`` of ``eval_fast``; lemma5 (theta3, A = S2)
-and the theorems through ``predict_theta1`` and ``predict_theta_gamma2``.
+which walks ``apply_letter``, the chained oracle of the one-generator laws;
+lemma5 (theta3, A = S2) and the theorems through ``predict_theta1`` and
+``predict_theta_gamma2``.
 
 One record builder decides every verdict.  When ``expected`` is not complex
 (a unit phase, a rational, an integer list) the identity is exact: the

@@ -493,6 +493,29 @@ def test_partial_sum_overflows_exactly_where_a_per_term_sum_would():
     assert overflowed > 1000
 
 
+def test_partial_sum_shift_scales_every_term():
+    # e^shift rides in t(c)'s exponent: the same sum times e^shift, and finite
+    # where e^shift overflows or underflows alone but the shifted terms do not
+    rng = random.Random(5)
+    for _ in range(200):
+        kind = rng.choice(ALL_KINDS)
+        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2))
+        z = complex(rng.uniform(-1, 1), rng.uniform(-3, 3))
+        shift = complex(rng.uniform(-20, 20), rng.uniform(-20, 20))
+        N = rng.randint(1, 12)
+        plain = _partial_sum(kind, z, tau, N)
+        shifted = _partial_sum(kind, z, tau, N, shift)
+        assert abs(shifted - cmath.exp(shift) * plain) <= 1e-13 * math.exp(
+            shift.real + _log_peak_term(kind, z, tau, N)
+        )
+    z, tau, N = complex(0.1, 40), 1j, 60  # peak term about e^1600
+    peak = _log_peak_term(K3, z, tau, N)
+    with pytest.raises(OverflowError):
+        _partial_sum(K3, z, tau, N)
+    value = _partial_sum(K3, z, tau, N, -peak + 0.5j)
+    assert cmath.isfinite(value) and 0.5 < abs(value) < 10
+
+
 def test_theta1_zero_sides_mirror_at_every_index():
     # at z = 0 the two sides of theta1 cancel term by term, for any N
     for tau in (1j, 0.3 + 0.01j, -0.4 + 2j):

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -350,16 +351,71 @@ def test_eval_path_multiplies_no_matrices(monkeypatch):
         assert math.isfinite(abs(eval_fast(kind, 0.1, 0.3 + 0.01j, 1e-10)))
 
 
+def test_eval_path_does_not_walk_apply_letter(monkeypatch):
+    # eval_fast applies one law on the reducing matrix; apply_letter is left
+    # to the chained oracle
+    def refuse(*args, **kwargs):
+        raise AssertionError("apply_letter on the eval path")
+
+    points = [(0.1 + 0.05j, 0.3 + 0.01j), (0.2, -3.7 + 0.002j), (0.1j, 2.4 + 1.5j)]
+    before = [eval_fast(kind, z, tau) for kind in (K1, K2, K3, K4) for z, tau in points]
+    monkeypatch.setattr(transform, "apply_letter", refuse)
+    assert [eval_fast(kind, z, tau) for kind in (K1, K2, K3, K4) for z, tau in points] == before
+
+
 def test_reduction_matrix_is_the_left_product_of_the_letters():
     rng = random.Random(60)
     for i in range(500):
         tau = complex(rng.uniform(-8, 8), math.exp(rng.uniform(-6, 2)))
-        A = IDENTITY
-        for letter in transform._reduce_steps(tau)[2]:  # application order
-            A = letter.matrix() * A
         rep = eval_fast_report((K1, K2, K3, K4)[i % 4], 0.1, tau, 1e-10)
+        A = IDENTITY
+        for letter in reversed(rep.word.letters):  # application order
+            A = letter.matrix() * A
         assert rep.reduction == A
         assert reduce_tau(tau)[0] == A
+
+
+def _letter_walk(kind, z, tau, tol):
+    """eval_fast as a walk of apply_letter along the reduction letters, with
+    the factor carried letter by letter; None where the walk is not finite."""
+    letters = [Letter("T", k) if k else Letter("S") for k in transform._reduce_steps(tau)[2]]
+    factor = 1 + 0j
+    try:
+        for letter in letters:
+            kind, factor, z, tau = apply_letter(kind, letter, z, tau, factor)
+        value = factor * theta_series(kind, z, tau, tol / max(abs(factor), 1.0))
+    except (ArithmeticError, ValueError):  # a raw overflow, or a named error
+        return None
+    return value if cmath.isfinite(value) else None
+
+
+def test_eval_fast_agrees_with_the_letter_walk():
+    # the one law, on the carried matrix, against the one-generator laws
+    # letter by letter, for every kind
+    rng = random.Random(61)
+    taus = [0.3 + 1.2j, -0.1 + 3j, 3.3 + 1.5j, -6.8 + 1.2j]  # reduced; T letters only
+    taus += [
+        complex(rng.uniform(-8, 8), math.exp(rng.uniform(math.log(1e-6), 1)))
+        for _ in range(150)
+    ]
+    seen = {"reduced": 0, "c = 0": 0, "c < 0": 0}
+    compared = 0
+    for tau in taus:  # Im z shrinks with Im tau, so that most values stay finite
+        z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5) * min(1.0, tau.imag**0.5))
+        for kind in (K1, K2, K3, K4):
+            walked = _letter_walk(kind, z, tau, 1e-10)
+            if walked is None:
+                continue
+            rep = eval_fast_report(kind, z, tau, 1e-10)
+            assert abs(rep.value - walked) <= 1e-8 * max(1.0, abs(walked)), (kind, z, tau)
+            compared += 1
+            c = rep.entries[2]
+            if not rep.letters:
+                seen["reduced"] += 1
+            elif c <= 0:
+                seen["c = 0" if c == 0 else "c < 0"] += 1
+    assert compared >= 400
+    assert min(seen.values()) >= 4, seen
 
 
 def test_chain_vs_direct():
@@ -382,6 +438,14 @@ def test_conditioning_factor():
     assert k == pytest.approx(
         abs(cmath.exp(1j * math.pi * (0.5j) ** 2 / 1j)) * 2.0
     )
+
+
+@pytest.mark.parametrize("z", [1e200, 400, complex(math.nan, 0.1)], ids=repr)
+def test_conditioning_factor_refuses_a_nonfinite_kappa(z):
+    # the Gaussian's exponent is infinite, overflows, or is NaN: not a raw
+    # "math domain error", OverflowError or a NaN kappa
+    with pytest.raises(DomainError, match="^conditioning factor of .* is not finite"):
+        conditioning_factor(Sl2Matrix(1, 0, 1, 1), z, 1j)
 
 
 @pytest.mark.parametrize("letter", [Letter("T", 1), Letter("T", -1), Letter("T", 2), Letter("S")], ids=str)
@@ -462,7 +526,7 @@ def test_law_phase_shift_fails_its_theorem_suite(monkeypatch, shifted):
 
 @pytest.mark.parametrize("gen", ["T", "S"])
 def test_generator_suites_check_apply_letter(monkeypatch, gen):
-    # eq1 and eq2 predict through the apply_letter that eval_fast walks: an
+    # eq1 and eq2 predict through apply_letter, the chained oracle: an
     # e^{i pi/4} shift on one generator's law fails exactly its suites
     true_letter = transform.apply_letter
     eighth = cmath.exp(1j * math.pi / 4)
@@ -480,8 +544,9 @@ def test_generator_suites_check_apply_letter(monkeypatch, gen):
 
 
 def test_chained_and_fast_paths_do_not_use_law_phase(monkeypatch):
-    # the chained oracle and eval_fast walk apply_letter only; sharing the
-    # law's unit factor would make chain-vs-direct tautological
+    # apply_letter is the chained oracle, and eval_fast applies its one law
+    # from the eta phase: sharing law_phase with the single-shot predictors
+    # would make chain-vs-direct tautological
     A = Sl2Matrix(2, 1, 3, 2)
     z, tau = 0.1 + 0.05j, 0.3 + 0.05j  # reduced by a word with S letters
 
@@ -576,6 +641,122 @@ def test_eval_fast_names_an_overflowed_prefactor(kind):
     tau = complex(-0.48952943145463523, 0.0003284312129589953)
     with pytest.raises(DomainError, match=r"^reduction prefactor \(.*\) out of range"):
         eval_fast(kind, z, tau, 1e-10)
+
+
+@pytest.mark.parametrize(
+    "kind, z, tau, truth",
+    [
+        (  # eval-grid seed 7, item 3525: the letter walk returned exactly 0
+            K4,
+            complex(0.3445323954657735, 0.1490195670752762),
+            complex(-1.548859107137056, 0.00023768165107392609),
+            complex(-5.635547210400367e127, -8.762203704547399e127),
+        ),
+        (  # eval-grid seed 41, item 9124: the letter walk was off by 5.0e-5
+            K3,
+            complex(-0.17234785198460634, 0.344988382396749),
+            complex(-0.8237889969568823, 0.0005359024967241359),
+            complex(-5.89855715703425e303, -6.708961218366606e303),
+        ),
+    ],
+    ids=["theta4-1e128", "theta3-1e304"],
+)
+def test_eval_fast_where_the_letter_walk_was_silently_wrong(kind, z, tau, truth):
+    # truths from an mpmath direct sum; both values are finite floats
+    value = eval_fast(kind, z, tau)
+    assert abs(value - truth) <= 1e-10 * abs(truth)
+
+
+@pytest.mark.parametrize(
+    "kind, z, tau, truth",
+    [
+        (K1, 0.25, complex(0.3, 1e-4), complex(29.215636063471808, -12.101512690848425)),
+        (K2, 0.25, complex(-0.49, 1e-4), complex(5.98773692571796, 2.42446739931865)),
+    ],
+    ids=["theta1-law-gaussian", "theta2-cli"],
+)
+def test_eval_fast_where_a_factor_alone_overflows(kind, z, tau, truth):
+    # e^{-i pi c z^2/j} is beyond the float range at both points while the
+    # value is not (truths from an mpmath direct sum)
+    assert abs(eval_fast(kind, z, tau) - truth) <= 1e-12 * abs(truth)
+
+
+def test_eval_fast_fails_only_with_a_domain_error():
+    # no raw OverflowError or ZeroDivisionError, no non-finite return, down to
+    # Im tau = 1e-6; the mpmath test below checks that a refusal is out of range
+    rng = random.Random(13)
+    refused = 0
+    for i in range(400):
+        kind = (K1, K2, K3, K4)[i % 4]
+        z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        tau = complex(rng.uniform(-2, 2), math.exp(rng.uniform(math.log(1e-6), 1)))
+        try:
+            assert cmath.isfinite(eval_fast(kind, z, tau))
+        except DomainError:
+            refused += 1
+    assert 50 < refused < 350
+    with pytest.raises(DomainError, match=r"theta3 overflowed here$"):
+        eval_fast(K3, 50j, 0.1 + 1j)  # the series' largest term itself
+
+
+def _mp_theta(mpmath, kind, z, tau, dps):
+    """theta_kind(z, tau) by its defining series at dps digits, each term
+    from the one before by the term ratio (as the series module does, but
+    in mpmath and from index 0), out to where the terms fall below 10^-dps."""
+    with mpmath.workdps(dps):
+        z, tau = mpmath.mpc(z), mpmath.mpc(tau)
+        y, beta = tau.imag, abs(z.imag)
+        L = (dps + 10) * mpmath.log(10)
+        M = int((beta + mpmath.sqrt(beta * beta + y * L / mpmath.pi)) / y) + 2
+        s = -1 if kind in (K1, K4) else 1
+        m0 = mpmath.mpf(0.5) if kind in (K1, K2) else mpmath.mpf(0)
+        ipi = mpmath.mpc(0, mpmath.pi)
+        q2 = mpmath.exp(2 * ipi * tau)
+        t0 = mpmath.exp(ipi * (tau * m0 * m0 + 2 * m0 * z))
+        up = s * mpmath.exp(ipi * (tau * (2 * m0 + 1) + 2 * z))
+        down = s * mpmath.exp(ipi * (tau * (1 - 2 * m0) - 2 * z))
+        total = mpmath.mpc(0)
+        for t, r in ((t0, up), (t0 * down, down * q2)):  # m0, m0+1, ... and m0-1, m0-2, ...
+            for _ in range(M + 1):
+                total += t
+                t *= r
+                r *= q2
+        return -1j * total if kind is K1 else total
+
+
+def test_eval_fast_accuracy_against_mpmath():
+    # eval-grid-style points at tol 1e-13.  mpmath's digits follow the
+    # cancellation in the series: log10(peak term) - log10|value| + 30, each
+    # value confirmed at 25 more digits.  The error of the prefactor's
+    # rounding is not in tol, so the bar is 1e-11, not 1e-13.  A DomainError
+    # must mean |value| > the largest float, which mpmath decides at 30
+    # digits beyond those the peak term has over it.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(62)
+    worst, checked, refused = 0.0, 0, 0
+    for i in range(40):
+        kind = (K1, K2, K3, K4)[i % 4]
+        z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        tau = complex(rng.uniform(-2, 2), math.exp(rng.uniform(math.log(1e-4), math.log(2))))
+        log10_peak = math.pi * z.imag**2 / tau.imag / math.log(10)
+        try:
+            value = eval_fast(kind, z, tau, 1e-13)
+        except DomainError:
+            dps = max(int(log10_peak - 308 + 30), 30)
+            truth = _mp_theta(mpmath, kind, z, tau, dps)
+            with mpmath.workdps(dps):
+                assert abs(truth) > sys.float_info.max, (kind, z, tau)
+            refused += 1
+            continue
+        assert cmath.isfinite(value)
+        dps = int(log10_peak - math.log10(abs(value)) + 30)
+        truth = _mp_theta(mpmath, kind, z, tau, dps + 25)
+        with mpmath.workdps(dps + 25):
+            assert abs(_mp_theta(mpmath, kind, z, tau, dps) - truth) <= 1e-20 * abs(truth)
+            worst = max(worst, float(abs(value - truth) / abs(truth)))
+        checked += 1
+    assert checked >= 30 and refused >= 1
+    assert worst <= 1e-11
 
 
 def test_evaluation_records_are_immutable():

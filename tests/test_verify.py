@@ -544,6 +544,13 @@ def test_cli_eval_overflow_is_an_error(capsys):
     assert "value:" in capsys.readouterr().out
 
 
+def test_cli_eval_where_the_prefactor_alone_overflows(capsys):
+    # e^{-i pi c z^2/j} of the reduction law overflows here, but theta2 is
+    # 5.98773692571796+2.42446739931865i (mpmath)
+    assert main(["eval", "theta2", "0.25", "-0.49+0.0001i"]) == 0
+    assert "value: 5.98773692572+2.42446739932i" in capsys.readouterr().out
+
+
 def test_cli_verify_pass(tmp_path, capsys):
     out = tmp_path / "r.jsonl"
     code = main(
