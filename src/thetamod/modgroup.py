@@ -1,5 +1,11 @@
 """SL(2,Z) matrices, the Mobius action, and generator-word decomposition.
 
+A matrix is an ``Sl2Matrix``, the ``typing.NamedTuple`` (a, b, c, d): it
+equals, hashes and unpacks (``a, b, c, d = A``) like its 4-tuple, and
+``2 * A`` and ``A + B`` are tuple operations.  It is checked once when built
+(int entries, determinant 1), by every public route; ``A * B`` and ``-A``
+are not, since the determinant is multiplicative.
+
 Words are products of the generators
 
     S = (0 -1; 1 0),   T^m = (1 m; 0 1)
@@ -15,55 +21,69 @@ inserting S twice: the multiplier bookkeeping downstream needs the sign.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, require_upper_half
 
+_tuple_new = tuple.__new__
 
-@dataclass(frozen=True)
-class Sl2Matrix:
-    """Integer 2x2 matrix (a b; c d) with determinant 1."""
+
+class Sl2Matrix(NamedTuple):
+    """Integer 2x2 matrix (a b; c d), determinant 1, as a tuple of its entries.
+
+    Equal to and hashing like (a, b, c, d); ``2 * A`` and ``A + B`` are tuple
+    operations.  Checked once when built; ``A * B`` and ``-A`` are not.
+    """
 
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
-            raise DomainError(
-                f"determinant must be 1, got {self.a * self.d - self.b * self.c} "
-                f"for [[{self.a},{self.b}],[{self.c},{self.d}]]"
-            )
-
     def __mul__(self, other: "Sl2Matrix") -> "Sl2Matrix":
-        return Sl2Matrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        if type(other) is not Sl2Matrix:
+            raise TypeError(f"an Sl2Matrix multiplies an Sl2Matrix, not {other!r}")
+        a, b, c, d = self
+        e, f, g, h = other
+        product = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        return _tuple_new(Sl2Matrix, product)  # unchecked: det(AB) = det(A) det(B) = 1
 
     def __neg__(self) -> "Sl2Matrix":
-        return Sl2Matrix(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d = self
+        return _tuple_new(Sl2Matrix, (-a, -b, -c, -d))  # det(-A) = det(A)
 
     def max_entry(self) -> int:
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
+        return max(map(abs, self))
 
     def to_lists(self) -> list[list[int]]:
         return [[self.a, self.b], [self.c, self.d]]
 
     @classmethod
     def from_lists(cls, rows) -> "Sl2Matrix":
-        """[[a, b], [c, d]] with int entries (bool and float are rejected)."""
+        """[[a, b], [c, d]], checked like the constructor."""
         (a, b), (c, d) = rows
-        if not all(type(x) is int for x in (a, b, c, d)):  # so no bool, no float
-            raise DomainError(f"matrix entries must be integers, got {rows!r}")
         return cls(a, b, c, d)
 
     def __str__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
+
+
+def _checked_new(cls, a, b, c, d):
+    """Sl2Matrix's one check: int entries (so no bool, no float), det 1."""
+    if not (type(a) is int and type(b) is int and type(c) is int and type(d) is int):
+        raise DomainError(f"matrix entries must be integers, got {[[a, b], [c, d]]!r}")
+    det = a * d - b * c
+    if det != 1:
+        raise DomainError(f"determinant must be 1, got {det} for [[{a},{b}],[{c},{d}]]")
+    return _tuple_new(cls, (a, b, c, d))
+
+
+# Not in the class body, which typing.NamedTuple keeps for its own; _make
+# (and so _replace) would otherwise call tuple.__new__ past the check.
+Sl2Matrix.__new__ = _checked_new
+Sl2Matrix._make = classmethod(lambda cls, entries: cls(*entries))
 
 
 IDENTITY = Sl2Matrix(1, 0, 0, 1)
@@ -87,12 +107,18 @@ def mobius(A: Sl2Matrix, tau: complex) -> complex:
     For c != 0 this is evaluated as a/c - 1/(c(c*tau + d)), whose imaginary
     part Im(tau)/|c*tau + d|^2 keeps full relative accuracy however large
     the entries; the quotient form cancels catastrophically there and can
-    leave the half-plane.
+    leave the half-plane.  An overflow on the way, or an Im that underflows
+    to 0, is a DomainError, never a non-finite or real value.
     """
     require_upper_half(tau)
-    if A.c == 0:
-        return (A.a * tau + A.b) / A.d
-    return A.a / A.c - 1 / (A.c * (A.c * tau + A.d))
+    a, b, c, d = A
+    try:
+        w = (a * tau + b) / d if c == 0 else a / c - 1 / (c * (c * tau + d))
+        if cmath.isfinite(w) and w.imag > 0:
+            return w
+    except OverflowError:  # an entry beyond the float range
+        pass
+    raise DomainError(f"{A} maps {tau} outside the floats' upper half-plane")
 
 
 def is_gamma2(A: Sl2Matrix) -> bool:
@@ -133,6 +159,9 @@ class Letter(NamedTuple):
         return self.gen if self.exp == 1 else f"{self.gen}^{self.exp}"
 
 
+_S_LETTER = Letter("S")
+
+
 @dataclass(frozen=True)
 class GeneratorWord:
     """An ordered product of letters with an explicit +-1 sign."""
@@ -170,11 +199,11 @@ def _round_half_down(p: int, q: int) -> int:
     return f + 1 if 2 * r > q else f
 
 
-def _close_word(letters: list[Letter], M: Sl2Matrix) -> GeneratorWord:
-    """End a reduction whose remainder is M = +-T^j: append T^j (if j != 0)."""
-    sign = 1 if M.a == 1 else -1
-    if M.b != 0:
-        letters.append(Letter("T", sign * M.b))
+def _close_word(letters: list[Letter], a: int, b: int) -> GeneratorWord:
+    """End a reduction at the remainder (a b; 0 a) = +-T^j: append T^j unless j = 0."""
+    sign = 1 if a == 1 else -1
+    if b != 0:
+        letters.append(Letter("T", sign * b))
     return GeneratorWord(tuple(letters), sign)
 
 
@@ -187,15 +216,15 @@ def decompose_gamma(A: Sl2Matrix) -> GeneratorWord:
     letters are powers of the same generator.
     """
     letters: list[Letter] = []
-    M = A
-    while M.c != 0:
-        m = _round_half_down(M.a, M.c)
+    a, b, c, d = A
+    while c != 0:
+        m = _round_half_down(a, c)
         if m != 0:
             letters.append(Letter("T", m))
-        letters.append(Letter("S"))
+        letters.append(_S_LETTER)
         # peel: M = T^m S M'  =>  M' = S^{-1} T^{-m} M
-        M = Sl2Matrix(M.c, M.d, m * M.c - M.a, m * M.d - M.b)
-    return _close_word(letters, M)
+        a, b, c, d = c, d, m * c - a, m * d - b
+    return _close_word(letters, a, b)
 
 
 def decompose_gamma2(A: Sl2Matrix) -> GeneratorWord:
@@ -204,19 +233,19 @@ def decompose_gamma2(A: Sl2Matrix) -> GeneratorWord:
     Euclidean reduction by even multiples only: reduce c against 2a, then a
     against 2c, so every prefix stays congruent to the identity mod 2.  The
     odd/even split of a and c makes exact ties impossible and guarantees
-    strict decrease.  Each step peels its letter with one constructor.
+    strict decrease.
     """
     if not is_gamma2(A):
         raise DomainError(f"{A} is not congruent to the identity mod 2")
     letters: list[Letter] = []
-    M = A
-    while M.c != 0:
-        if abs(M.c) >= abs(M.a):
-            m = _round_half_down(M.c, 2 * M.a)
+    a, b, c, d = A
+    while c != 0:
+        if abs(c) >= abs(a):
+            m = _round_half_down(c, 2 * a)
             letters.append(Letter("S2", m))
-            M = Sl2Matrix(M.a, M.b, M.c - 2 * m * M.a, M.d - 2 * m * M.b)  # S2^-m M
+            c, d = c - 2 * m * a, d - 2 * m * b  # S2^-m M
         else:
-            m = _round_half_down(M.a, 2 * M.c)
+            m = _round_half_down(a, 2 * c)
             letters.append(Letter("T", 2 * m))
-            M = Sl2Matrix(M.a - 2 * m * M.c, M.b - 2 * m * M.d, M.c, M.d)  # T^-2m M
-    return _close_word(letters, M)
+            a, b = a - 2 * m * c, b - 2 * m * d  # T^-2m M
+    return _close_word(letters, a, b)

@@ -101,7 +101,7 @@ def theta1_epsilon_closed(A: Sl2Matrix) -> UnitPhase:
     :func:`theta1_epsilon`.
     """
     _require_positive_c(A, "theta1_epsilon_closed")
-    a, b, c, d = A.a, A.b, A.c, A.d
+    a, b, c, d = A
     if c % 2 == 1:
         jac = jacobi_symbol(d, c)
         k = 3 * (c - 3) + 3 * c * (a + d)
@@ -127,7 +127,7 @@ def gamma2_alpha(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
         raise DomainError(f"gamma2_alpha applies to theta2/3/4, not {kind}")
     if not is_gamma2(A):
         raise DomainError(f"{A} is not congruent to the identity mod 2")
-    a, b, c, d = A.a, A.b, A.c, A.d
+    a, b, c, d = A
     if kind is ThetaKind.THETA2:
         e = (d - 1) * (c // 2 - 1) + c // 2
     elif kind is ThetaKind.THETA3:

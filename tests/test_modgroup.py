@@ -1,9 +1,13 @@
 """Matrix algebra, Mobius action, and generator-word decomposition."""
 
+import copy
+import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thetamod.errors import DomainError
 from thetamod.modgroup import (
@@ -246,3 +250,190 @@ def test_a_generator_word_is_not_a_sequence():
         len(word)
     with pytest.raises(TypeError):
         iter(word)
+
+
+# --- the matrix contract ---------------------------------------------------
+
+# A random word: each step is S, T^m or S2^m, with |m| up to 10^6.
+_steps = st.lists(
+    st.tuples(st.sampled_from(["S", "T", "S2"]), st.integers(-(10**6), 10**6)),
+    max_size=12,
+)
+
+
+def _checked_product(steps):
+    """The word's product, each step through the checked constructor."""
+    M = IDENTITY
+    for gen, m in steps:
+        L = S if gen == "S" else translation(m) if gen == "T" else shear(m)
+        M = Sl2Matrix(
+            M.a * L.a + M.b * L.c,
+            M.a * L.b + M.b * L.d,
+            M.c * L.a + M.d * L.c,
+            M.c * L.b + M.d * L.d,
+        )
+    return M
+
+
+@settings(max_examples=300)
+@given(_steps, _steps)
+def test_products_and_negations_are_checked_matrices(left, right):
+    A, B = _checked_product(left), _checked_product(right)
+    for M in (A * B, B * A, -A, -(A * B)):
+        assert type(M) is Sl2Matrix
+        assert M.a * M.d - M.b * M.c == 1
+        assert M == Sl2Matrix(*M)  # the checked constructor accepts it
+    assert A * B == _checked_product(left + right)
+    assert -A == Sl2Matrix(-A.a, -A.b, -A.c, -A.d)
+
+
+_BAD_DETERMINANT = (1, 0, 0, 2)
+_NON_INT = [(2.0, 1, 1, 1.0), (True, 0, 0, 1), (1, 0, 0, 1.0), (1, "0", 0, 1)]
+
+
+@pytest.mark.parametrize("entries", [_BAD_DETERMINANT, *_NON_INT])
+def test_every_construction_path_refuses_a_non_matrix(entries):
+    a, b, c, d = entries
+    message = "determinant" if entries == _BAD_DETERMINANT else "must be integers"
+    forged = tuple.__new__(Sl2Matrix, entries)  # bypasses every check
+    builds = [
+        lambda: Sl2Matrix(a, b, c, d),
+        lambda: Sl2Matrix(a=a, b=b, c=c, d=d),
+        lambda: Sl2Matrix.from_lists([[a, b], [c, d]]),
+        lambda: Sl2Matrix._make(entries),
+        lambda: IDENTITY._replace(a=a, b=b, c=c, d=d),
+        lambda: copy.copy(forged),
+        lambda: copy.deepcopy(forged),
+        lambda: pickle.loads(pickle.dumps(forged)),
+    ]
+    if hasattr(copy, "replace"):  # Python 3.13+
+        builds.append(lambda: copy.replace(IDENTITY, a=a, b=b, c=c, d=d))
+    for build in builds:
+        with pytest.raises(DomainError, match=message):
+            build()
+
+
+def test_construction_paths_keep_a_valid_matrix():
+    A = Sl2Matrix(3, 2, 4, 3)
+    assert Sl2Matrix._make((3, 2, 4, 3)) == A
+    assert A._replace(b=-2, c=-4) == Sl2Matrix(3, -2, -4, 3)
+    assert copy.copy(A) == copy.deepcopy(A) == pickle.loads(pickle.dumps(A)) == A
+    assert type(pickle.loads(pickle.dumps(A))) is Sl2Matrix
+
+
+def test_a_matrix_is_a_frozen_tuple_of_its_entries():
+    A = Sl2Matrix(2, 1, 1, 1)
+    for field in ("a", "b", "c", "d"):
+        with pytest.raises(AttributeError):
+            setattr(A, field, 5)
+    with pytest.raises(AttributeError):
+        A.e = 5
+    a, b, c, d = A
+    assert (a, b, c, d) == A == (2, 1, 1, 1) and hash(A) == hash((2, 1, 1, 1))
+    assert 2 * A == (2, 1, 1, 1, 2, 1, 1, 1)  # tuple repetition, not scaling
+    assert A + S == (2, 1, 1, 1, 0, -1, 1, 0)  # tuple concatenation
+    with pytest.raises(TypeError):
+        A * (1, 0, 0, 1)  # a plain tuple would be multiplied unchecked
+
+
+def test_a_float_entry_is_refused_before_any_word():
+    # once accepted: decompose_gamma gave T^2.0 S T, theta1_epsilon a TypeError
+    with pytest.raises(DomainError, match="must be integers"):
+        decompose_gamma(Sl2Matrix(2.0, 1, 1, 1.0))
+
+
+@pytest.mark.parametrize(
+    "A, tau",
+    [
+        (Sl2Matrix(1, 0, int(1.2e29), 1), 0.5 + 1e300j),  # once nan+nanj
+        (Sl2Matrix(1, 0, 10**400, 1), 0.5 + 1j),  # once a raw OverflowError
+        (Sl2Matrix(1, 0, 10**200, 1), 0.5 + 1e-300j),  # Im underflows to 0
+    ],
+)
+def test_mobius_outside_the_floats_is_a_domain_error(A, tau):
+    with pytest.raises(DomainError, match="upper half-plane"):
+        mobius(A, tau)
+
+
+def _nearest(p, q):
+    """Nearest integer to p/q, ties toward the floor: ceil((2p - q)/(2q))."""
+    if q < 0:
+        p, q = -p, -q
+    return -((q - 2 * p) // (2 * q))
+
+
+def _reference_close(letters, M):
+    """The word of a walk that ended at M = +-T^j."""
+    sign = 1 if M.a == 1 else -1
+    if M.b:
+        letters.append(Letter("T", sign * M.b))
+    return GeneratorWord(tuple(letters), sign)
+
+
+def _reference_decompose(A):
+    """decompose_gamma's word, from one Sl2Matrix per Euclid step."""
+    letters, M = [], A
+    while M.c != 0:
+        m = _nearest(M.a, M.c)
+        letters += [Letter("T", m), Letter("S")] if m else [Letter("S")]
+        M = Sl2Matrix(M.c, M.d, m * M.c - M.a, m * M.d - M.b)  # S^-1 T^-m M
+    return _reference_close(letters, M)
+
+
+def _reference_decompose2(A):
+    """decompose_gamma2's word, from one Sl2Matrix per Euclid step."""
+    letters, M = [], A
+    while M.c != 0:
+        if abs(M.c) >= abs(M.a):
+            m = _nearest(M.c, 2 * M.a)
+            letters.append(Letter("S2", m))
+            M = Sl2Matrix(M.a, M.b, M.c - 2 * m * M.a, M.d - 2 * m * M.b)
+        else:
+            m = _nearest(M.a, 2 * M.c)
+            letters.append(Letter("T", 2 * m))
+            M = Sl2Matrix(M.a - 2 * m * M.c, M.b - 2 * m * M.d, M.c, M.d)
+    return _reference_close(letters, M)
+
+
+def _seeded_matrices(n, level2, seed):
+    """n seeded matrices, |c| log-uniform up to 10^30 with either sign, and
+    one in 20 a translation +-T^b; level2 keeps them congruent to I mod 2."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        if rng.random() < 0.05:
+            s = rng.choice((1, -1))
+            b = rng.randint(-(10**6), 10**6)
+            if not level2 or b % 2 == 0:
+                out.append(Sl2Matrix(s, s * b, 0, s))
+            continue
+        c = int(10 ** rng.uniform(0, 30)) * rng.choice((1, -1))
+        d = rng.randint(-abs(c) * 3, abs(c) * 3)
+        if math.gcd(c, d) != 1 or (level2 and (c % 2 or d % 2 == 0)):
+            continue
+        a = pow(d, -1, abs(c)) + abs(c) * rng.randint(-3, 3)
+        b = (a * d - 1) // c
+        if level2 and b % 2:
+            a, b = a + abs(c), b + (d if c > 0 else -d)
+        out.append(Sl2Matrix(a, b, c, d))
+    return out
+
+
+def test_decompose_gamma_matches_a_per_step_matrix_walk(huge_matrices):
+    seeded = _seeded_matrices(2000, False, 29)
+    matrices = huge_matrices + [-A for A in huge_matrices] + seeded
+    for A in matrices:
+        w = decompose_gamma(A)
+        assert w == _reference_decompose(A), A
+        assert recompose(w) == A
+
+
+def test_decompose_gamma2_matches_a_per_step_matrix_walk(huge_matrices):
+    level2 = [A for A in huge_matrices if is_gamma2(A)]
+    matrices = level2 + _seeded_matrices(2000, True, 31)
+    assert len(matrices) > 2000
+    for A in matrices:
+        assert is_gamma2(A)
+        w = decompose_gamma2(A)
+        assert w == _reference_decompose2(A), A
+        assert recompose(w) == A
