@@ -11,11 +11,16 @@ in-scope input.
 algorithm on (h, k) once, summing the reciprocity law over its pairs with
 alternating signs into the integer g(h, k) = 12k*s(h, k) (an integer
 because 6k*s(h, k) is; ``_g`` returns it for the eta multiplier).  The O(k) summation survives
-only as the oracle behind :func:`reciprocity_defect`: checking reciprocity
-with a reciprocity-based algorithm would prove nothing.  The oracle is one
-integer loop, ``_direct_total``; the reciprocity suite of ``thetamod
-verify`` walks :func:`reciprocity_defects`, which tables each sum it needs
-once per walk and never uses a derived symmetry of s(h, k) to fill it.
+only as the oracle behind reciprocity: checking reciprocity with a
+reciprocity-based algorithm would prove nothing.  It has two forms of the
+one definition T(h, k) = sum_{r=1}^{k-1} r*(h*r mod k).  ``_direct_total``
+is an integer loop over one pair in O(1) memory; it serves the single
+pairs of :func:`reciprocity_defect` and ``_dedekind_sum_direct``, which
+accept any k.  ``_direct_row`` gives T(h, k) for every h at one k by
+strides over a per-k cycle of residues, so its loops run in C; the
+reciprocity suite of ``thetamod verify`` walks :func:`reciprocity_defects`,
+which tables those rows once per walk and never uses a derived symmetry of
+s(h, k) to fill the table.
 
 All arithmetic is exact; no floating point is used anywhere in this module.
 """
@@ -25,16 +30,19 @@ from __future__ import annotations
 import math
 from array import array
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator
 
-from .errors import DomainError
+from .errors import DomainError, int_text
 
 
 def _require_coprime(h: int, k: int, op: str) -> None:
     if k <= 0:
-        raise DomainError(f"{op} needs k >= 1, got k={k}")
+        raise DomainError(f"{op} needs k >= 1, got k={int_text(k)}")
     if math.gcd(h, k) != 1:
-        raise DomainError(f"{op} needs gcd(h, k) = 1, got ({h}, {k})")
+        raise DomainError(
+            f"{op} needs gcd(h, k) = 1, got ({int_text(h)}, {int_text(k)})"
+        )
 
 
 def _g(h: int, k: int) -> int:
@@ -73,8 +81,10 @@ def dedekind_sum(h: int, k: int) -> Fraction:
 def _direct_total(h: int, k: int) -> int:
     """T(h, k) = sum_{r=1}^{k-1} r*(h*r mod k) for 0 <= h < k: the O(k) loop.
 
-    The one home of the definition behind the oracle; the residue h*r mod k
-    is carried by repeated addition, so the loop multiplies only r*m.
+    The single-pair form of the oracle, in O(1) memory for any k: it serves
+    :func:`reciprocity_defect` and ``_dedekind_sum_direct``, and is the
+    tests' reference for ``_direct_row``.  The residue h*r mod k is carried
+    by repeated addition, so the loop multiplies only r*m.
     """
     total = 0
     m = 0
@@ -84,6 +94,23 @@ def _direct_total(h: int, k: int) -> int:
             m -= k
         total += r * m
     return total
+
+
+def _direct_row(k: int) -> list[int]:
+    """[T(h, k) for 0 <= h < k], with 0 where gcd(h, k) > 1: one row of the walk.
+
+    ``cycle[i] = i mod k`` for i < k^2, so the stride ``cycle[h*(k-1):0:-h]``
+    is m_{k-1}, ..., m_1 with m_r = h*r mod k, and summing its running sums
+    counts each m_r r times: sum(accumulate(...)) = sum_r r*m_r = T(h, k).
+    Exact integers, with every loop over elements in C; the cycle takes k^2
+    4-byte entries, so a row is for small k only (the walk's k <= bound).
+    """
+    cycle = array("I", range(k)) * k
+    gcd = math.gcd
+    return [0] + [
+        sum(accumulate(cycle[h * (k - 1) : 0 : -h])) if gcd(h, k) == 1 else 0
+        for h in range(1, k)
+    ]
 
 
 def _dedekind_sum_direct(h: int, k: int) -> Fraction:
@@ -131,7 +158,9 @@ def reciprocity_defect(h: int, k: int) -> Fraction:
     reciprocity-based :func:`dedekind_sum`.
     """
     if h <= 0 or k <= 0:
-        raise DomainError(f"reciprocity_defect needs h, k >= 1, got ({h}, {k})")
+        raise DomainError(
+            f"reciprocity_defect needs h, k >= 1, got ({int_text(h)}, {int_text(k)})"
+        )
     _require_coprime(h, k, "reciprocity_defect")
     return _defect(h, k, _direct_total(h % k, k), _direct_total(k % h, h))
 
@@ -140,21 +169,19 @@ def reciprocity_defects(bound: int) -> Iterator[tuple[int, int, Fraction]]:
     """(h, k, reciprocity_defect(h, k)) for every coprime 1 <= h, k <= bound, h-major.
 
     The walk behind the reciprocity suite.  It first tables T(h, k) for every
-    coprime 0 <= h < k <= bound, each once by the O(k) loop, in one local
-    array of (bound + 1)^2 8-byte integers, T(h, k) at k*(bound + 1) + h and
-    0 off the coprime pairs; then it reads each defect from two entries, as
-    s(h, k) only depends on h mod k.  For k >= 2, T(h mod k, k) is 0 exactly
-    when gcd(h, k) > 1, and every k = 1 is coprime, so the table decides
-    which pairs are walked.  Nothing is cached between calls.
+    0 <= h < k <= bound, one ``_direct_row`` per k, in one local triangle of
+    bound*(bound + 1)/2 8-byte integers, T(h, k) at k*(k - 1)/2 + h and 0 off
+    the coprime pairs; then it reads each defect from two entries, as s(h, k)
+    only depends on h mod k.  For k >= 2, T(h mod k, k) is 0 exactly when
+    gcd(h, k) > 1, and every k = 1 is coprime, so the table decides which
+    pairs are walked.  Nothing is cached between calls.
     """
-    n = bound + 1
-    totals = array("q", [0]) * (n * n)
-    for k in range(1, n):
-        for h in range(k):
-            if math.gcd(h, k) == 1:
-                totals[k * n + h] = _direct_total(h, k)
-    for h in range(1, n):
-        for k in range(1, n):
-            t_hk = totals[k * n + h % k]
+    totals = array("q")
+    for k in range(1, bound + 1):
+        totals.extend(_direct_row(k))
+    for h in range(1, bound + 1):
+        row_h = h * (h - 1) // 2
+        for k in range(1, bound + 1):
+            t_hk = totals[k * (k - 1) // 2 + h % k]
             if t_hk or k == 1:
-                yield h, k, _defect(h, k, t_hk, totals[h * n + k % h])
+                yield h, k, _defect(h, k, t_hk, totals[row_h + k % h])

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and its one domain check."""
+"""Exception types shared across the package, its one domain check, and
+the text of an integer inside an error message."""
 
 import cmath
+import math
 
 
 class DomainError(ValueError):
@@ -30,3 +32,23 @@ def require_upper_half(tau: complex, z: complex = 0j) -> None:
         raise DomainError(f"tau and z must be finite, got tau = {tau}, z = {z}")
     if complex(tau).imag <= 0:
         raise DomainError(f"tau must lie in the upper half-plane, got {tau}")
+
+
+_LOG10_2 = math.log10(2)
+
+
+def int_text(n) -> str:
+    """repr(n), or for an int past Python's int-to-str digit limit its size.
+
+    Printing such an int raises a raw ValueError (the limit is 4,300 digits
+    by default), so a message formatting one would raise that in place of
+    its own error.  It is named by its digit count instead, estimated from
+    its bit length: e.g. "-<int of about 5001 digits>".
+    """
+    try:
+        return repr(n)
+    except ValueError:
+        if not isinstance(n, int):  # e.g. a Fraction with such a numerator
+            return f"<{type(n).__name__} too long to print>"
+        digits = int(abs(n).bit_length() * _LOG10_2) + 1
+        return f"{'-' if n < 0 else ''}<int of about {digits} digits>"

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, int_text
 
 def jacobi_symbol(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd positive n.
@@ -26,7 +26,7 @@ def jacobi_symbol(a: int, n: int) -> int:
     symbol for prime n, is 0 iff gcd(a, n) > 1, and (a/1) = 1.
     """
     if n <= 0 or n % 2 == 0:
-        raise DomainError(f"jacobi_symbol needs odd positive n, got {n}")
+        raise DomainError(f"jacobi_symbol needs odd positive n, got {int_text(n)}")
     a %= n
     result = 1
     while a:

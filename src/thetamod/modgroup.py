@@ -25,7 +25,7 @@ import cmath
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, require_upper_half
+from .errors import DomainError, int_text, require_upper_half
 
 _tuple_new = tuple.__new__
 
@@ -67,16 +67,26 @@ class Sl2Matrix(NamedTuple):
         return cls(a, b, c, d)
 
     def __str__(self) -> str:
-        return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
+        return _rows_text(*self)
+
+
+def _rows_text(*entries) -> str:
+    """The text [[a,b],[c,d]], naming an entry too long to print by its size."""
+    a, b, c, d = map(int_text, entries)
+    return f"[[{a},{b}],[{c},{d}]]"
 
 
 def _checked_new(cls, a, b, c, d):
     """Sl2Matrix's one check: int entries (so no bool, no float), det 1."""
     if not (type(a) is int and type(b) is int and type(c) is int and type(d) is int):
-        raise DomainError(f"matrix entries must be integers, got {[[a, b], [c, d]]!r}")
+        raise DomainError(
+            f"matrix entries must be integers, got {_rows_text(a, b, c, d)}"
+        )
     det = a * d - b * c
     if det != 1:
-        raise DomainError(f"determinant must be 1, got {det} for [[{a},{b}],[{c},{d}]]")
+        raise DomainError(
+            f"determinant must be 1, got {int_text(det)} for {_rows_text(a, b, c, d)}"
+        )
     return _tuple_new(cls, (a, b, c, d))
 
 

@@ -42,7 +42,7 @@ unit factor of all four laws, translations included.
 from __future__ import annotations
 
 from .dedekind import _g
-from .errors import DomainError
+from .errors import DomainError, int_text
 from .exact import UnitPhase, jacobi_symbol
 from .modgroup import (
     S,
@@ -67,7 +67,9 @@ _RIGHT_PHASE = {
 
 def _require_positive_c(A: Sl2Matrix, op: str) -> None:
     if A.c <= 0:
-        raise DomainError(f"{op} needs c > 0 (normalize first), got c = {A.c}")
+        raise DomainError(
+            f"{op} needs c > 0 (normalize first), got c = {int_text(A.c)}"
+        )
 
 
 def _eta_q(a: int, c: int, d: int) -> int:

@@ -280,9 +280,22 @@ def theta_series_report(
     tol: float = DEFAULT_TOL,
     max_index: int = MAX_INDEX,
 ) -> SeriesEvaluation:
-    """Certified evaluation, reporting the truncation index and term count."""
+    """Certified evaluation, reporting the truncation index and term count.
+
+    A value beyond the float range (the largest term's exp overflows, or
+    the sum is not finite) is a DomainError, raised outside any handler.
+    """
     N = truncation_index(kind, z, tau, tol, max_index)
-    return SeriesEvaluation(_partial_sum(kind, z, tau, N), N, term_count(kind, N))
+    try:  # the largest term's exp, the only one that can overflow
+        value = _partial_sum(kind, z, tau, N)
+    except OverflowError:
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise DomainError(
+            f"{kind} at z = {z}, tau = {tau}: its largest term or its sum is beyond"
+            " the float range"
+        )
+    return SeriesEvaluation(value, N, term_count(kind, N))
 
 
 def theta_series(

@@ -12,6 +12,8 @@ import thetamod.dedekind
 from thetamod.dedekind import (
     _ZERO,
     _dedekind_sum_direct,
+    _direct_row,
+    _direct_total,
     dedekind_sum,
     reciprocity_defect,
     reciprocity_defects,
@@ -160,7 +162,8 @@ def test_reciprocity_walk_matches_the_per_pair_oracle():
         assert walked == want, bound
         # the report writer serializes the one shared zero once, by its id
         assert all(defect is _ZERO for _, _, defect in walked), bound
-    # the table stays one array of 8-byte entries: 201^2 * 8 B is about 323 KB
+    # the table is one triangle of 8-byte entries, 200*201/2 * 8 B = 161 KB,
+    # built beside at most one row's cycle of residues, 200^2 * 4 B = 160 KB
     tracemalloc.start()
     try:
         for _ in reciprocity_defects(200):
@@ -169,6 +172,19 @@ def test_reciprocity_walk_matches_the_per_pair_oracle():
     finally:
         tracemalloc.stop()
     assert peak < 400_000
+
+
+def test_direct_row_matches_the_per_pair_loop():
+    # one row per k, by strides over its cycle of residues: T(h, k) on the
+    # coprime pairs, as the O(1)-memory loop computes it, and 0 off them
+    for k in range(1, 201):
+        row = _direct_row(k)
+        assert len(row) == k
+        for h, total in enumerate(row):
+            want = _direct_total(h, k) if math.gcd(h, k) == 1 else 0
+            assert total == want, (h, k)
+    assert _direct_row(1) == [0]
+    assert _direct_row(7)[3] == sum(r * (3 * r % 7) for r in range(1, 7)) == 70
 
 
 def test_domain_errors():
@@ -187,3 +203,18 @@ def test_reciprocity_defect_names_itself():
         reciprocity_defect(2, 4)
     with pytest.raises(DomainError, match=r"^reciprocity_defect needs h, k"):
         reciprocity_defect(0, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dedekind_sum(2 * 10**5000, 4 * 10**5000),
+        lambda: reciprocity_defect(2 * 10**5000, 4),
+        lambda: reciprocity_defect(-(10**5000), 3),
+    ],
+    ids=["dedekind_sum", "reciprocity_defect", "reciprocity_defect_sign"],
+)
+def test_a_huge_argument_in_a_message_is_named_by_its_size(call):
+    # once a raw ValueError from formatting the int, not the DomainError
+    with pytest.raises(DomainError, match="<int of about 5001 digits>"):
+        call()

@@ -45,6 +45,11 @@ def test_jacobi_examples():
     assert jacobi_symbol(2, 15) == jacobi_oracle(2, 15) == 1
 
 
+def test_jacobi_names_a_huge_modulus_by_its_size():
+    with pytest.raises(DomainError, match="got <int of about 5001 digits>"):
+        jacobi_symbol(1, 2 * 10**5000)
+
+
 def test_jacobi_against_oracle():
     for n in range(1, 52, 2):
         for a in range(-20, 21):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetamod.errors import DomainError
+from thetamod.errors import DomainError, int_text
 from thetamod.modgroup import (
     IDENTITY,
     S,
@@ -353,6 +353,34 @@ def test_a_float_entry_is_refused_before_any_word():
 def test_mobius_outside_the_floats_is_a_domain_error(A, tau):
     with pytest.raises(DomainError, match="upper half-plane"):
         mobius(A, tau)
+
+
+def test_int_text_names_an_int_too_long_to_print():
+    # past the int-to-str digit limit (4,300 digits by default) an int is
+    # named by its size; below it, and for any non-int, the text is the repr
+    assert int_text(10**5000) == "<int of about 5001 digits>"
+    assert int_text(-(10**5000)) == "-<int of about 5001 digits>"
+    assert int_text(-(10**4000)) == str(-(10**4000))
+    assert int_text(2.5) == "2.5"
+    assert int_text(Fraction(10**5000, 3)) == "<Fraction too long to print>"
+
+
+_HUGE_INT = "<int of about 5001 digits>"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Sl2Matrix(1, 0, 10**5000, 2),  # the determinant message
+        lambda: Sl2Matrix(1, 0, 10**5000, 1.0),  # the entries message
+        lambda: mobius(Sl2Matrix(1, 0, 10**5000, 1), 1j),  # its {A}
+    ],
+    ids=["determinant", "entries", "mobius"],
+)
+def test_a_huge_entry_in_a_message_is_named_by_its_size(call):
+    # once a raw ValueError from formatting the int, not the DomainError
+    with pytest.raises(DomainError, match=_HUGE_INT):
+        call()
 
 
 def _nearest(p, q):

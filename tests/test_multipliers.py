@@ -86,6 +86,12 @@ def test_theta1_epsilon_requires_positive_c():
         theta1_epsilon(Sl2Matrix(0, 1, -1, 0))
 
 
+def test_a_huge_negative_c_is_named_by_its_size():
+    # once a raw ValueError from formatting c, not the DomainError
+    with pytest.raises(DomainError, match="got c = -<int of about 5001 digits>"):
+        theta1_epsilon(Sl2Matrix(1, 0, -(10**5000), 1))
+
+
 def test_closed_form_examples():
     assert theta1_epsilon_closed(S) == theta1_epsilon(S) == UnitPhase(Fraction(3, 2))
     A = Sl2Matrix(1, 0, 1, 1)

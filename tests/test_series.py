@@ -240,6 +240,30 @@ def test_non_finite_tolerance_is_refused(tol):
         theta_series(K3, 0.1, 1j, tol)
 
 
+@pytest.mark.parametrize(
+    "kind, z, tau",
+    [(K3, 400j, 1j), (K1, 50j, 0.1 + 1j)],  # largest terms about e^{502,655}, e^{7,854}
+)
+def test_a_value_beyond_the_float_range_is_a_domain_error(kind, z, tau):
+    # once a raw OverflowError from the largest term's exp
+    match = f"^{kind} at z = .*: its largest term or its sum is beyond the float range$"
+    with pytest.raises(DomainError, match=match):
+        theta_series(kind, z, tau)
+    with pytest.raises(DomainError, match=match) as exc:
+        theta_series_report(kind, z, tau)
+    assert exc.value.__context__ is None  # raised outside the handler
+
+
+def test_a_non_finite_sum_is_a_domain_error():
+    # two real positive largest terms of about 1e308 each, at m = -15 and -16:
+    # every term is finite and the sum overflows to inf, once returned as is
+    z, tau = 14.579j, 0.94058j
+    N = truncation_index(K3, z, tau, 1e-10)
+    assert _partial_sum(K3, z, tau, N) == complex(math.inf, 0)
+    with pytest.raises(DomainError, match="its largest term or its sum is beyond"):
+        theta_series(K3, z, tau)
+
+
 def test_truncation_index_rejects_max_index_below_one():
     with pytest.raises(DomainError, match="max_index must be >= 1"):
         truncation_index(K3, 0, 1j, 1e-10, max_index=0)

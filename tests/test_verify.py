@@ -128,14 +128,18 @@ def test_exact_records_pinned_seed7():
 
 
 def _corrupt_direct_total(monkeypatch):
-    """Add 1 to T(3, 7); return the pairs that read it, {7, j} with j = 3 mod 7,
-    in either order.  Each one's defect becomes 1/7^2 = 1/49."""
-    direct_total = thetamod.dedekind._direct_total
+    """Add 1 to T(3, 7) in the walk's row for k = 7; return the pairs that read
+    it, {7, j} with j = 3 mod 7, in either order.  Each one's defect becomes
+    1/7^2 = 1/49."""
+    direct_row = thetamod.dedekind._direct_row
 
-    def corrupt(h, k):
-        return direct_total(h, k) + ((h, k) == (3, 7))
+    def corrupt(k):
+        row = direct_row(k)
+        if k == 7:
+            row[3] += 1
+        return row
 
-    monkeypatch.setattr(thetamod.dedekind, "_direct_total", corrupt)
+    monkeypatch.setattr(thetamod.dedekind, "_direct_row", corrupt)
     return {(j, 7) for j in range(3, 201, 7)} | {(7, j) for j in range(3, 201, 7)}
 
 
@@ -730,14 +734,20 @@ def test_reciprocity_table_built_once_per_run(monkeypatch):
 
 
 def test_reciprocity_table_not_built_at_import():
+    # counts calls of both forms of the oracle; the walk after the imports
+    # shows that the counter sees the rows the table is built from
     script = (
         "import sys\n"
         "calls = []\n"
         "def count(frame, event, arg):\n"
-        "    if event == 'call' and frame.f_code.co_name == '_direct_total':\n"
+        "    if event == 'call' and frame.f_code.co_name in (\n"
+        "        '_direct_row', '_direct_total'\n"
+        "    ):\n"
         "        calls.append(1)\n"
         "sys.setprofile(count)\n"
         "import thetamod, thetamod.cli, thetamod.verify\n"
+        "print(len(calls))\n"
+        "list(thetamod.dedekind.reciprocity_defects(3))\n"
         "sys.setprofile(None)\n"
         "print(len(calls))\n"
     )
@@ -751,7 +761,7 @@ def test_reciprocity_table_not_built_at_import():
         check=True,
         timeout=60,
     )
-    assert out.stdout.strip() == "0"
+    assert out.stdout.split() == ["0", "3"]
 
 
 # --- the suite table ---------------------------------------------------------
