@@ -123,22 +123,27 @@ def truncation_index(
 ) -> int:
     """Smallest N <= max_index with truncation_bound(kind, z, tau, N) < tol/2.
 
-    One evaluation at N = max_index decides reachability: the bound is +inf
-    on a prefix of N and strictly decreasing after it.  With r_N the ratio
-    at N, t(m0+1)/t(m0) = r_N and r_{N+1} = r_N e^{-2 pi y}, so
-    bound(N+1)/bound(N) = r_N (1 - r_N)/(1 - r_{N+1}) < r_N < 1; and since
+    The bound is +inf on a prefix of N and strictly decreasing after it:
+    with r_N the ratio at N, t(m0+1)/t(m0) = r_N and r_{N+1} = r_N e^{-2 pi y},
+    so bound(N+1)/bound(N) = r_N (1 - r_N)/(1 - r_{N+1}) < r_N < 1; and since
     log t(m0) falls by -log r_N > 0 a step, the overflow cut-off cannot
     return after a finite stretch.
 
     So the good N (bound < tol/2) are every N from the first good one on,
-    and any start point, stepped up while bound(N) >= tol/2 and then down
-    while bound(N-1) < tol/2, stops at exactly the N a scan from 1 would
-    return.  The start sizes N from the leading omitted term alone (as in
-    Johansson, arXiv:1806.06725): t(m) = tol/4 at the root
+    and any start point, stepped down while bound(N-1) < tol/2 if it is
+    good and up while bound(N) >= tol/2 if not, stops at exactly the N a
+    scan from 1 would return.  The start sizes N from the leading omitted
+    term alone (as in Johansson, arXiv:1806.06725): t(m) = tol/4 at the root
     m = (beta + sqrt(beta^2 + y L/pi))/y of pi y m^2 - 2 pi beta m = L,
     with L = -log(tol/4), and the first omitted index m0 is N + 1.5
     (theta1/2) or N + 1 (theta3/4), so N starts at ceil(m - 1.5) or
     ceil(m - 1), a few steps from the answer; the bound certifies it.
+
+    The start is evaluated first: when it is good, N steps down from it, and
+    when it is the answer that takes two bound calls.  Only a start that is
+    not good needs the one evaluation at N = max_index that decides
+    reachability (the start's own value when it is clamped to max_index);
+    N then steps up from it.
     """
     if not 0 < tol < math.inf:  # also rejects NaN
         raise DomainError(f"tol must be positive and finite, got {tol}")
@@ -147,14 +152,19 @@ def truncation_index(
         raise DomainError(f"max_index must be >= 1, got {max_index}")
     target = tol / 2.0
     y, beta = complex(tau).imag, abs(complex(z).imag)
-    achievable = _tail_bound(kind, y, beta, max_index)
-    if not achievable < target:
-        raise PrecisionUnreachableError(tol, achievable, max_index)
     N = _start_index(kind, y, beta, tol, max_index)
+    bound = _tail_bound(kind, y, beta, N)
+    if bound < target:
+        while N > 1 and _tail_bound(kind, y, beta, N - 1) < target:
+            N -= 1
+        return N
+    if N < max_index:
+        bound = _tail_bound(kind, y, beta, max_index)
+    if not bound < target:
+        raise PrecisionUnreachableError(tol, bound, max_index)
+    N += 1
     while not _tail_bound(kind, y, beta, N) < target:
         N += 1
-    while N > 1 and _tail_bound(kind, y, beta, N - 1) < target:
-        N -= 1
     return N
 
 
@@ -319,17 +329,27 @@ def theta1_sine_series(
 
     A deliberately different floating path (power + sin instead of paired
     exponentials) used as a mutual oracle for theta_series(THETA1, ...);
-    the two agree within 2*tol.
+    the two agree within 2*tol.  A term or a sum beyond the float range is
+    a DomainError, as in theta_series_report.
     """
     N = truncation_index(ThetaKind.THETA1, z, tau, tol, max_index)
     total = 0.0 + 0.0j
     sign = 1.0
-    for m in range(0, N + 1):
-        h = m + 0.5
-        qpow = cmath.exp(1j * _PI * tau * (h * h))
-        total += sign * qpow * cmath.sin((2 * m + 1) * _PI * z)
-        sign = -sign
-    return 2.0 * total
+    try:  # exp or sin of an overflowing or non-finite argument
+        for m in range(0, N + 1):
+            h = m + 0.5
+            qpow = cmath.exp(1j * _PI * tau * (h * h))
+            total += sign * qpow * cmath.sin((2 * m + 1) * _PI * z)
+            sign = -sign
+    except (OverflowError, ValueError):
+        total = math.inf
+    value = 2.0 * total
+    if not cmath.isfinite(value):  # raised outside the handler: nothing chained
+        raise DomainError(
+            f"theta1 at z = {z}, tau = {tau}: a term or the sine sum is beyond the"
+            " float range"
+        )
+    return value
 
 
 def half_period_shift(

@@ -18,13 +18,16 @@ needed.
 Fast evaluation reduces tau into the fundamental domain (|Re| <= 1/2,
 |tau| >= 1, where |q| <= e^{-pi sqrt(3)/2} ~ 0.066) and divides the
 transformation factor back out in one step, with the exact integer matrix
-(as Johansson, arXiv:1806.06725, does).  The reduction loop carries the
+(as Johansson, arXiv:1806.06725, does); z is then reduced by
+quasi-periodicity into |Im z'| <= Im tau'/2, so the series sums a handful
+of terms wherever z lies.  The reduction loop carries the
 reducing matrix beside tau and, for theta2/3/4, the kind the letters lead
 to and that kind's unit phase relative to theta1's, read off the table of
 :func:`apply_letter` (theta1 always maps to itself).  The law is then
 applied once on the normalized matrix, with theta1's multiplier from the
 eta phase and the Gaussian factor folded into the exponent of the series'
-largest term, so only a value beyond the float range fails.
+largest term together with the z shift's, so only a value beyond the
+float range fails.
 :func:`apply_letter` stays off that path: it is the chained
 oracle that :func:`predict_theta1_chained` walks along a generator word.
 """
@@ -59,6 +62,8 @@ from .series import (
     truncation_index,
 )
 
+_INF = complex(math.inf, math.inf)
+
 
 def automorphy_sqrt(A: Sl2Matrix, tau: complex) -> complex:
     """Principal (-i(c tau+d))^{1/2} for c > 0; 1 for c = 0, d > 0.
@@ -80,9 +85,21 @@ def _gaussian(A: Sl2Matrix, z: complex, tau: complex) -> complex:
 
 
 def _law_factor(kind: ThetaKind, A: Sl2Matrix, z: complex, tau: complex) -> complex:
-    """law_phase * (-i(c tau+d))^{1/2} * Gaussian; root and Gaussian are 1 at c = 0."""
-    phase = law_phase(kind, A).to_complex()
-    return phase * automorphy_sqrt(A, tau) * _gaussian(A, z, tau)
+    """law_phase * (-i(c tau+d))^{1/2} * Gaussian; root and Gaussian are 1 at c = 0.
+
+    A factor beyond the float range is a DomainError, raised outside any handler.
+    """
+    require_upper_half(tau, z)  # a non-finite z is named as such, not as an overflow
+    factor = law_phase(kind, A).to_complex() * automorphy_sqrt(A, tau)
+    try:
+        factor *= _gaussian(A, z, tau)
+    except (OverflowError, ValueError):  # exp of an overflowing or non-finite exponent
+        factor = _INF
+    if not cmath.isfinite(factor):
+        raise DomainError(
+            f"law factor of {A} at z = {z}, tau = {tau} is beyond the float range"
+        )
+    return factor
 
 
 def conditioning_factor(A: Sl2Matrix, z: complex, tau: complex) -> float:
@@ -274,7 +291,6 @@ class FastEvaluation(NamedTuple):
 
 # e^{i pi k/12} for k mod 24, the unit factor of every law
 _UNIT = tuple(UnitPhase._of(k).to_complex() for k in range(24))
-_INF = complex(math.inf, math.inf)
 
 
 def eval_fast_report(
@@ -296,12 +312,24 @@ def eval_fast_report(
     multiplier inverted, times the phase of kind' relative to theta1 that
     the reduction loop carries, times -1 for theta2/3/4 when A was negated
     (theta1 is odd in z, the others even).  Re j is rounded once, from the
-    exact ratio of Re tau.  The series is summed once, at the reduced point,
-    where it converges in a handful of terms, with e^{-i pi c z^2/j} folded
-    into the exponent of its largest term: the Gaussian may overflow or
-    underflow alone while the value is a float.  A value beyond the float
-    range is a DomainError, raised outside any handler: it chains no inner
-    exception, and its traceback holds only the frames it passed through.
+    exact ratio of Re tau.  Then z_c = z/j is reduced by quasi-periodicity
+    (DLMF 20.2(ii)): with m = round(Im z_c / Im tau_c), w = z_c - m tau_c,
+
+        theta_kind'(z_c, tau_c)
+            = s^m e^{-i pi (m^2 tau_c + 2 m w)} theta_kind'(w, tau_c)
+
+    with s = -1 for theta1/4 and 1 for theta2/3.  The series is summed once,
+    at (w, tau_c), where |Im w| <= Im tau_c / 2 puts its peak at index 0 or
+    +-1/2 and it converges in a handful of terms.  e^{-i pi c z^2/j} and the
+    z shift's exponent are folded into the exponent of its largest term:
+    either may overflow or underflow alone while the value is a float.  The
+    truncation target is tol / |factor e^shift|, so the value's absolute
+    error stays within tol.  A reduced point outside the floats is a
+    DomainError naming the caller's z and tau.  A value beyond the float
+    range is a DomainError, and so is a scale e^shift at which that target
+    underflows: even the rounding of the sum is beyond the floats there.
+    It is raised outside any handler: it chains no inner exception, and its
+    traceback holds only the frames it passed through.
     """
     if not 0 < tol < math.inf:  # NaN too; names the caller's tol, not tol/|factor|
         raise DomainError(f"tol must be positive and finite, got {tol}")
@@ -310,7 +338,7 @@ def eval_fast_report(
     entries, tau_c, letters, kind_c, rel = _reduce_steps(tau, kind)
     a, b, c, d = entries
     if c == 0:  # A = T^b: theta1 and theta2 pick up e^{i pi b/4}, nothing else
-        factor, z_c, gauss, inner_tol = _UNIT[(rel - 3 * b) % 24], z, 0j, tol
+        factor, z_c, gauss, log_root = _UNIT[(rel - 3 * b) % 24], z, 0j, 0.0
     else:
         if c < 0:  # -A acts alike
             a, b, c, d = -a, -b, -c, -d
@@ -327,23 +355,30 @@ def eval_fast_report(
             )
         root = cmath.sqrt(-1j * j)
         factor = _UNIT[(rel - 3 * _eta_q(a, c, d) + 6) % 24] / root
-        log_scale = -gauss.real - math.log(abs(root))  # log |factor e^-gauss|
-        inner_tol = tol * math.exp(-log_scale) if log_scale > 0 else tol
-        if not inner_tol / 2 > 0:  # truncation_index's target; the factor is at fault
-            raise DomainError(
-                f"reduction prefactor (Gaussian exponent {gauss:.6g}) out of range of"
-                f" floats for tol {tol}"
-            )
+        log_root = math.log(abs(root))
         tau_c = a / c - 1 / (c * j)
-    N = truncation_index(kind_c, z_c, tau_c, inner_tol, max_index)
-    try:  # the largest term's exp, the only one that can overflow
-        value = factor * _partial_sum(kind_c, z_c, tau_c, N, -gauss)
-    except OverflowError:
-        value = _INF
+    # z_c = w + m tau_c with Im w in [-Im tau_c/2, Im tau_c/2]
+    ratio = z_c.imag / tau_c.imag if tau_c.imag > 0 else math.nan
+    if not (math.isfinite(ratio) and cmath.isfinite(tau_c)):
+        raise DomainError(f"reducing z = {z}, tau = {tau} leaves the float range")
+    m = round(ratio)
+    w = z_c - m * tau_c
+    shift = -gauss - 1j * math.pi * m * (z_c + w)  # -i pi (m^2 tau_c + 2 m w)
+    if m % 2 and (kind_c is _THETA1 or kind_c is _THETA4):
+        factor = -factor
+    log_scale = shift.real - log_root  # log |factor e^shift|
+    inner_tol = tol if log_scale <= 0 else tol * math.exp(-log_scale)  # NaN stays NaN
+    value = _INF
+    if inner_tol / 2 > 0 and cmath.isfinite(shift):  # else the value's scale overflows
+        N = truncation_index(kind_c, w, tau_c, inner_tol, max_index)
+        try:  # the largest term's exp, the only one that can overflow
+            value = factor * _partial_sum(kind_c, w, tau_c, N, shift)
+        except OverflowError:
+            pass
     if not cmath.isfinite(value):  # raised outside the handler: nothing chained
         raise DomainError(
-            f"reduction prefactor (Gaussian exponent {gauss:.6g}) out of range of"
-            f" floats: {kind} overflowed here"
+            f"reduction prefactor (exponent {shift:.6g}) out of range of floats:"
+            f" {kind} overflowed here"
         )
     return FastEvaluation(
         value, term_count(kind_c, N), tau_c, kind_c, tuple(letters), entries

@@ -264,6 +264,19 @@ def test_a_non_finite_sum_is_a_domain_error():
         theta_series(K3, z, tau)
 
 
+@pytest.mark.parametrize(
+    "z, tau",
+    [(50j, 0.1 + 1j), (0.1, 1e306 + 1e-4j)],  # a term's modulus / its phase overflows
+)
+def test_sine_series_beyond_the_float_range_is_a_domain_error(z, tau):
+    # once a raw OverflowError ("math range error") or ValueError ("math
+    # domain error") from a term's exp or sin
+    match = r"^theta1 at z = .*: a term or the sine sum is beyond the float range$"
+    with pytest.raises(DomainError, match=match) as exc:
+        theta1_sine_series(z, tau)
+    assert exc.value.__context__ is None  # raised outside the handler
+
+
 def test_truncation_index_rejects_max_index_below_one():
     with pytest.raises(DomainError, match="max_index must be >= 1"):
         truncation_index(K3, 0, 1j, 1e-10, max_index=0)
@@ -369,6 +382,35 @@ def test_truncation_index_steps_down_past_its_start():
     # on both sides of its peak, and the closed-form start (N = 3, past the
     # far root) lies above the first good index
     assert _check_first_good(K4, 34.5j, 10j, 1e161, 1000) == 2
+
+
+def test_a_start_that_is_the_answer_takes_two_bound_calls(monkeypatch):
+    # the start is evaluated first, so reachability costs nothing there: one
+    # call certifies the start, one shows that N - 1 is not good
+    calls = []
+    tail_bound = series._tail_bound
+
+    def counting(kind, y, beta, N):
+        calls.append(N)
+        return tail_bound(kind, y, beta, N)
+
+    monkeypatch.setattr(series, "_tail_bound", counting)
+    rng = random.Random(31)
+    at_start = 0
+    for _ in range(400):
+        kind = rng.choice(ALL_KINDS)
+        y = 10 ** rng.uniform(-3, 0.5)
+        z = complex(rng.uniform(-1, 1), rng.uniform(-3, 3) * y)
+        tol = 10 ** rng.uniform(-14, -2)
+        start = series._start_index(kind, y, abs(z.imag), tol, 400)
+        bounds = (tail_bound(kind, y, abs(z.imag), N) for N in range(1, 401))
+        first = next(N for N, b in enumerate(bounds, 1) if b < tol / 2)
+        calls.clear()
+        assert truncation_index(kind, z, complex(0.3, y), tol, 400) == first
+        if first == start > 1:
+            assert calls == [start, start - 1]
+            at_start += 1
+    assert at_start > 200
 
 
 def test_ratio_rounding_to_one_is_an_infinite_bound():

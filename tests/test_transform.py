@@ -274,6 +274,28 @@ def test_predictors_refuse_before_summing(monkeypatch):
         predict_theta_gamma2(K1, S2, 0.1, 1j)
 
 
+@pytest.mark.parametrize(
+    "predict",
+    [
+        lambda: predict_theta1(Sl2Matrix(1, 0, 1, 1), 30 - 30j, 0.1 + 1j),
+        lambda: predict_theta_gamma2(K3, S2, 30 - 30j, 0.1 + 1j),
+        lambda: predict_theta1(Sl2Matrix(1, 0, 1, 1), 1e155 + 0j, 0.1 + 1j),
+    ],
+    ids=["theta1-overflow", "theta3-overflow", "theta1-non-finite-exponent"],
+)
+def test_predictors_name_a_law_factor_beyond_the_float_range(predict):
+    # once a raw OverflowError (the Gaussian's exp) or ValueError (z^2 = inf)
+    match = r"^law factor of \[\[.*\]\] at z = .*, tau = \(0.1\+1j\) is beyond the float"
+    with pytest.raises(DomainError, match=match) as exc:
+        predict()
+    assert exc.value.__context__ is None  # raised outside the handler
+    # a non-finite z makes a non-finite Gaussian too, but is named as itself
+    with pytest.raises(DomainError, match="^tau and z must be finite"):
+        predict_theta1(S, complex(math.nan, 0.1), 1j)
+    with pytest.raises(DomainError, match="^tau and z must be finite"):
+        predict_theta_gamma2(K3, S2, complex(math.inf, 0.3), 1j)
+
+
 def test_reduce_tau_examples():
     A, t = reduce_tau(1j)
     assert A == IDENTITY and t == 1j
@@ -697,6 +719,51 @@ def test_eval_fast_fails_only_with_a_domain_error():
     assert 50 < refused < 350
     with pytest.raises(DomainError, match=r"theta3 overflowed here$"):
         eval_fast(K3, 50j, 0.1 + 1j)  # the series' largest term itself
+
+
+def test_eval_fast_reduces_a_far_z():
+    # |Im z_c| / Im tau_c up to about 20 at the reduced point, with A = T^b
+    # (tau already near F, Im z up to 10) and with c != 0 (small Im tau);
+    # the series at (w, tau_c) sums a handful of terms either way, where the
+    # unreduced z_c took up to 87.  The direct sum rounds at the scale of its
+    # largest term, e^{pi (Im z)^2 / Im tau}, so the bar is tol at that scale.
+    rng = random.Random(71)
+    tol = 1e-10
+    far = {False: 0, True: 0}  # points with |Im z_c / Im tau_c| >= 3, by c != 0
+    for i in range(400):
+        kind = (K1, K2, K3, K4)[i % 4]
+        if i % 8 < 4:
+            tau = complex(rng.uniform(-3, 3), rng.uniform(0.9, 1.5))
+            z = complex(rng.uniform(-1, 1), rng.choice((-1, 1)) * rng.uniform(2, 10))
+        else:
+            tau = complex(rng.uniform(-1, 1), 10 ** rng.uniform(-3, -1))
+            z = complex(rng.uniform(-1, 1), rng.uniform(-0.3, 0.3))
+        log_peak = math.pi * z.imag**2 / tau.imag
+        if log_peak > 300:
+            continue
+        rep = eval_fast_report(kind, z, tau, tol)
+        direct = theta_series(kind, z, tau, tol)
+        assert abs(rep.value - direct) <= tol * max(1.0, abs(direct), math.exp(log_peak))
+        assert rep.terms <= 40, (kind, z, tau)
+        a, b, c, d = rep.entries
+        z_c = z / (c * tau + d) if c else z
+        far[c != 0] += abs(z_c.imag / rep.tau_reduced.imag) >= 3
+    assert far[False] > 100 and far[True] > 50
+
+
+def test_eval_fast_names_the_callers_point_when_the_reduced_point_leaves_the_floats():
+    # tau_c = a/c - 1/(c j) loses its imaginary part here; the error named
+    # that internal point, "tau must lie in the upper half-plane, got
+    # (-12343652977788.625+0j)"
+    match = r"^reducing z = \(0.1\+0j\), tau = \(0.3\+1e-300j\) leaves the float range$"
+    with pytest.raises(DomainError, match=match):
+        eval_fast(K3, 0.1, 0.3 + 1e-300j)
+    # a z shift beyond the floats: m^2 tau_c overflows, or 2 m Re z_c does;
+    # a raw OverflowError or ValueError must not come from the shift
+    for kind in (K1, K2, K3, K4):
+        for z in (1e300j, 1.7e308 + 0.6j):
+            with pytest.raises(DomainError, match=f"{kind} overflowed here$"):
+                eval_fast(kind, z, 1j)
 
 
 def _mp_theta(mpmath, kind, z, tau, dps):
