@@ -35,8 +35,8 @@ Dedekind sums, and :func:`theta1_epsilon_induction` rebuilds epsilon1 from
 epsilon1(S) = -i with it.
 
 The level-2 laws for theta2/theta3/theta4 have the same shape, with unit
-factor alpha(kind, A) * epsilon1(A); :func:`law_phase` is the one home of the
-unit factor of all four laws, translations included.
+factor alpha(kind, A) * epsilon1(A); ``transform._law`` applies all four
+laws, translations included, with epsilon1 from :func:`_eta_q`.
 """
 
 from __future__ import annotations
@@ -139,24 +139,11 @@ def gamma2_alpha(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
     return UnitPhase._of(6 * e)
 
 
-def law_phase(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
-    """Unit factor of the law of ``kind`` against (-i(c*tau+d))^{1/2}: epsilon1(A)
-    for theta1, alpha(kind, A) * epsilon1(A) for theta2/3/4 and level-2 A.  For
-    A = T^b (root and Gaussian 1) epsilon1 is the T entry of _RIGHT_PHASE times
-    b, and alpha makes the factor 1 for theta3/theta4 (b even)."""
-    if A.c == 0 and A.d == 1:
-        eps1 = UnitPhase._of(_RIGHT_PHASE["T", False] * A.b)
-    else:
-        eps1 = theta1_epsilon(A)
-    return eps1 if kind is ThetaKind.THETA1 else gamma2_alpha(kind, A) * eps1
-
-
 def gamma2_prefactor(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
-    """law_phase * e^{-i*pi/4}, the unit factor against the plain (c*tau+d)^{1/2}
-    (for c > 0 the two principal roots differ by exactly e^{-i*pi/4}).  Exact
-    sanity anchor: gamma2_prefactor(THETA3, S2) = 1."""
-    _require_positive_c(A, "gamma2_prefactor")
-    return UnitPhase._of(law_phase(kind, A).residue - 3)
+    """alpha * epsilon1 * e^{-i*pi/4}, a level-2 law's unit factor against the
+    plain (c*tau+d)^{1/2} (for c > 0 the two principal roots differ by exactly
+    e^{-i*pi/4}).  Exact sanity anchor: gamma2_prefactor(THETA3, S2) = 1."""
+    return UnitPhase._of(gamma2_alpha(kind, A).residue + theta1_epsilon(A).residue - 3)
 
 
 def right_step(A: Sl2Matrix, letter: Letter) -> tuple[Sl2Matrix, int]:

@@ -292,13 +292,13 @@ def theta_series_report(
 ) -> SeriesEvaluation:
     """Certified evaluation, reporting the truncation index and term count.
 
-    A value beyond the float range (the largest term's exp overflows, or
+    A value beyond the float range (a term's modulus or phase overflows, or
     the sum is not finite) is a DomainError, raised outside any handler.
     """
     N = truncation_index(kind, z, tau, tol, max_index)
     try:  # the largest term's exp, the only one that can overflow
         value = _partial_sum(kind, z, tau, N)
-    except OverflowError:
+    except (OverflowError, ValueError):
         value = math.inf
     if not cmath.isfinite(value):
         raise DomainError(

@@ -6,9 +6,10 @@ The theta1 law for A = (a b; c d), c > 0, Im tau > 0:
         = epsilon1(A) (-i(c tau+d))^{1/2} e^{i pi c z^2/(c tau+d)} theta1(z, tau)
 
 and for c = 0 the translation law theta1(z, tau+m) = e^{i pi m/4} theta1(z, tau).
-The level-2 laws for theta2/3/4 have the same shape; multipliers.law_phase
-gives the unit factor of every kind, and :func:`_law_factor` assembles the
-whole factor once for both predictors.
+The level-2 laws for theta2/3/4 have the same shape, with unit factor
+gamma2_alpha(kind, A) epsilon1(A).  :func:`_law` is the one implementation
+of them all: eval_fast applies it on its reducing matrix, and the
+predictors, which the theorem suites check, on theirs.
 
 Branch safety: for c > 0 and Im tau > 0, Re(-i(c tau+d)) = c Im tau > 0, so
 -i(c tau+d) stays in the open right half-plane and the principal square root
@@ -24,11 +25,10 @@ of terms wherever z lies.  The reduction loop carries the
 reducing matrix beside tau and, for theta2/3/4, the kind the letters lead
 to and that kind's unit phase relative to theta1's, read off the table of
 :func:`apply_letter` (theta1 always maps to itself).  The law is then
-applied once on the normalized matrix, with theta1's multiplier from the
-eta phase and the Gaussian factor folded into the exponent of the series'
-largest term together with the z shift's, so only a value beyond the
-float range fails.
-:func:`apply_letter` stays off that path: it is the chained
+applied once on that matrix, with the Gaussian factor folded into the
+exponent of the series' largest term together with the z shift's, so only
+a value beyond the float range fails.
+:func:`apply_letter` stays off both paths: it is the chained
 oracle that :func:`predict_theta1_chained` walks along a generator word.
 """
 
@@ -47,7 +47,7 @@ from .modgroup import (
     decompose_gamma,
     normalize_sign,
 )
-from .multipliers import _eta_q, law_phase
+from .multipliers import _eta_q, gamma2_alpha
 from .series import (
     _THETA1,
     _THETA2,
@@ -65,54 +65,19 @@ from .series import (
 _INF = complex(math.inf, math.inf)
 
 
-def automorphy_sqrt(A: Sl2Matrix, tau: complex) -> complex:
-    """Principal (-i(c tau+d))^{1/2} for c > 0; 1 for c = 0, d > 0.
-
-    The c = 0 case is the translation T^m (d = 1 once normalized), whose law
-    carries no weight factor.  A matrix normalize_sign would negate is refused.
-    """
-    require_upper_half(tau)
-    if normalize_sign(A)[1]:
-        raise DomainError(f"automorphy_sqrt needs c > 0 or (c = 0, d > 0), not {A}")
-    if A.c == 0:
-        return 1 + 0j
-    return cmath.sqrt(-1j * (A.c * tau + A.d))
-
-
-def _gaussian(A: Sl2Matrix, z: complex, tau: complex) -> complex:
-    """e^{i pi c z^2/(c tau+d)}, the Gaussian factor of the law."""
-    return cmath.exp(1j * math.pi * A.c * z * z / (A.c * tau + A.d))
-
-
-def _law_factor(kind: ThetaKind, A: Sl2Matrix, z: complex, tau: complex) -> complex:
-    """law_phase * (-i(c tau+d))^{1/2} * Gaussian; root and Gaussian are 1 at c = 0.
-
-    A factor beyond the float range is a DomainError, raised outside any handler.
-    """
-    require_upper_half(tau, z)  # a non-finite z is named as such, not as an overflow
-    factor = law_phase(kind, A).to_complex() * automorphy_sqrt(A, tau)
-    try:
-        factor *= _gaussian(A, z, tau)
-    except (OverflowError, ValueError):  # exp of an overflowing or non-finite exponent
-        factor = _INF
-    if not cmath.isfinite(factor):
-        raise DomainError(
-            f"law factor of {A} at z = {z}, tau = {tau} is beyond the float range"
-        )
-    return factor
-
-
 def conditioning_factor(A: Sl2Matrix, z: complex, tau: complex) -> float:
     """kappa = |e^{i pi c z^2/(c tau+d)}| (1 + |c tau+d|^{1/2}).
 
     Residual tolerances scale by kappa so that honest rounding in the
     exponential prefactor is not misread as a failed identity at large |z|.
-    A kappa outside the float range is a DomainError.
+    A kappa outside the float range is a DomainError.  kappa judges the law,
+    so its Gaussian is its own, not :func:`_law`'s.
     """
     if A.c == 0:
         return 1.0
     try:
-        kappa = abs(_gaussian(A, z, tau)) * (1.0 + math.sqrt(abs(A.c * tau + A.d)))
+        j = A.c * tau + A.d
+        kappa = abs(cmath.exp(1j * math.pi * A.c * z * z / j)) * (1 + math.sqrt(abs(j)))
     except (OverflowError, ValueError):  # exp of an overflowing or non-finite exponent
         kappa = math.inf
     if kappa < math.inf:  # not NaN either
@@ -122,34 +87,46 @@ def conditioning_factor(A: Sl2Matrix, z: complex, tau: complex) -> float:
     )
 
 
+def _predict(
+    kind: ThetaKind, A: Sl2Matrix, rel: int, z: complex, tau: complex, tol: float
+) -> complex:
+    """theta_kind(z/(c tau+d), A tau) as theta_series(kind, z, tau) e^gauss / factor.
+
+    e^gauss comes first, so a refused matrix sums no series.  A c tau+d,
+    Gaussian or value beyond the float range is a DomainError, raised outside
+    any handler."""
+    require_upper_half(tau, z)  # a non-finite z is named as such, not as an overflow
+    if normalize_sign(A)[1]:
+        raise DomainError(f"the law needs c > 0 or (c = 0, d > 0), not {A}")
+    try:
+        factor, _, _, gauss, _ = _law(kind, A, rel, z, tau)
+        exp_gauss = cmath.exp(gauss)
+    except (OverflowError, DomainError):  # Re j, gauss or e^gauss beyond the floats
+        exp_gauss = _INF
+    if cmath.isfinite(exp_gauss):
+        value = theta_series(kind, z, tau, tol) * exp_gauss / factor
+        if cmath.isfinite(value):
+            return value
+    raise DomainError(
+        f"law factor of {A} at z = {z}, tau = {tau} is beyond the float range"
+    )
+
+
 def predict_theta1(
     A: Sl2Matrix, z: complex, tau: complex, tol: float = DEFAULT_TOL
 ) -> complex:
-    """Right-hand side of the theta1 law: the predicted theta1(z/(c tau+d), A tau).
-
-    For c = 0 (A = T^m) this is the translation law e^{i pi m/4} theta1(z, tau).
-    Agreement with the directly summed left-hand side within tol * kappa is
-    the tested contract.  The factor comes first, so a refused matrix sums
-    no series.
-    """
-    return _law_factor(_THETA1, A, z, tau) * theta_series(_THETA1, z, tau, tol)
+    """Right-hand side of the theta1 law: the predicted theta1(z/(c tau+d), A tau),
+    e^{i pi m/4} theta1(z, tau) for A = T^m.  Agreement with the directly
+    summed left-hand side within tol * kappa is the tested contract."""
+    return _predict(_THETA1, A, 0, z, tau, tol)
 
 
 def predict_theta_gamma2(
-    kind: ThetaKind,
-    A: Sl2Matrix,
-    z: complex,
-    tau: complex,
-    tol: float = DEFAULT_TOL,
+    kind: ThetaKind, A: Sl2Matrix, z: complex, tau: complex, tol: float = DEFAULT_TOL
 ) -> complex:
-    """Predicted theta_kind(z/(c tau+d), A tau) for a level-2 matrix.
-
-    For c = 0 (A = T^{2m}) this is the period-2 law: theta3/theta4 are
-    invariant, theta2 picks up e^{i pi m/2}.
-    """
-    if kind is ThetaKind.THETA1:
-        raise DomainError("predict_theta_gamma2 applies to theta2/3/4")
-    return _law_factor(kind, A, z, tau) * theta_series(kind, z, tau, tol)
+    """Predicted theta_kind(z/(c tau+d), A tau) for a level-2 matrix; for
+    A = T^{2m} theta3/theta4 are invariant and theta2 picks up e^{i pi m/2}."""
+    return _predict(kind, A, -gamma2_alpha(kind, A).residue, z, tau, tol)
 
 
 def apply_letter(
@@ -293,6 +270,39 @@ class FastEvaluation(NamedTuple):
 _UNIT = tuple(UnitPhase._of(k).to_complex() for k in range(24))
 
 
+def _law(
+    kind: ThetaKind, entries: tuple[int, ...], rel: int, z: complex, tau: complex
+) -> tuple[complex, complex, complex, complex, float]:
+    """The law of A = (a b; c d), theta_kind(z, tau) = factor e^{-gauss}
+    theta_kind'(z_c, tau_c), as (factor, z_c, tau_c, gauss, log |root|).
+
+    With j = c tau + d: z_c = z/j, tau_c = A tau, gauss = i pi c z^2/j and
+    factor = unit / root, root = (-i j)^{1/2}; for A = T^b the unit alone,
+    at (z, tau + b).  The unit is e^{i pi rel/12} (kind' against theta1) over
+    theta1's multiplier; -A acts as A, times -1 for theta2/3/4.  Re j is
+    rounded once, from the exact ratio of Re tau; one beyond the floats
+    raises OverflowError, a Gaussian exponent beyond them a DomainError."""
+    a, b, c, d = entries
+    if c == 0:  # A = T^b: theta1 and theta2 pick up e^{i pi b/4}, nothing else
+        return _UNIT[(rel - 3 * b) % 24], z, tau + b, 0j, 0.0
+    if c < 0:  # -A acts alike
+        a, b, c, d = -a, -b, -c, -d
+        if kind is not _THETA1:
+            rel += 12
+    p, q = tau.real.as_integer_ratio()
+    j = (c * p + d * q) / q + 1j * (c * tau.imag)  # Re j rounded once
+    z_c = z / j
+    gauss = 1j * math.pi * c * z * z_c  # i pi c z^2/j
+    if not cmath.isfinite(gauss):
+        raise DomainError(
+            f"reduction prefactor (Gaussian exponent {gauss:.6g}) out of range"
+            f" of floats"
+        )
+    root = cmath.sqrt(-1j * j)
+    factor = _UNIT[(rel - 3 * _eta_q(a, c, d) + 6) % 24] / root
+    return factor, z_c, a / c - 1 / (c * j), gauss, math.log(abs(root))
+
+
 def eval_fast_report(
     kind: ThetaKind,
     z: complex,
@@ -302,25 +312,18 @@ def eval_fast_report(
 ) -> FastEvaluation:
     """Argument-reduced evaluation with term-count telemetry.
 
-    Reduces tau with the integer matrix A, normalized to c > 0, then applies
-    the law of A once, with j = c tau + d:
-
-        theta_kind(z, tau) = unit / ((-i j)^{1/2} e^{i pi c z^2/j})
-                             * theta_kind'(z/j, A tau)
-
-    (for A = T^b: the unit alone, at (z, tau + b)).  The unit is theta1's
-    multiplier inverted, times the phase of kind' relative to theta1 that
-    the reduction loop carries, times -1 for theta2/3/4 when A was negated
-    (theta1 is odd in z, the others even).  Re j is rounded once, from the
-    exact ratio of Re tau.  Then z_c = z/j is reduced by quasi-periodicity
-    (DLMF 20.2(ii)): with m = round(Im z_c / Im tau_c), w = z_c - m tau_c,
+    Reduces tau with the integer matrix A and applies the law of A once,
+    :func:`_law`, with the phase of kind' relative to theta1's that the
+    reduction loop carries.  Then z_c = z/(c tau+d) is reduced by
+    quasi-periodicity (DLMF 20.2(ii)): with m = round(Im z_c / Im tau_c),
+    w = z_c - m tau_c,
 
         theta_kind'(z_c, tau_c)
             = s^m e^{-i pi (m^2 tau_c + 2 m w)} theta_kind'(w, tau_c)
 
     with s = -1 for theta1/4 and 1 for theta2/3.  The series is summed once,
     at (w, tau_c), where |Im w| <= Im tau_c / 2 puts its peak at index 0 or
-    +-1/2 and it converges in a handful of terms.  e^{-i pi c z^2/j} and the
+    +-1/2 and it converges in a handful of terms.  The law's e^{-gauss} and the
     z shift's exponent are folded into the exponent of its largest term:
     either may overflow or underflow alone while the value is a float.  The
     truncation target is tol / |factor e^shift|, so the value's absolute
@@ -335,28 +338,8 @@ def eval_fast_report(
         raise DomainError(f"tol must be positive and finite, got {tol}")
     require_upper_half(tau, z)
     z = complex(z)
-    entries, tau_c, letters, kind_c, rel = _reduce_steps(tau, kind)
-    a, b, c, d = entries
-    if c == 0:  # A = T^b: theta1 and theta2 pick up e^{i pi b/4}, nothing else
-        factor, z_c, gauss, log_root = _UNIT[(rel - 3 * b) % 24], z, 0j, 0.0
-    else:
-        if c < 0:  # -A acts alike
-            a, b, c, d = -a, -b, -c, -d
-            if kind is not _THETA1:
-                rel += 12
-        p, q = tau.real.as_integer_ratio()
-        j = (c * p + d * q) / q + 1j * (c * tau.imag)  # Re j rounded once
-        z_c = z / j
-        gauss = 1j * math.pi * c * z * z_c  # i pi c z^2/j
-        if not cmath.isfinite(gauss):
-            raise DomainError(
-                f"reduction prefactor (Gaussian exponent {gauss:.6g}) out of range"
-                f" of floats"
-            )
-        root = cmath.sqrt(-1j * j)
-        factor = _UNIT[(rel - 3 * _eta_q(a, c, d) + 6) % 24] / root
-        log_root = math.log(abs(root))
-        tau_c = a / c - 1 / (c * j)
+    entries, _, letters, kind_c, rel = _reduce_steps(tau, kind)
+    factor, z_c, tau_c, gauss, log_root = _law(kind, entries, rel, z, tau)
     # z_c = w + m tau_c with Im w in [-Im tau_c/2, Im tau_c/2]
     ratio = z_c.imag / tau_c.imag if tau_c.imag > 0 else math.nan
     if not (math.isfinite(ratio) and cmath.isfinite(tau_c)):

@@ -22,7 +22,7 @@ side's), against ``predictor(A, z, tau, tol)``, with kappa from
 (A = S) are one trial, :func:`_eq`, through ``predict_theta1_chained``,
 which walks ``apply_letter``, the chained oracle of the one-generator laws;
 lemma5 (theta3, A = S2) and the theorems through ``predict_theta1`` and
-``predict_theta_gamma2``.
+``predict_theta_gamma2``, which apply ``transform._law`` as ``eval_fast`` does.
 
 One record builder decides every verdict.  When ``expected`` is not complex
 (a unit phase, a rational, an integer list) the identity is exact: the

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from thetamod import multipliers
+from thetamod import multipliers, transform
 from thetamod.dedekind import dedekind_sum
 from thetamod.errors import DomainError
 from thetamod.exact import UnitPhase
@@ -26,7 +26,6 @@ from thetamod.multipliers import (
     eta_epsilon,
     gamma2_alpha,
     gamma2_prefactor,
-    law_phase,
     lemma_sides,
     right_step,
     theta1_epsilon,
@@ -288,24 +287,37 @@ def test_gamma2_prefactor_matches_eta_cube_convention():
             assert gamma2_prefactor(kind, A) == expected
 
 
+def _law_unit(kind, A, rel, tau=0.3 + 1.1j):
+    """The unit factor of transform._law's law of A, as the predictors apply
+    it: 1 / (factor * (-i(c tau+d))^{1/2}), the root 1 at c = 0."""
+    factor = transform._law(kind, A, rel, 0.1 + 0.2j, tau)[0]
+    root = cmath.sqrt(-1j * (A.c * tau + A.d)) if A.c else 1
+    return 1 / (factor * root)
+
+
+def _is_phase(value, phase):
+    return abs(value - phase.to_complex()) < 1e-15
+
+
 def test_law_phase_table():
-    # theta1: epsilon1 on the whole group
+    # theta1 (residue 0): epsilon1 on the whole group
     for A, _ in _draws(61, 100):
-        assert law_phase(K1, A) == theta1_epsilon(A)
-    # theta2/3/4: the plain-root prefactor turned back by e^{i pi/4}
-    eighth = UnitPhase(Fraction(1, 4))
+        assert _is_phase(_law_unit(K1, A, 0), theta1_epsilon(A)), A
+    # theta2/3/4 (residue -alpha, as predict_theta_gamma2 passes): alpha * epsilon1
     for A, _ in _draws(62, 200, gamma2=True):
         for kind in (K2, K3, K4):
-            assert law_phase(kind, A) == gamma2_prefactor(kind, A) * eighth
+            alpha = gamma2_alpha(kind, A)
+            unit = _law_unit(kind, A, -alpha.residue)
+            assert _is_phase(unit, alpha * theta1_epsilon(A)), (kind, A)
     # c = 0: the translation laws
     for b in range(-9, 10):
-        assert law_phase(K1, translation(b)) == UnitPhase(Fraction(b, 4))
+        assert _is_phase(_law_unit(K1, translation(b), 0), UnitPhase(Fraction(b, 4)))
     for m in range(-5, 6):
         T2m = translation(2 * m)
-        assert law_phase(K1, T2m) == UnitPhase(Fraction(m, 2))
-        assert law_phase(K2, T2m) == UnitPhase(Fraction(m, 2))
-        assert law_phase(K3, T2m) == UnitPhase(0)
-        assert law_phase(K4, T2m) == UnitPhase(0)
+        assert _is_phase(_law_unit(K1, T2m, 0), UnitPhase(Fraction(m, 2)))
+        for kind, phase in ((K2, Fraction(m, 2)), (K3, 0), (K4, 0)):
+            unit = _law_unit(kind, T2m, -gamma2_alpha(kind, T2m).residue)
+            assert _is_phase(unit, UnitPhase(phase)), (kind, m)
 
 
 @pytest.mark.parametrize(
@@ -314,8 +326,11 @@ def test_law_phase_table():
     ids=str,
 )
 def test_law_phase_rejects_non_level2(kind, A):
-    with pytest.raises(DomainError):
-        law_phase(kind, A)
+    # the level-2 law's residue is refused, and so is the prediction
+    with pytest.raises(DomainError, match="not congruent to the identity mod 2"):
+        gamma2_alpha(kind, A)
+    with pytest.raises(DomainError, match="not congruent to the identity mod 2"):
+        transform.predict_theta_gamma2(kind, A, 0.1, 1j)
 
 
 def test_gamma2_prefactor_still_requires_positive_c():

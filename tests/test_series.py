@@ -242,10 +242,15 @@ def test_non_finite_tolerance_is_refused(tol):
 
 @pytest.mark.parametrize(
     "kind, z, tau",
-    [(K3, 400j, 1j), (K1, 50j, 0.1 + 1j)],  # largest terms about e^{502,655}, e^{7,854}
+    [
+        (K3, 400j, 1j),  # largest term about e^{502,655}
+        (K1, 50j, 0.1 + 1j),  # about e^{7,854}
+        (K4, -2e-7j, 1e300 + 1.6e-11j),  # its phase pi Re tau m^2, m ~ 12,500
+    ],
 )
 def test_a_value_beyond_the_float_range_is_a_domain_error(kind, z, tau):
-    # once a raw OverflowError from the largest term's exp
+    # once a raw OverflowError from the largest term's exp, or a raw
+    # ValueError ("math domain error") from an exp of infinite phase
     match = f"^{kind} at z = .*: its largest term or its sum is beyond the float range$"
     with pytest.raises(DomainError, match=match):
         theta_series(kind, z, tau)

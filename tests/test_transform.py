@@ -4,12 +4,11 @@ import cmath
 import math
 import random
 import sys
-from fractions import Fraction
 
 import pytest
 
 from thetamod import series, transform
-from thetamod.errors import DomainError
+from thetamod.errors import DomainError, PrecisionUnreachableError
 from thetamod.modgroup import (
     IDENTITY,
     S,
@@ -22,8 +21,6 @@ from thetamod.modgroup import (
     shear,
     translation,
 )
-from thetamod import multipliers
-from thetamod.exact import UnitPhase
 from thetamod.multipliers import theta1_epsilon
 from thetamod.series import (
     ThetaKind,
@@ -35,7 +32,6 @@ from thetamod.series import (
 )
 from thetamod.transform import (
     apply_letter,
-    automorphy_sqrt,
     conditioning_factor,
     eval_fast,
     eval_fast_report,
@@ -72,33 +68,46 @@ def _point(rng):
     )
 
 
-def test_automorphy_sqrt_examples():
-    assert automorphy_sqrt(S, 1j) == pytest.approx(1.0)
-    assert automorphy_sqrt(S, 2j) == pytest.approx(math.sqrt(2))
-    assert automorphy_sqrt(IDENTITY, 0.3 + 0.7j) == pytest.approx(1.0)
-    assert automorphy_sqrt(translation(5), 1j) == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        automorphy_sqrt(Sl2Matrix(0, 1, -1, 0), 1j)
+def _law_root(A, tau):
+    """(root, log_root) of transform._law's theta1 law of A at tau; the root
+    is read back from the factor, unit / root, with the unit from epsilon1."""
+    factor, *_, log_root = transform._law(K1, A, 0, 0.1 + 0.2j, tau)
+    eps1 = theta1_epsilon(A).to_complex() if A.c else cmath.exp(1j * math.pi * A.b / 4)
+    return 1 / (factor * eps1), log_root
 
 
-def test_automorphy_sqrt_branch():
+def test_law_root_examples():
+    assert _law_root(S, 1j) == (pytest.approx(1.0), pytest.approx(0.0))
+    assert _law_root(S, 2j) == (pytest.approx(math.sqrt(2)), pytest.approx(math.log(2) / 2))
+    assert _law_root(IDENTITY, 0.3 + 0.7j) == (1.0, 0.0)
+    assert _law_root(translation(5), 1j) == (pytest.approx(1.0), 0.0)
+    # -A acts as A: the same law for theta1 (odd in z), its negative for
+    # theta2/3/4 (even)
+    z, tau = 0.1 + 0.2j, 0.3 + 0.7j
+    assert transform._law(K1, -S, 0, z, tau) == transform._law(K1, S, 0, z, tau)
+    negated, law = transform._law(K3, -S2, 0, z, tau), transform._law(K3, S2, 0, z, tau)
+    assert (-negated[0], *negated[1:]) == pytest.approx(law)
+
+
+def test_law_root_branch():
     rng = random.Random(51)
     for _ in range(100):
         A = _random_matrix(rng)
         if A.c == 0:
             continue
         _, tau = _point(rng)
-        s = automorphy_sqrt(A, tau)
+        s, log_root = _law_root(A, tau)
         assert abs(s * s - (-1j * (A.c * tau + A.d))) < 1e-12
         assert s.real > 0
+        assert log_root == pytest.approx(math.log(abs(s)), abs=1e-14)
 
 
 def test_cocycle_sign_consistent_along_word():
     # For the plain weight-1/2 factor j(M, tau) = (c tau + d)^{1/2}:
     # j(AB, tau) = sigma * j(A, B tau) * j(B, tau) with sigma in {+-1},
     # the same sigma for every tau once (A, B) is fixed.  (The -i-twisted
-    # automorphy_sqrt satisfies the same relation with an extra fixed
-    # e^{+-i pi/4}; the sign content is identical.)
+    # root (-i(c tau+d))^{1/2} of transform._law satisfies the same relation
+    # with an extra fixed e^{+-i pi/4}; the sign content is identical.)
     def j(M, tau):
         return cmath.sqrt(M.c * tau + M.d)
 
@@ -280,12 +289,22 @@ def test_predictors_refuse_before_summing(monkeypatch):
         lambda: predict_theta1(Sl2Matrix(1, 0, 1, 1), 30 - 30j, 0.1 + 1j),
         lambda: predict_theta_gamma2(K3, S2, 30 - 30j, 0.1 + 1j),
         lambda: predict_theta1(Sl2Matrix(1, 0, 1, 1), 1e155 + 0j, 0.1 + 1j),
+        lambda: predict_theta1(Sl2Matrix(5, 14, 21, 59), 21.6 - 11.06j, 0.1 + 1j),
+        lambda: predict_theta1(Sl2Matrix(1, 0, 10**10, 1), 0.1, 1e300 + 1j),
     ],
-    ids=["theta1-overflow", "theta3-overflow", "theta1-non-finite-exponent"],
+    ids=[
+        "theta1-overflow",
+        "theta3-overflow",
+        "theta1-non-finite-exponent",
+        "theta1-product",
+        "theta1-re-j",
+    ],
 )
 def test_predictors_name_a_law_factor_beyond_the_float_range(predict):
-    # once a raw OverflowError (the Gaussian's exp) or ValueError (z^2 = inf)
-    match = r"^law factor of \[\[.*\]\] at z = .*, tau = \(0.1\+1j\) is beyond the float"
+    # once a raw OverflowError (the Gaussian's exp) or ValueError (z^2 = inf);
+    # then an (-inf+nanj) return where e^gauss and the series were finite but
+    # not their product, and an OverflowError from Re(c tau+d)
+    match = r"^law factor of \[\[.*\]\] at z = .*, tau = \((0.1|1e\+300)\+1j\) is beyond the float"
     with pytest.raises(DomainError, match=match) as exc:
         predict()
     assert exc.value.__context__ is None  # raised outside the handler
@@ -294,6 +313,55 @@ def test_predictors_name_a_law_factor_beyond_the_float_range(predict):
         predict_theta1(S, complex(math.nan, 0.1), 1j)
     with pytest.raises(DomainError, match="^tau and z must be finite"):
         predict_theta_gamma2(K3, S2, complex(math.inf, 0.3), 1j)
+
+
+def _sweep_part(rng):
+    """A float log-uniform in +-[1e-12, 1e12], or with probability 0.15 one of
+    0, +-1e300, 5e-324, +-1e16."""
+    if rng.random() < 0.15:
+        return rng.choice((0.0, 1e300, -1e300, 5e-324, 1e16, -1e16))
+    return rng.choice((-1, 1)) * 10 ** rng.uniform(-12, 12)
+
+
+def _sweep_matrix(rng, gamma2):
+    """A normalized matrix, c log-uniform up to 1e30 (or 0), level 2 if asked."""
+    step = 2 if gamma2 else 1
+    c = step * int(10 ** rng.uniform(0, 30) / step)
+    if c == 0:
+        return translation(step * rng.randint(-10**6, 10**6))
+    while True:
+        d = rng.randrange(-c, c + 1) | (1 if gamma2 else 0)
+        if d and math.gcd(c, d) == 1:
+            break
+    modulus = 2 * c if gamma2 else c  # a d = 1 mod 2c makes b even
+    a = pow(d, -1, modulus) + modulus * rng.randint(-3, 3)
+    return Sl2Matrix(a, (a * d - 1) // c, c, d)
+
+
+def test_predictors_return_a_float_or_a_named_error():
+    # the domain sweep: a finite value, a DomainError or a
+    # PrecisionUnreachableError, never a raw error or a non-finite return.
+    # Seed 11 draws a point where the predicted value was once -inf+nanj,
+    # and one where the series raised a raw ValueError (an exp of infinite
+    # phase at Re tau = 1e300).
+    rng = random.Random(11)
+    outcomes = {"value": 0, "refused": 0}
+    for i in range(600):
+        kind = (K1, K2, K3, K4)[i % 4]
+        A = _sweep_matrix(rng, gamma2=kind is not K1)
+        z = complex(_sweep_part(rng), _sweep_part(rng))
+        tau = complex(_sweep_part(rng), abs(_sweep_part(rng)))
+        try:
+            if kind is K1:
+                value = predict_theta1(A, z, tau, 1e-10)
+            else:
+                value = predict_theta_gamma2(kind, A, z, tau, 1e-10)
+        except (DomainError, PrecisionUnreachableError):
+            outcomes["refused"] += 1
+            continue
+        assert cmath.isfinite(value), (kind, A, z, tau)
+        outcomes["value"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_reduce_tau_examples():
@@ -530,20 +598,31 @@ THEOREM_SUITES = {
 
 @pytest.mark.parametrize("shifted", [K1, K2, K3, K4], ids=str)
 def test_law_phase_shift_fails_its_theorem_suite(monkeypatch, shifted):
-    # both predictors take their unit factor from law_phase: an e^{i pi/4}
-    # shift for one kind must fail every trial of that kind, and only there
-    true_phase = transform.law_phase
-    eighth = UnitPhase(Fraction(1, 4))
+    # eval_fast and both predictors apply transform._law: an e^{i pi/4} factor
+    # there for one kind must fail every trial of that kind's theorem suite,
+    # and eval_fast for that kind, and nothing else
+    true_law = transform._law
+    eighth = cmath.exp(1j * math.pi / 4)
 
-    def shifted_phase(kind, A):
-        phase = true_phase(kind, A)
-        return phase * eighth if kind is shifted else phase
+    def shifted_law(kind, entries, rel, z, tau):
+        factor, *rest = true_law(kind, entries, rel, z, tau)
+        return (factor * eighth if kind is shifted else factor, *rest)
 
-    monkeypatch.setattr(transform, "law_phase", shifted_phase)
+    monkeypatch.setattr(transform, "_law", shifted_law)
     config = TrialConfig(seed=11, trials=25)
     for kind, suite in THEOREM_SUITES.items():
         verdicts = {r.passed for r in run_suite(suite, config)}
         assert verdicts == ({False} if kind is shifted else {True}), suite
+    rng = random.Random(58)  # the points of test_eval_fast_all_kinds_random
+    failed = set()
+    for _ in range(20):
+        z = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        tau = complex(rng.uniform(-2, 2), math.exp(rng.uniform(-5, 0.5)))
+        for kind in (K1, K2, K3, K4):
+            direct = theta_series(kind, z, tau, 1e-10)
+            if abs(eval_fast(kind, z, tau, 1e-10) - direct) >= 1e-8 * max(1, abs(direct)):
+                failed.add(kind)
+    assert failed == {shifted}
 
 
 @pytest.mark.parametrize("gen", ["T", "S"])
@@ -565,28 +644,28 @@ def test_generator_suites_check_apply_letter(monkeypatch, gen):
         assert verdicts == ({False} if suite in failing else {True}), suite
 
 
-def test_chained_and_fast_paths_do_not_use_law_phase(monkeypatch):
-    # apply_letter is the chained oracle, and eval_fast applies its one law
-    # from the eta phase: sharing law_phase with the single-shot predictors
-    # would make chain-vs-direct tautological
+def test_chained_oracle_does_not_use_the_law(monkeypatch):
+    # apply_letter is the chained oracle of eq1, eq2 and chain-vs-direct:
+    # sharing transform._law with it would check the law against itself
     A = Sl2Matrix(2, 1, 3, 2)
     z, tau = 0.1 + 0.05j, 0.3 + 0.05j  # reduced by a word with S letters
-
-    def paths():
-        return (
-            predict_theta1_chained(A, z, tau, 1e-12),
-            [eval_fast(kind, z, tau) for kind in (K1, K2, K3, K4)],
-        )
 
     def refuse(*args, **kwargs):
         raise _EngineCalled
 
-    before = paths()
-    monkeypatch.setattr(transform, "law_phase", refuse)
-    monkeypatch.setattr(multipliers, "law_phase", refuse)
-    assert paths() == before
-    with pytest.raises(_EngineCalled):
-        predict_theta1(A, z, tau, 1e-12)
+    before = predict_theta1_chained(A, z, tau, 1e-12)
+    monkeypatch.setattr(transform, "_law", refuse)
+    assert predict_theta1_chained(A, z, tau, 1e-12) == before
+    config = TrialConfig(seed=11, trials=25)
+    for suite in ("eq1", "eq2"):
+        assert all(r.passed for r in run_suite(suite, config)), suite
+    for call in (
+        lambda: predict_theta1(A, z, tau, 1e-12),
+        lambda: predict_theta_gamma2(K3, S2, z, tau, 1e-12),
+        lambda: eval_fast(K1, z, tau),
+    ):
+        with pytest.raises(_EngineCalled):
+            call()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -605,12 +684,13 @@ def test_nonfinite_points_are_domain_errors(part, bad):
         lambda: truncation_bound(K3, z, tau, 5),
         lambda: eval_fast(K1, z, tau),
         lambda: eval_fast_report(K3, z, tau),
+        lambda: predict_theta1(S, z, tau),
+        lambda: predict_theta_gamma2(K3, S2, z, tau),
     ]
     if part.startswith("tau"):
         calls += [
             lambda: mobius(S, tau),
             lambda: reduce_tau(tau),
-            lambda: automorphy_sqrt(S, tau),
         ]
     for call in calls:
         with pytest.raises(DomainError):
