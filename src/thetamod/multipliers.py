@@ -36,7 +36,7 @@ epsilon1(S) = -i with it.
 
 The level-2 laws for theta2/theta3/theta4 have the same shape, with unit
 factor alpha(kind, A) * epsilon1(A); ``transform._law`` applies all four
-laws, translations included, with epsilon1 from :func:`_eta_q`.
+laws, translations included, with epsilon1 from :func:`_theta1_q`.
 """
 
 from __future__ import annotations
@@ -80,6 +80,11 @@ def _eta_q(a: int, c: int, d: int) -> int:
     return q
 
 
+def _theta1_q(a: int, c: int, d: int) -> int:
+    """3q - 6, the theta1 phase in units of pi/12, for c > 0."""
+    return 3 * _eta_q(a, c, d) - 6
+
+
 def eta_epsilon(A: Sl2Matrix) -> UnitPhase:
     """Eta multiplier phase (a+d)/(12c) - s(d, c) = q/12, for c > 0."""
     _require_positive_c(A, "eta_epsilon")
@@ -89,7 +94,7 @@ def eta_epsilon(A: Sl2Matrix) -> UnitPhase:
 def theta1_epsilon(A: Sl2Matrix) -> UnitPhase:
     """theta1 multiplier -i*epsilon^3, for c > 0."""
     _require_positive_c(A, "theta1_epsilon")
-    return UnitPhase._of(3 * eta_epsilon(A).residue - 6)
+    return UnitPhase._of(_theta1_q(A.a, A.c, A.d))
 
 
 def theta1_epsilon_closed(A: Sl2Matrix) -> UnitPhase:

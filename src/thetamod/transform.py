@@ -8,13 +8,13 @@ The theta1 law for A = (a b; c d), c > 0, Im tau > 0:
 and for c = 0 the translation law theta1(z, tau+m) = e^{i pi m/4} theta1(z, tau).
 The level-2 laws for theta2/3/4 have the same shape, with unit factor
 gamma2_alpha(kind, A) epsilon1(A).  :func:`_law` is the one implementation
-of them all: eval_fast applies it on its reducing matrix, and the
-predictors, which the theorem suites check, on theirs.
+of them all, as one exponent and an image point; eval_fast and
+:func:`reduce_tau` apply it on the reducing matrix, and the predictors,
+which the theorem suites check, on theirs.
 
 Branch safety: for c > 0 and Im tau > 0, Re(-i(c tau+d)) = c Im tau > 0, so
--i(c tau+d) stays in the open right half-plane and the principal square root
-is continuous and nonvanishing on all admissible inputs; no case analysis is
-needed.
+-i(c tau+d) stays in the open right half-plane, where the principal Log, and
+the root e^{Log/2}, are continuous; no case analysis is needed.
 
 Fast evaluation reduces tau into the fundamental domain (|Re| <= 1/2,
 |tau| >= 1, where |q| <= e^{-pi sqrt(3)/2} ~ 0.066) and divides the
@@ -25,9 +25,9 @@ of terms wherever z lies.  The reduction loop carries the
 reducing matrix beside tau and, for theta2/3/4, the kind the letters lead
 to and that kind's unit phase relative to theta1's, read off the table of
 :func:`apply_letter` (theta1 always maps to itself).  The law is then
-applied once on that matrix, with the Gaussian factor folded into the
-exponent of the series' largest term together with the z shift's, so only
-a value beyond the float range fails.
+applied once on that matrix, its exponent folded into the exponent of the
+series' largest term together with the z shift's, so only a value beyond
+the float range fails.
 :func:`apply_letter` stays off both paths: it is the chained
 oracle that :func:`predict_theta1_chained` walks along a generator word.
 """
@@ -39,7 +39,6 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError, require_upper_half
-from .exact import UnitPhase
 from .modgroup import (
     GeneratorWord,
     Letter,
@@ -47,7 +46,7 @@ from .modgroup import (
     decompose_gamma,
     normalize_sign,
 )
-from .multipliers import _eta_q, gamma2_alpha
+from .multipliers import _theta1_q, gamma2_alpha
 from .series import (
     _THETA1,
     _THETA2,
@@ -90,21 +89,21 @@ def conditioning_factor(A: Sl2Matrix, z: complex, tau: complex) -> float:
 def _predict(
     kind: ThetaKind, A: Sl2Matrix, rel: int, z: complex, tau: complex, tol: float
 ) -> complex:
-    """theta_kind(z/(c tau+d), A tau) as theta_series(kind, z, tau) e^gauss / factor.
+    """theta_kind(z/(c tau+d), A tau) as theta_series(kind, z, tau) e^{-exponent}.
 
-    e^gauss comes first, so a refused matrix sums no series.  A c tau+d,
-    Gaussian or value beyond the float range is a DomainError, raised outside
-    any handler."""
+    e^{-exponent} comes first, so a refused matrix sums no series.  A
+    c tau+d, law factor or value beyond the float range is a DomainError,
+    raised outside any handler."""
     require_upper_half(tau, z)  # a non-finite z is named as such, not as an overflow
     if normalize_sign(A)[1]:
         raise DomainError(f"the law needs c > 0 or (c = 0, d > 0), not {A}")
     try:
-        factor, _, _, gauss, _ = _law(kind, A, rel, z, tau)
-        exp_gauss = cmath.exp(gauss)
-    except (OverflowError, DomainError):  # Re j, gauss or e^gauss beyond the floats
-        exp_gauss = _INF
-    if cmath.isfinite(exp_gauss):
-        value = theta_series(kind, z, tau, tol) * exp_gauss / factor
+        exponent = _law(kind, A, rel, z, tau)[0]
+        scale = cmath.exp(-exponent) if cmath.isfinite(exponent) else _INF
+    except OverflowError:  # Re j or e^{-exponent} beyond the floats
+        scale = _INF
+    if cmath.isfinite(scale):
+        value = theta_series(kind, z, tau, tol) * scale
         if cmath.isfinite(value):
             return value
     raise DomainError(
@@ -195,12 +194,16 @@ def predict_theta1_chained(
 def reduce_tau(tau: complex) -> tuple[Sl2Matrix, complex]:
     """Reduce tau into |Re| <= 1/2, |tau'| >= 1 - 1e-12; returns (A, A tau).
 
-    Alternates integer shifts with inversions; the imaginary part strictly
-    increases at every inversion inside the strip, so the loop terminates.
+    A is the matrix of :func:`_reduce_steps` and A tau its law's image, the
+    tau' eval_fast sums at.  Where A tau misses that domain (the float loop
+    has lost tau, below Im tau ~ 1e-14) it is a DomainError naming tau.
     """
     require_upper_half(tau)
-    entries, tau_red = _reduce_steps(tau)[:2]
-    return Sl2Matrix(*entries), tau_red
+    entries = _reduce_steps(tau)[0]
+    tau_c = _law(_THETA1, entries, 0, 0j, tau)[2]
+    if abs(tau_c.real) <= 0.5 + 1e-12 and abs(tau_c) >= 1 - 1e-12:
+        return Sl2Matrix(*entries), tau_c
+    raise DomainError(f"reducing tau = {tau} misses the fundamental domain in floats")
 
 
 def _reduce_steps(
@@ -266,25 +269,21 @@ class FastEvaluation(NamedTuple):
         return Sl2Matrix(*self.entries)
 
 
-# e^{i pi k/12} for k mod 24, the unit factor of every law
-_UNIT = tuple(UnitPhase._of(k).to_complex() for k in range(24))
-
-
 def _law(
     kind: ThetaKind, entries: tuple[int, ...], rel: int, z: complex, tau: complex
-) -> tuple[complex, complex, complex, complex, float]:
-    """The law of A = (a b; c d), theta_kind(z, tau) = factor e^{-gauss}
-    theta_kind'(z_c, tau_c), as (factor, z_c, tau_c, gauss, log |root|).
+) -> tuple[complex, complex, complex]:
+    """The law of A = (a b; c d) as (exponent, z_c, tau_c), with
+    theta_kind(z, tau) = e^exponent theta_kind'(z_c, tau_c).
 
-    With j = c tau + d: z_c = z/j, tau_c = A tau, gauss = i pi c z^2/j and
-    factor = unit / root, root = (-i j)^{1/2}; for A = T^b the unit alone,
-    at (z, tau + b).  The unit is e^{i pi rel/12} (kind' against theta1) over
-    theta1's multiplier; -A acts as A, times -1 for theta2/3/4.  Re j is
-    rounded once, from the exact ratio of Re tau; one beyond the floats
-    raises OverflowError, a Gaussian exponent beyond them a DomainError."""
+    With j = c tau + d: z_c = z/j, tau_c = A tau and exponent =
+    i pi k/12 - Log(-i j)/2 - i pi c z z_c, where e^{i pi k/12} is
+    e^{i pi rel/12} (kind' against theta1) over theta1's multiplier, k in
+    [-12, 12) to round least; for A = T^b, i pi k/12 at (z, tau + b).  -A
+    acts as A, times -1 for theta2/3/4.  Re j is rounded once, from the
+    exact ratio of Re tau; one beyond the floats raises OverflowError."""
     a, b, c, d = entries
     if c == 0:  # A = T^b: theta1 and theta2 pick up e^{i pi b/4}, nothing else
-        return _UNIT[(rel - 3 * b) % 24], z, tau + b, 0j, 0.0
+        return 1j * math.pi * ((rel - 3 * b + 12) % 24 - 12) / 12, z, tau + b
     if c < 0:  # -A acts alike
         a, b, c, d = -a, -b, -c, -d
         if kind is not _THETA1:
@@ -292,15 +291,10 @@ def _law(
     p, q = tau.real.as_integer_ratio()
     j = (c * p + d * q) / q + 1j * (c * tau.imag)  # Re j rounded once
     z_c = z / j
+    k = (rel - _theta1_q(a, c, d) + 12) % 24 - 12
     gauss = 1j * math.pi * c * z * z_c  # i pi c z^2/j
-    if not cmath.isfinite(gauss):
-        raise DomainError(
-            f"reduction prefactor (Gaussian exponent {gauss:.6g}) out of range"
-            f" of floats"
-        )
-    root = cmath.sqrt(-1j * j)
-    factor = _UNIT[(rel - 3 * _eta_q(a, c, d) + 6) % 24] / root
-    return factor, z_c, a / c - 1 / (c * j), gauss, math.log(abs(root))
+    exponent = 1j * math.pi * k / 12 - 0.5 * cmath.log(-1j * j) - gauss
+    return exponent, z_c, a / c - 1 / (c * j)
 
 
 def eval_fast_report(
@@ -323,45 +317,44 @@ def eval_fast_report(
 
     with s = -1 for theta1/4 and 1 for theta2/3.  The series is summed once,
     at (w, tau_c), where |Im w| <= Im tau_c / 2 puts its peak at index 0 or
-    +-1/2 and it converges in a handful of terms.  The law's e^{-gauss} and the
-    z shift's exponent are folded into the exponent of its largest term:
-    either may overflow or underflow alone while the value is a float.  The
-    truncation target is tol / |factor e^shift|, so the value's absolute
-    error stays within tol.  A reduced point outside the floats is a
-    DomainError naming the caller's z and tau.  A value beyond the float
-    range is a DomainError, and so is a scale e^shift at which that target
-    underflows: even the rounding of the sum is beyond the floats there.
-    It is raised outside any handler: it chains no inner exception, and its
-    traceback holds only the frames it passed through.
+    +-1/2 and it converges in a handful of terms.  The law's exponent, the z
+    shift's and i pi where s^m = -1 make one shift, folded into the exponent
+    of the largest term: each may overflow or underflow alone while the value
+    is a float.  The truncation target is tol / |e^shift|, so the value's
+    absolute error stays within tol.  A reduced point outside the floats, a
+    value beyond the float range, and a scale e^shift at which that target
+    underflows (even the rounding of the sum is beyond the floats there) are
+    DomainErrors naming the caller's z and tau, the last two also Re shift,
+    the log-scale.  They are raised outside any handler: they chain no inner
+    exception, and their tracebacks hold only the frames they passed through.
     """
-    if not 0 < tol < math.inf:  # NaN too; names the caller's tol, not tol/|factor|
+    if not 0 < tol < math.inf:  # NaN too; names the caller's tol, not inner_tol
         raise DomainError(f"tol must be positive and finite, got {tol}")
     require_upper_half(tau, z)
     z = complex(z)
     entries, _, letters, kind_c, rel = _reduce_steps(tau, kind)
-    factor, z_c, tau_c, gauss, log_root = _law(kind, entries, rel, z, tau)
+    exponent, z_c, tau_c = _law(kind, entries, rel, z, tau)
     # z_c = w + m tau_c with Im w in [-Im tau_c/2, Im tau_c/2]
     ratio = z_c.imag / tau_c.imag if tau_c.imag > 0 else math.nan
     if not (math.isfinite(ratio) and cmath.isfinite(tau_c)):
         raise DomainError(f"reducing z = {z}, tau = {tau} leaves the float range")
     m = round(ratio)
     w = z_c - m * tau_c
-    shift = -gauss - 1j * math.pi * m * (z_c + w)  # -i pi (m^2 tau_c + 2 m w)
+    shift = exponent - 1j * math.pi * m * (z_c + w)  # -i pi (m^2 tau_c + 2 m w)
     if m % 2 and (kind_c is _THETA1 or kind_c is _THETA4):
-        factor = -factor
-    log_scale = shift.real - log_root  # log |factor e^shift|
-    inner_tol = tol if log_scale <= 0 else tol * math.exp(-log_scale)  # NaN stays NaN
+        shift += 1j * math.pi  # s^m = -1
+    inner_tol = tol if shift.real <= 0 else tol * math.exp(-shift.real)  # NaN stays NaN
     value = _INF
     if inner_tol / 2 > 0 and cmath.isfinite(shift):  # else the value's scale overflows
         N = truncation_index(kind_c, w, tau_c, inner_tol, max_index)
         try:  # the largest term's exp, the only one that can overflow
-            value = factor * _partial_sum(kind_c, w, tau_c, N, shift)
+            value = _partial_sum(kind_c, w, tau_c, N, shift)
         except OverflowError:
             pass
     if not cmath.isfinite(value):  # raised outside the handler: nothing chained
         raise DomainError(
-            f"reduction prefactor (exponent {shift:.6g}) out of range of floats:"
-            f" {kind} overflowed here"
+            f"{kind} at z = {z}, tau = {tau} is beyond the float range"
+            f" (log-scale {shift.real:.6g})"
         )
     return FastEvaluation(
         value, term_count(kind_c, N), tau_c, kind_c, tuple(letters), entries

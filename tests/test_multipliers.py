@@ -289,10 +289,14 @@ def test_gamma2_prefactor_matches_eta_cube_convention():
 
 def _law_unit(kind, A, rel, tau=0.3 + 1.1j):
     """The unit factor of transform._law's law of A, as the predictors apply
-    it: 1 / (factor * (-i(c tau+d))^{1/2}), the root 1 at c = 0."""
-    factor = transform._law(kind, A, rel, 0.1 + 0.2j, tau)[0]
-    root = cmath.sqrt(-1j * (A.c * tau + A.d)) if A.c else 1
-    return 1 / (factor * root)
+    it: e^{-exponent} over (-i j)^{1/2} e^{i pi c z^2/j}, j = c tau+d, read
+    back from the exponent; at c = 0 the exponent is the unit's alone."""
+    z = 0.1 + 0.2j
+    exponent = transform._law(kind, A, rel, z, tau)[0]
+    if not A.c:
+        return cmath.exp(-exponent)
+    j = A.c * tau + A.d
+    return cmath.exp(-exponent - 0.5 * cmath.log(-1j * j) - 1j * math.pi * A.c * z * z / j)
 
 
 def _is_phase(value, phase):

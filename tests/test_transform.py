@@ -3,11 +3,14 @@
 import cmath
 import math
 import random
+import re
 import sys
+from fractions import Fraction
 
 import pytest
 
 from thetamod import series, transform
+from thetamod.cli import main
 from thetamod.errors import DomainError, PrecisionUnreachableError
 from thetamod.modgroup import (
     IDENTITY,
@@ -69,11 +72,12 @@ def _point(rng):
 
 
 def _law_root(A, tau):
-    """(root, log_root) of transform._law's theta1 law of A at tau; the root
-    is read back from the factor, unit / root, with the unit from epsilon1."""
-    factor, *_, log_root = transform._law(K1, A, 0, 0.1 + 0.2j, tau)
+    """(root, log |root|) of transform._law's theta1 law of A at tau, z = 0;
+    the root is read back from the exponent, Log(unit) - Log(root), with the
+    unit from epsilon1."""
+    exponent = transform._law(K1, A, 0, 0j, tau)[0]
     eps1 = theta1_epsilon(A).to_complex() if A.c else cmath.exp(1j * math.pi * A.b / 4)
-    return 1 / (factor * eps1), log_root
+    return cmath.exp(-exponent) / eps1, -exponent.real
 
 
 def test_law_root_examples():
@@ -86,7 +90,8 @@ def test_law_root_examples():
     z, tau = 0.1 + 0.2j, 0.3 + 0.7j
     assert transform._law(K1, -S, 0, z, tau) == transform._law(K1, S, 0, z, tau)
     negated, law = transform._law(K3, -S2, 0, z, tau), transform._law(K3, S2, 0, z, tau)
-    assert (-negated[0], *negated[1:]) == pytest.approx(law)
+    assert cmath.exp(negated[0]) == pytest.approx(-cmath.exp(law[0]))
+    assert negated[1:] == pytest.approx(law[1:])
 
 
 def test_law_root_branch():
@@ -599,14 +604,13 @@ THEOREM_SUITES = {
 @pytest.mark.parametrize("shifted", [K1, K2, K3, K4], ids=str)
 def test_law_phase_shift_fails_its_theorem_suite(monkeypatch, shifted):
     # eval_fast and both predictors apply transform._law: an e^{i pi/4} factor
-    # there for one kind must fail every trial of that kind's theorem suite,
-    # and eval_fast for that kind, and nothing else
+    # there (i pi/4 added to its exponent) for one kind must fail every trial
+    # of that kind's theorem suite, and eval_fast for that kind, and nothing else
     true_law = transform._law
-    eighth = cmath.exp(1j * math.pi / 4)
 
     def shifted_law(kind, entries, rel, z, tau):
-        factor, *rest = true_law(kind, entries, rel, z, tau)
-        return (factor * eighth if kind is shifted else factor, *rest)
+        exponent, *rest = true_law(kind, entries, rel, z, tau)
+        return (exponent + 1j * math.pi / 4 if kind is shifted else exponent, *rest)
 
     monkeypatch.setattr(transform, "_law", shifted_law)
     config = TrialConfig(seed=11, trials=25)
@@ -735,13 +739,64 @@ def test_reduction_near_the_float_range_stays_finite():
     assert cmath.isfinite(eval_fast(K3, 0, 0.5 + 1e-300j))
 
 
+def _exact_image(A, tau):
+    """(Re, Im) of A tau in exact rationals."""
+    x, y = Fraction(tau.real), Fraction(tau.imag)
+    a, b, c, d = A
+    den = (c * x + d) ** 2 + (c * y) ** 2
+    return ((a * x + b) * (c * x + d) + a * c * y * y) / den, y / den
+
+
+def test_reduce_tau_contract_down_to_the_least_float():
+    # reduce_tau returns A with A tau in F, the image eval_fast sums at, or a
+    # DomainError naming tau.  The float loop loses tau below Im tau ~ 1e-14,
+    # where it once returned a tau' that its A does not produce.
+    rng = random.Random(73)
+    u = 2.0**-52
+    returned = refused = 0
+    for _ in range(2000):
+        tau = complex(rng.uniform(-0.5, 0.5), 10 ** rng.uniform(math.log10(5e-324), math.log10(2)))
+        try:
+            A, t = reduce_tau(tau)
+        except DomainError as err:
+            assert f"tau = {tau}" in str(err), (tau, err)
+            refused += 1
+            continue
+        returned += 1
+        assert abs(t.real) <= 0.5 + 1e-12 and abs(t) >= 1 - 1e-12, (tau, t)
+        try:
+            t_eval = eval_fast_report(K3, 0, tau).tau_reduced
+        except (DomainError, PrecisionUnreachableError):
+            pass
+        else:
+            assert (t.real.hex(), t.imag.hex()) == (t_eval.real.hex(), t_eval.imag.hex()), tau
+        re_exact, im_exact = _exact_image(A, tau)
+        scale = max(1, abs(Fraction(A.a, A.c))) if A.c else 1
+        assert abs(Fraction(t.real) - re_exact) <= 8 * u * scale, (tau, A, t)
+        assert abs(Fraction(t.imag) - im_exact) <= 8 * u * im_exact, (tau, A, t)
+    assert returned > 50 and refused > 1000, (returned, refused)
+
+
+def test_reduce_tau_refuses_where_the_float_loop_loses_tau(capsys):
+    # A tau is 1.5e14+8.1e11i here; reduce_tau returned -0.25+5.6e11i
+    with pytest.raises(DomainError, match=re.escape("reducing tau = (0.3+1e-20j)")):
+        reduce_tau(0.3 + 1e-20j)
+    assert main(["reduce", "0.3+1e-20i"]) == 2
+    assert "tau = (0.3+1e-20j)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", [K1, K2, K3, K4], ids=str)
 def test_eval_fast_names_an_overflowed_prefactor(kind):
     # an eval-grid point whose letter laws overflow the prefactor; the message
-    # named tol, "got 0.0" or "got nan", before
+    # named tol, "got 0.0" or "got nan", before, and then only the exponent
     z = complex(-0.004882725548315758, -0.3141166930398977)
     tau = complex(-0.48952943145463523, 0.0003284312129589953)
-    with pytest.raises(DomainError, match=r"^reduction prefactor \(.*\) out of range"):
+    message = (
+        f"{kind} at z = (-0.004882725548315758-0.3141166930398977j),"
+        " tau = (-0.48952943145463523+0.0003284312129589953j)"
+        " is beyond the float range (log-scale 945.661)"
+    )
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         eval_fast(kind, z, tau, 1e-10)
 
 
@@ -797,7 +852,8 @@ def test_eval_fast_fails_only_with_a_domain_error():
         except DomainError:
             refused += 1
     assert 50 < refused < 350
-    with pytest.raises(DomainError, match=r"theta3 overflowed here$"):
+    message = "theta3 at z = 50j, tau = (0.1+1j) is beyond the float range (log-scale 7853.98)"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         eval_fast(K3, 50j, 0.1 + 1j)  # the series' largest term itself
 
 
@@ -841,9 +897,12 @@ def test_eval_fast_names_the_callers_point_when_the_reduced_point_leaves_the_flo
     # a z shift beyond the floats: m^2 tau_c overflows, or 2 m Re z_c does;
     # a raw OverflowError or ValueError must not come from the shift
     for kind in (K1, K2, K3, K4):
-        for z in (1e300j, 1.7e308 + 0.6j):
-            with pytest.raises(DomainError, match=f"{kind} overflowed here$"):
-                eval_fast(kind, z, 1j)
+        for z, log_scale in (("1e+300j", "inf"), ("(1.7e+308+0.6j)", "nan")):
+            message = (
+                f"{kind} at z = {z}, tau = 1j is beyond the float range (log-scale {log_scale})"
+            )
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                eval_fast(kind, complex(z), 1j)
 
 
 def _mp_theta(mpmath, kind, z, tau, dps):
