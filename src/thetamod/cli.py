@@ -11,6 +11,12 @@ Subcommands:
 
 Exit codes: 0 all selected suites pass, 1 suite failures, 2 malformed input,
 usage errors, or an eval whose value overflowed.
+
+verify writes each record as soon as its trial is decided and the summary
+line last.  A run that stops with exit code 2 once the report is open (a
+corpus matrix outside a later suite's domain) leaves the records written so
+far and no summary line; the --out path is left in place, as it may be
+/dev/stdout or a FIFO.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ from .verify import (
     TrialConfig,
     load_corpus,
     overall_pass,
-    run_suites,
     write_report,
 )
 
@@ -142,12 +147,11 @@ def _cmd_verify(args) -> int:
         suites=suites,
         corpus=corpus,
     )
-    records, summaries = run_suites(config)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            write_report(fh, records, summaries)
+            summaries = write_report(fh, config)
     else:
-        write_report(sys.stdout, records, summaries)
+        summaries = write_report(sys.stdout, config)
     for s in summaries:
         tag = "pass" if s.ok else "FAIL"
         line = f"{s.name}: {s.passed}/{s.total} {tag}, {s.inconclusive} inconclusive"

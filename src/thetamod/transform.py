@@ -306,11 +306,14 @@ def eval_fast_report(
 ) -> FastEvaluation:
     """Argument-reduced evaluation with term-count telemetry.
 
-    Reduces tau with the integer matrix A and applies the law of A once,
-    :func:`_law`, with the phase of kind' relative to theta1's that the
-    reduction loop carries.  Then z_c = z/(c tau+d) is reduced by
-    quasi-periodicity (DLMF 20.2(ii)): with m = round(Im z_c / Im tau_c),
-    w = z_c - m tau_c,
+    A z with |Re z| > 1/2 is first moved by the nearest integer n to z - n,
+    exact in floats; theta1 and theta2 change sign with each period and
+    theta3 and theta4 do not, so the value is that at z - n, negated for odd
+    n with theta1 or theta2.  It reduces tau with the integer matrix A and
+    applies the law of A once, :func:`_law`, with the phase of kind'
+    relative to theta1's that the reduction loop carries.  Then
+    z_c = z/(c tau+d) is reduced by quasi-periodicity (DLMF 20.2(ii)): with
+    m = round(Im z_c / Im tau_c), w = z_c - m tau_c,
 
         theta_kind'(z_c, tau_c)
             = s^m e^{-i pi (m^2 tau_c + 2 m w)} theta_kind'(w, tau_c)
@@ -332,8 +335,9 @@ def eval_fast_report(
         raise DomainError(f"tol must be positive and finite, got {tol}")
     require_upper_half(tau, z)
     z = complex(z)
+    n = round(z.real) if abs(z.real) > 0.5 else 0
     entries, _, letters, kind_c, rel = _reduce_steps(tau, kind)
-    exponent, z_c, tau_c = _law(kind, entries, rel, z, tau)
+    exponent, z_c, tau_c = _law(kind, entries, rel, z - n, tau)
     # z_c = w + m tau_c with Im w in [-Im tau_c/2, Im tau_c/2]
     ratio = z_c.imag / tau_c.imag if tau_c.imag > 0 else math.nan
     if not (math.isfinite(ratio) and cmath.isfinite(tau_c)):
@@ -356,6 +360,8 @@ def eval_fast_report(
             f"{kind} at z = {z}, tau = {tau} is beyond the float range"
             f" (log-scale {shift.real:.6g})"
         )
+    if n % 2 and (kind is _THETA1 or kind is _THETA2):
+        value = -value
     return FastEvaluation(
         value, term_count(kind_c, N), tau_c, kind_c, tuple(letters), entries
     )

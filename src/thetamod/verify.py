@@ -4,8 +4,9 @@ Every suite is one callable
 
     suite(name, config) -> iterable of (inputs, sides, kappa)
 
-that yields its trials in order; one driver, :func:`run_suite`, numbers
-them and builds each record.  ``inputs`` is the record's input dict, fixed
+that yields its trials in order; one generator, :func:`_records`, numbers
+them and builds each record, which :func:`run_suite` lists and
+:func:`write_report` streams.  ``inputs`` is the record's input dict, fixed
 before any series is summed; ``sides()`` returns the pair
 ``(expected, observed)``; ``kappa`` scales the numeric tolerance.
 :func:`_each` makes a suite of ``config.trials`` runs of a per-trial
@@ -35,19 +36,24 @@ A ``PrecisionUnreachableError`` from ``sides()`` makes the trial
 inconclusive: a failed record carrying the inputs and the error message.
 
 Each trial draws from an index-derived substream of the configured seed, so
-trials are independent and the full record list (and the serialized report)
-is byte-identical across runs with the same config.  Random matrices are
+trials are independent and the records (and the serialized report) are
+byte-identical across runs with the same config.  Random matrices are
 built from random generator words -- membership in the group (or its level-2
 subgroup) is guaranteed by construction and the word-building caps entry
 growth instead of rejection sampling.
 
 Report format: JSON Lines, one record per trial, then one summary line.
-Complex numbers serialize as [re, im], rationals as "p/q", matrices as
-[[a, b], [c, d]], non-finite floats as "inf", "-inf" or "nan".  An exact
-record with Fraction sides and int inputs (every reciprocity record) is
-written from a cached %-format template of its shape, byte-identical to the
-JSON encoder's text of ``to_json_dict()``, which a test pins; every other
-record goes through the encoder.
+:func:`write_report` makes it in one pass: each record's line is written as
+soon as its trial is decided, the record is folded into its suite's
+:class:`SuiteSummary` and dropped, and the summary line comes last, so the
+memory of a run does not grow with ``config.trials``.  A suite that raises
+leaves the lines written so far and no summary line.  Complex numbers
+serialize as [re, im], rationals as "p/q", matrices as [[a, b], [c, d]],
+non-finite floats as "inf", "-inf" or "nan".  An exact record with Fraction
+sides and int inputs (every reciprocity record) is written from a cached
+%-format template of its shape, byte-identical to the JSON encoder's text
+of ``to_json_dict()``, which a test pins; every other record goes through
+the encoder.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .dedekind import _ZERO, reciprocity_defects
 from .errors import DomainError, PrecisionUnreachableError
@@ -426,13 +432,18 @@ SUITES: dict[str, Suite] = {
 }
 
 
+def _records(name: str, config: TrialConfig) -> Iterator[VerificationRecord]:
+    """One suite's records in trial order, each built as its trial runs."""
+    if name not in SUITES:
+        raise DomainError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
+    for t, trial in enumerate(SUITES[name](name, config)):
+        yield _record(name, t, *trial, config.tol)
+
+
 def run_suite(name: str, config: TrialConfig) -> list[VerificationRecord]:
     """Run one suite, a record per trial in trial order; deterministic given
     the config (seed included)."""
-    if name not in SUITES:
-        raise DomainError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    trials = enumerate(SUITES[name](name, config))
-    return [_record(name, t, *trial, config.tol) for t, trial in trials]
+    return list(_records(name, config))
 
 
 @dataclass
@@ -441,8 +452,8 @@ class SuiteSummary:
     iff it is below 1) with that trial; None for an exact suite."""
 
     name: str
-    total: int
-    passed: int
+    total: int = 0
+    passed: int = 0
     inconclusive: int = 0
     worst_ratio: float | None = None
     worst_trial: int | None = None
@@ -452,7 +463,9 @@ class SuiteSummary:
         return self.passed == self.total
 
     def add(self, r: VerificationRecord, tol: float) -> None:
-        """Count r into the inconclusive count or the margin (not total, passed)."""
+        """Count r into the totals, the inconclusive count or the margin."""
+        self.total += 1
+        self.passed += r.passed
         if r.inconclusive:
             self.inconclusive += 1
         elif isinstance(r.residual, float):
@@ -461,22 +474,6 @@ class SuiteSummary:
             worst = self.worst_ratio
             if worst is None or ratio > worst or math.isnan(ratio):
                 self.worst_ratio, self.worst_trial = ratio, r.trial
-
-
-def run_suites(
-    config: TrialConfig,
-) -> tuple[list[VerificationRecord], list[SuiteSummary]]:
-    names = config.suites or tuple(SUITES)
-    records: list[VerificationRecord] = []
-    summaries: list[SuiteSummary] = []
-    for name in names:
-        recs = run_suite(name, config)
-        records.extend(recs)
-        summary = SuiteSummary(name, len(recs), sum(r.passed for r in recs))
-        for r in recs:
-            summary.add(r, config.tol)
-        summaries.append(summary)
-    return records, summaries
 
 
 def overall_pass(summaries: list[SuiteSummary]) -> bool:
@@ -520,22 +517,25 @@ def _exact_template(
     return line + "\n"
 
 
-def _text(x: Fraction, texts: dict[int, str]) -> str:
-    """rational_str(x), computed once per object: texts maps id(x) to it."""
-    text = texts.get(id(x))
-    if text is None:
-        text = texts[id(x)] = rational_str(x)
-    return text
+def _text(x: Fraction, last: list) -> str:
+    """rational_str(x), reused while x is the last side serialized.
+
+    ``last`` is [object, text] of that side.  It holds the object itself, so
+    an identity test cannot match a new object at a freed one's address.
+    """
+    if last[0] is not x:
+        last[:] = x, rational_str(x)
+    return last[1]
 
 
-def _line(rec: VerificationRecord, texts: dict[int, str]) -> str:
+def _line(rec: VerificationRecord, last: list) -> str:
     """rec's report line, newline included.
 
     An exact record with Fraction sides whose shape has a template is
     formatted from it, each side through :func:`_text`, so a side shared by
-    many records is serialized once (the ids in ``texts`` stay valid while
-    the caller keeps the records).  Any other record goes through the
-    encoder.  Both give the same bytes.
+    consecutive records (every passing reciprocity record's zero) is
+    serialized once.  Any other record goes through the encoder.  Both give
+    the same bytes.
     """
     expected, observed, inputs = rec.expected, rec.observed, rec.inputs
     if (
@@ -547,19 +547,29 @@ def _line(rec: VerificationRecord, texts: dict[int, str]) -> str:
         keys, types = tuple(inputs), tuple(map(type, inputs.values()))
         template = _exact_template(rec.suite, keys, types, rec.kappa, rec.passed)
         if template is not None:
-            sides = _text(expected, texts), _text(observed, texts)
+            sides = _text(expected, last), _text(observed, last)
             return template % (sides[0], *inputs.values(), sides[1], rec.trial)
     return _RECORD_ENCODER.encode(rec.to_json_dict()) + "\n"
 
 
-def write_report(
-    fp: TextIO, records: list[VerificationRecord], summaries: list[SuiteSummary]
-) -> None:
-    """JSON Lines: one record per trial, one trailing summary line."""
-    encode = _RECORD_ENCODER.encode
-    texts: dict[int, str] = {}
-    for rec in records:
-        fp.write(_line(rec, texts))
+def _write_suite(name: str, config: TrialConfig, fp: TextIO) -> SuiteSummary:
+    """Write one suite's lines as its trials are decided; return its summary."""
+    summary, last = SuiteSummary(name), [None, ""]
+    for rec in _records(name, config):
+        fp.write(_line(rec, last))
+        summary.add(rec, config.tol)
+    return summary
+
+
+def write_report(fp: TextIO, config: TrialConfig) -> list[SuiteSummary]:
+    """Run the configured suites (all of them by default) in order and write
+    their JSON Lines report: one record per trial, written as soon as it is
+    decided and then dropped, and one trailing summary line.
+
+    A suite that raises (a DomainError from a corpus matrix out of its
+    domain) stops the report there, with no summary line.
+    """
+    summaries = [_write_suite(name, config, fp) for name in config.suites or SUITES]
     summary = {
         "summary": {
             s.name: {k: _encode(v) for k, v in vars(s).items() if k != "name"}
@@ -567,8 +577,9 @@ def write_report(
         },
         "pass": overall_pass(summaries),
     }
-    fp.write(encode(summary))
+    fp.write(_RECORD_ENCODER.encode(summary))
     fp.write("\n")
+    return summaries
 
 
 def load_corpus(path: str) -> tuple[Sl2Matrix, ...]:

@@ -19,7 +19,6 @@ from thetamod.verify import (
     RECIPROCITY_BOUND,
     TrialConfig,
     run_suite,
-    run_suites,
     write_report,
 )
 
@@ -144,9 +143,8 @@ def test_verify_reports_are_deterministic():
             trials=25,
             suites=("lemma1", "lemma4", "eq2", "theorem1", "closed-form-epsilon"),
         )
-        records, summaries = run_suites(config)
         buf = io.StringIO()
-        write_report(buf, records, summaries)
+        write_report(buf, config)
         return buf.getvalue().encode()
 
     assert render() == render()

@@ -894,15 +894,45 @@ def test_eval_fast_names_the_callers_point_when_the_reduced_point_leaves_the_flo
     match = r"^reducing z = \(0.1\+0j\), tau = \(0.3\+1e-300j\) leaves the float range$"
     with pytest.raises(DomainError, match=match):
         eval_fast(K3, 0.1, 0.3 + 1e-300j)
-    # a z shift beyond the floats: m^2 tau_c overflows, or 2 m Re z_c does;
-    # a raw OverflowError or ValueError must not come from the shift
+    # a z shift beyond the floats: m^2 tau_c overflows; a raw OverflowError
+    # or ValueError must not come from the shift.  The error names the
+    # caller's z, also where Re z was reduced first.
     for kind in (K1, K2, K3, K4):
-        for z, log_scale in (("1e+300j", "inf"), ("(1.7e+308+0.6j)", "nan")):
-            message = (
-                f"{kind} at z = {z}, tau = 1j is beyond the float range (log-scale {log_scale})"
-            )
+        for z in ("1e+300j", "(1e+300+1e+300j)"):
+            message = f"{kind} at z = {z}, tau = 1j is beyond the float range (log-scale inf)"
             with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                 eval_fast(kind, complex(z), 1j)
+
+
+def test_eval_fast_reduces_re_z_on_entry():
+    # each was wrong while pi multiplied the unreduced Re z: the first raised
+    # "log-scale nan", the second returned -1.9e-6-7.9e-7i, the third was
+    # 1.2e-9 off
+    assert eval_fast(K3, 1.7e308 + 0.6j, 1j) == pytest.approx(2.8820138107, abs=1e-9)
+    assert eval_fast(K1, 1e10, 0.5 + 1j) == 0
+    # mpmath's theta3 at the exact fractional part of 1e8 + 0.1,
+    # 0.09999999403953552, tau = i
+    assert abs(eval_fast(K3, 1e8 + 0.1, 1j) - 1.0699237457366553) < 1e-10
+
+
+def test_eval_fast_is_periodic_in_re_z_bit_for_bit():
+    # theta(x) = s^n theta(x - n), n = round(Re x), s = -1 for theta1 and
+    # theta2: eval_fast moves to x - n on entry and negates, nothing more
+    rng = random.Random(63)
+    odd = 0
+    for i in range(400):
+        kind = (K1, K2, K3, K4)[i % 4]
+        top = 6 if i % 8 < 4 else 300  # odd n, then floats past 2^53
+        re_x = rng.choice((-1, 1)) * 10 ** rng.uniform(-0.25, top)
+        x = complex(re_x, rng.uniform(-0.5, 0.5))
+        tau = complex(rng.uniform(-2, 2), rng.uniform(0.3, 2))
+        n = round(x.real)
+        base = eval_fast(kind, x - n, tau)
+        want = -base if n % 2 and kind in (K1, K2) else base
+        got = eval_fast(kind, x, tau)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+        odd += n % 2 == 1 and kind in (K1, K2)
+    assert odd > 20
 
 
 def _mp_theta(mpmath, kind, z, tau, dps):

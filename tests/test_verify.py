@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import thetamod.multipliers
 import thetamod.verify
 from thetamod.cli import _build_parser, _parse_complex, main
 from thetamod.errors import DomainError
+from thetamod.exact import rational_str
 from thetamod.modgroup import Sl2Matrix
 from thetamod.series import DEFAULT_TOL
 from thetamod.verify import (
@@ -26,7 +28,6 @@ from thetamod.verify import (
     load_corpus,
     overall_pass,
     run_suite,
-    run_suites,
     write_report,
 )
 
@@ -51,11 +52,9 @@ EXACT_RECORDS_SEED7_SHA256 = (
 
 
 def _render(config):
-    records, summaries = run_suites(config)
     buf = io.StringIO()
-    write_report(buf, records, summaries)
+    write_report(buf, config)
     return buf.getvalue()
-
 
 def test_determinism_byte_identical():
     a = _render(TrialConfig(seed=7, trials=5, suites=("lemma1", "eq2", "theorem1")))
@@ -127,20 +126,20 @@ def test_exact_records_pinned_seed7():
     assert digest.hexdigest() == EXACT_RECORDS_SEED7_SHA256
 
 
-def _corrupt_direct_total(monkeypatch):
-    """Add 1 to T(3, 7) in the walk's row for k = 7; return the pairs that read
-    it, {7, j} with j = 3 mod 7, in either order.  Each one's defect becomes
-    1/7^2 = 1/49."""
+def _corrupt_direct_total(monkeypatch, h=3, k=7):
+    """Add 1 to T(h, k) in the walk's row for k (on top of any earlier
+    corruption); return the pairs that read it, {k, j} with j = h mod k, in
+    either order.  Each one's defect becomes 1/k^2: 1/49 for T(3, 7)."""
     direct_row = thetamod.dedekind._direct_row
 
-    def corrupt(k):
-        row = direct_row(k)
-        if k == 7:
-            row[3] += 1
+    def corrupt(n):
+        row = direct_row(n)
+        if n == k:
+            row[h] += 1
         return row
 
     monkeypatch.setattr(thetamod.dedekind, "_direct_row", corrupt)
-    return {(j, 7) for j in range(3, 201, 7)} | {(7, j) for j in range(3, 201, 7)}
+    return {(j, k) for j in range(h, 201, k)} | {(k, j) for j in range(h, 201, k)}
 
 
 def test_report_lines_equal_the_encoder(monkeypatch):
@@ -153,7 +152,8 @@ def test_report_lines_equal_the_encoder(monkeypatch):
         _corrupt_direct_total(patch)
         failing = [r for r in run_suite("reciprocity", SMALL) if not r.passed]
     assert len(failing) == 58
-    records, summaries = run_suites(TrialConfig(seed=7, trials=8))
+    config = TrialConfig(seed=7, trials=8)
+    records = [r for name in SUITES for r in run_suite(name, config)]
     # shapes no suite makes yet: unsorted keys, a bool input, 0.0 beside -0.0
     made = [
         thetamod.verify.VerificationRecord(
@@ -162,7 +162,8 @@ def test_report_lines_equal_the_encoder(monkeypatch):
         for inputs in ({"k": 2, "h": 1}, {"h": True}, {"h": -1})
         for kappa in (0.0, -0.0, 2.5, 1)
     ]
-    records += inconclusive + failing + made
+    extra = inconclusive + failing + made  # these go through _line alone
+    records += extra
     encode = thetamod.verify._RECORD_ENCODER.encode
     want = [encode(r.to_json_dict()) + "\n" for r in records]
 
@@ -175,8 +176,10 @@ def test_report_lines_equal_the_encoder(monkeypatch):
 
     monkeypatch.setattr(thetamod.verify.VerificationRecord, "to_json_dict", spy)
     buf = io.StringIO()
-    write_report(buf, records, summaries)
-    assert buf.getvalue().splitlines(keepends=True)[:-1] == want
+    write_report(buf, config)
+    last = [None, ""]
+    lines = [thetamod.verify._line(r, last) for r in extra]
+    assert buf.getvalue().splitlines(keepends=True)[:-1] + lines == want
     # the template builder encodes marker records, whose trial is not an int
     slow = [r for r in encoded if type(r.trial) is int]
     assert not [r for r in slow if r.suite == "reciprocity"]
@@ -225,8 +228,9 @@ def test_summary_counts_huge_matrix_as_inconclusive(tmp_path, capsys):
         "[[289934904595382591,13857245154460719],"
         "[394508053350743109,18855248968107092]]\n[[2,1],[1,1]]\n"
     )
-    records, summaries = run_suites(
-        TrialConfig(trials=2, suites=("theorem1",), corpus=load_corpus(str(corpus)))
+    summaries = write_report(
+        io.StringIO(),
+        TrialConfig(trials=2, suites=("theorem1",), corpus=load_corpus(str(corpus))),
     )
     (summary,) = summaries
     assert (summary.total, summary.passed, summary.inconclusive) == (2, 1, 1)
@@ -243,7 +247,8 @@ def test_summary_counts_huge_matrix_as_inconclusive(tmp_path, capsys):
 
 def test_summary_margin_matches_records():
     config = TrialConfig(seed=7, trials=20, suites=("lemma1", "eq2", "theorem1"))
-    records, summaries = run_suites(config)
+    records = [r for name in config.suites for r in run_suite(name, config)]
+    summaries = write_report(io.StringIO(), config)  # folded from its own run
     for s in summaries:
         recs = [r for r in records if r.suite == s.name]
         assert s.inconclusive == sum(r.inconclusive for r in recs) == 0
@@ -316,8 +321,9 @@ def test_lemma4_covers_both_branches():
 
 
 def test_summary_and_overall_pass():
-    records, summaries = run_suites(
-        TrialConfig(seed=4, trials=4, suites=("lemma1", "closed-form-epsilon"))
+    summaries = write_report(
+        io.StringIO(),
+        TrialConfig(seed=4, trials=4, suites=("lemma1", "closed-form-epsilon")),
     )
     assert overall_pass(summaries)
 
@@ -644,6 +650,43 @@ def test_cli_verify_corpus_out_of_the_suites_domain(tmp_path, capsys):
     assert "corpus matrix [[1,4],[0,1]] is out of domain for lemma2" in err
 
 
+def test_cli_verify_stopped_midway_leaves_no_summary(tmp_path, capsys):
+    # the matrix passes lemma1, then stops lemma3, which needs level 2
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("[[2,1],[1,1]]\n")
+    out = tmp_path / "r.jsonl"
+    argv = ["verify", "--suite", "lemma1", "--suite", "lemma3", "--corpus", str(corpus)]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: corpus matrix [[2,1],[1,1]] is not congruent to the identity"
+        " mod 2 (required by suite lemma3)\n"
+    )
+    *_, last = map(json.loads, out.read_text().splitlines())
+    assert "summary" not in last
+    assert (last["suite"], last["pass"]) == ("lemma1", True)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "reciprocity"],
+        ["--suite", "lemma1", "--suite", "parity-mod4", "--trials", "4000"],
+    ],
+    ids=["reciprocity", "lemma1-parity-4000"],
+)
+def test_cli_verify_memory_does_not_hold_the_records(tmp_path, capsys, argv):
+    # each record is written and dropped: the peak stays far below the
+    # several MB the records of these runs take together
+    tracemalloc.start()
+    try:
+        assert main(["verify", *argv, "--out", str(tmp_path / "r.jsonl")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_cli_verify_corpus_without_matrices(tmp_path, capsys):
     corpus = tmp_path / "c.txt"
     corpus.write_text("# only a comment\n\n   \n# and another\n")
@@ -708,12 +751,12 @@ def test_reciprocity_suite_does_not_use_dedekind_sum(monkeypatch):
 def test_reciprocity_corrupt_entry_fails_exactly_its_readers(monkeypatch):
     readers = _corrupt_direct_total(monkeypatch)
     config = TrialConfig(seed=7, trials=8, suites=("reciprocity",))
-    records, summaries = run_suites(config)
+    records = run_suite("reciprocity", config)
     assert len(records) == 24463
     assert {(r.inputs["h"], r.inputs["k"]) for r in records if not r.passed} == readers
     # the written report says so too, line by line and in the summary
     buf = io.StringIO()
-    write_report(buf, records, summaries)
+    write_report(buf, config)
     *lines, summary = map(json.loads, buf.getvalue().splitlines())
     for line in lines:
         pair = line["inputs"]["h"], line["inputs"]["k"]
@@ -721,6 +764,23 @@ def test_reciprocity_corrupt_entry_fails_exactly_its_readers(monkeypatch):
         assert (line["pass"], line["observed"]) == verdict, pair
     assert summary["pass"] is False
     assert summary["summary"]["reciprocity"]["passed"] == 24463 - len(readers)
+
+
+def test_each_failing_line_shows_its_own_defect(monkeypatch):
+    # records are dropped once written, so a later defect may sit at a freed
+    # one's address; its text must still be its own
+    by_49 = _corrupt_direct_total(monkeypatch)
+    by_121 = _corrupt_direct_total(monkeypatch, 2, 11)
+    assert not by_49 & by_121
+    buf = io.StringIO()
+    write_report(buf, TrialConfig(suites=("reciprocity",)))
+    *lines, _ = map(json.loads, buf.getvalue().splitlines())
+    failing = [line for line in lines if not line["pass"]]
+    assert len(failing) == len(by_49) + len(by_121)
+    for line in failing:
+        pair = line["inputs"]["h"], line["inputs"]["k"]
+        defect = Fraction(1, 49) if pair in by_49 else Fraction(1, 121)
+        assert line["observed"] == rational_str(defect), pair
 
 
 def test_reciprocity_table_built_once_per_run(monkeypatch):
@@ -734,7 +794,8 @@ def test_reciprocity_table_built_once_per_run(monkeypatch):
     monkeypatch.setattr(thetamod.verify, "reciprocity_defects", counting)
     _reciprocity_failures()
     assert walks == [thetamod.verify.RECIPROCITY_BOUND]
-    run_suites(TrialConfig(seed=7, trials=2, suites=("lemma1", "reciprocity")))
+    config = TrialConfig(seed=7, trials=2, suites=("lemma1", "reciprocity"))
+    write_report(io.StringIO(), config)
     assert len(walks) == 2
 
 
