@@ -25,7 +25,7 @@ which walks ``apply_letter``, the chained oracle of the one-generator laws;
 lemma5 (theta3, A = S2) and the theorems through ``predict_theta1`` and
 ``predict_theta_gamma2``, which apply ``transform._law`` as ``eval_fast`` does.
 
-One record builder decides every verdict.  When ``expected`` is not complex
+:func:`_record` decides a trial's verdict.  When ``expected`` is not complex
 (a unit phase, a rational, an integer list) the identity is exact: the
 record says ``"residual": "exact"`` and passes iff the two sides are equal,
 so floating point never adjudicates it.  Otherwise the trial passes when
@@ -49,11 +49,10 @@ soon as its trial is decided, the record is folded into its suite's
 memory of a run does not grow with ``config.trials``.  A suite that raises
 leaves the lines written so far and no summary line.  Complex numbers
 serialize as [re, im], rationals as "p/q", matrices as [[a, b], [c, d]],
-non-finite floats as "inf", "-inf" or "nan".  An exact record with Fraction
-sides and int inputs (every reciprocity record) is written from a cached
-%-format template of its shape, byte-identical to the JSON encoder's text
-of ``to_json_dict()``, which a test pins; every other record goes through
-the encoder.
+non-finite floats as "inf", "-inf" or "nan".  Every line is the JSON
+encoder's text of a record's ``to_json_dict()``; :func:`_write_reciprocity`
+writes a passing reciprocity pair's line from one template of that text,
+with no record, and a test pins it to the encoder.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterable, Iterator, TextIO
 
 from .dedekind import _ZERO, reciprocity_defects
@@ -113,6 +112,9 @@ class TrialConfig:
     corpus: tuple[Sl2Matrix, ...] | None = None
 
     def __post_init__(self):
+        # each suite runs once, at its first position: a repeat would write
+        # its records twice under one summary entry
+        object.__setattr__(self, "suites", tuple(dict.fromkeys(self.suites)))
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
         if not 0 < self.tol < math.inf:
@@ -157,8 +159,7 @@ def _encode_float(v: float):
 
 
 # _encode's table, keyed by exact type; a value of any other type is already
-# JSON.  rational_str is looked up at call time, here and in _line, so a hook
-# on it sees calls.
+# JSON.  rational_str is looked up at call time, so a hook on it sees calls.
 _ENCODERS = {
     float: _encode_float,
     complex: lambda v: [_encode_float(v.real), _encode_float(v.imag)],
@@ -182,7 +183,7 @@ Suite = Callable[[str, TrialConfig], Iterable[TrialOutput]]
 def _record(
     suite: str, trial: int, inputs: dict, sides: Sides, kappa: float, tol: float
 ) -> VerificationRecord:
-    """The one verdict: exact equality, or a residual below tol * kappa."""
+    """A trial's verdict: exact equality, or a residual below tol * kappa."""
     try:
         expected, observed = sides()
     except PrecisionUnreachableError as err:
@@ -309,11 +310,15 @@ def _branch_lemma(
     return inputs, partial(lemma_sides, A, letter), 1.0
 
 
+def _reciprocity_trial(h: int, k: int, defect: Fraction) -> TrialOutput:
+    return {"h": h, "k": k}, lambda: (_ZERO, defect), 1.0
+
+
 def _reciprocity(name: str, config: TrialConfig) -> Iterable[TrialOutput]:
     """Every coprime pair 1 <= h, k <= RECIPROCITY_BOUND, h-major: its defect
     is exactly zero.  Each run walks its own table: never at import, never kept."""
-    for h, k, defect in reciprocity_defects(RECIPROCITY_BOUND):
-        yield {"h": h, "k": k}, lambda defect=defect: (_ZERO, defect), 1.0
+    for row in reciprocity_defects(RECIPROCITY_BOUND):
+        yield _reciprocity_trial(*row)
 
 
 def _parity_mod4(name: str, config: TrialConfig, t: int) -> TrialOutput:
@@ -484,79 +489,46 @@ def overall_pass(summaries: list[SuiteSummary]) -> bool:
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
-@lru_cache(maxsize=64, typed=True)
-def _exact_template(
-    suite: str, keys: tuple, types: tuple, kappa: float, passed: bool
-) -> str | None:
-    """The %-format report line of an exact record of one shape, or None.
-
-    The shape is the suite, the input keys in order, the input value types,
-    kappa and the verdict.  The line is the encoder's own text of a record
-    whose varying fields are unique marker strings, each replaced by its
-    format: "%s" in place of a side's "p/q", %d of every input and of the
-    trial.  None unless every input is an int, kappa is not 0 (-0.0 would
-    share 0.0's cache entry) and the encoder puts the markers in argument
-    order, which it does when the keys are sorted.
-    """
-    if set(types) - {int} or kappa == 0:
-        return None
-    marks = [f"<{i}>" for i in range(len(keys) + 3)]
-    expected, *values, observed, trial = marks
-    inputs = dict(zip(keys, values))
-    proto = VerificationRecord(
-        suite, trial, inputs, expected, observed, "exact", passed, kappa
-    )
-    line = _RECORD_ENCODER.encode(proto.to_json_dict()).replace("%", "%%")
-    quoted = [_RECORD_ENCODER.encode(m) for m in marks]
-    spots = [line.find(q) for q in quoted]
-    if spots != sorted(spots) or any(line.count(q) != 1 for q in quoted):
-        return None
-    formats = ['"%s"', *["%d"] * len(values), '"%s"', "%d"]
-    for q, fmt in zip(quoted, formats):
-        line = line.replace(q, fmt)
-    return line + "\n"
-
-
-def _text(x: Fraction, last: list) -> str:
-    """rational_str(x), reused while x is the last side serialized.
-
-    ``last`` is [object, text] of that side.  It holds the object itself, so
-    an identity test cannot match a new object at a freed one's address.
-    """
-    if last[0] is not x:
-        last[:] = x, rational_str(x)
-    return last[1]
-
-
-def _line(rec: VerificationRecord, last: list) -> str:
-    """rec's report line, newline included.
-
-    An exact record with Fraction sides whose shape has a template is
-    formatted from it, each side through :func:`_text`, so a side shared by
-    consecutive records (every passing reciprocity record's zero) is
-    serialized once.  Any other record goes through the encoder.  Both give
-    the same bytes.
-    """
-    expected, observed, inputs = rec.expected, rec.observed, rec.inputs
-    if (
-        type(expected) is Fraction
-        and type(observed) is Fraction
-        and rec.residual == "exact"
-        and not rec.inconclusive
-    ):
-        keys, types = tuple(inputs), tuple(map(type, inputs.values()))
-        template = _exact_template(rec.suite, keys, types, rec.kappa, rec.passed)
-        if template is not None:
-            sides = _text(expected, last), _text(observed, last)
-            return template % (sides[0], *inputs.values(), sides[1], rec.trial)
+def _line(rec: VerificationRecord) -> str:
+    """rec's report line, newline included: the encoder's text of to_json_dict()."""
     return _RECORD_ENCODER.encode(rec.to_json_dict()) + "\n"
+
+
+def _write_reciprocity(config: TrialConfig, fp: TextIO) -> SuiteSummary:
+    """The reciprocity suite's lines, from one fresh walk of the defects.
+
+    A zero defect passes, decided on the exact rational, with no record: its
+    line is a template of (h, k, trial), the encoder's text of a passing
+    record whose h, k and trial are marker strings, each replaced by %d (the
+    encoder sorts keys, so they come in that order).  A nonzero defect is
+    the record run_suite gives, through _record and the encoder.
+    """
+    name, tol = "reciprocity", config.tol
+    marks = {"h": "<h>", "k": "<k>"}
+    proto = VerificationRecord(name, "<t>", marks, _ZERO, _ZERO, "exact", True)
+    template = _line(proto)
+    for mark in ("<h>", "<k>", "<t>"):
+        template = template.replace(f'"{mark}"', "%d")
+    summary, write = SuiteSummary(name), fp.write
+    for t, (h, k, defect) in enumerate(reciprocity_defects(RECIPROCITY_BOUND)):
+        if defect:
+            rec = _record(name, t, *_reciprocity_trial(h, k, defect), tol)
+            write(_line(rec))
+            summary.add(rec, tol)
+        else:
+            write(template % (h, k, t))
+            summary.total += 1
+            summary.passed += 1
+    return summary
 
 
 def _write_suite(name: str, config: TrialConfig, fp: TextIO) -> SuiteSummary:
     """Write one suite's lines as its trials are decided; return its summary."""
-    summary, last = SuiteSummary(name), [None, ""]
+    if name == "reciprocity":
+        return _write_reciprocity(config, fp)
+    summary = SuiteSummary(name)
     for rec in _records(name, config):
-        fp.write(_line(rec, last))
+        fp.write(_line(rec))
         summary.add(rec, config.tol)
     return summary
 

@@ -1,0 +1,62 @@
+"""The domain contract, swept: on the documented domain a public function
+returns a finite value of its kind or raises DomainError, never a raw error.
+
+The documented domain is any tau with Im tau > 0, any z, and any SL(2,Z)
+matrix; the strategies below draw c up to 10^30.
+"""
+
+import cmath
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from thetamod.errors import DomainError
+from thetamod.modgroup import Sl2Matrix, mobius, translation
+from thetamod.transform import conditioning_factor
+
+_reals = st.floats(allow_nan=False, allow_infinity=False)
+upper_half = st.builds(
+    complex, _reals, st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+)
+any_z = st.complex_numbers()  # non-finite parts included
+
+
+C_EXPONENT = 30  # |c| goes up to 10^C_EXPONENT
+
+
+@st.composite
+def sl2_matrices(draw):
+    """A matrix of SL(2,Z) of either sign, |c| of a uniformly drawn decade
+    (0 and 1 in the first)."""
+    e = draw(st.sampled_from(range(C_EXPONENT + 1)))
+    c = draw(st.integers(10**e // 10, 10**e))
+    if c == 0:
+        A = translation(draw(st.integers(-(10**C_EXPONENT), 10**C_EXPONENT)))
+    else:
+        d = draw(st.integers(-c, c).filter(lambda d: math.gcd(c, d) == 1))
+        a = pow(d, -1, c) + c * draw(st.integers(-3, 3))
+        A = Sl2Matrix(a, (a * d - 1) // c, c, d)
+    return -A if draw(st.booleans()) else A
+
+
+# each swept function as f(A, z, tau), and what its value must satisfy
+SWEPT = {
+    "mobius": (
+        lambda A, z, tau: mobius(A, tau),
+        lambda w: cmath.isfinite(w) and w.imag > 0,
+    ),
+    "conditioning_factor": (conditioning_factor, lambda kappa: 0 <= kappa < math.inf),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEPT))
+@settings(max_examples=2000, deadline=None)
+@given(A=sl2_matrices(), z=any_z, tau=upper_half)
+def test_returns_a_finite_value_or_a_domain_error(name, A, z, tau):
+    call, valid = SWEPT[name]
+    try:
+        value = call(A, z, tau)
+    except DomainError:
+        return
+    assert valid(value), (A, z, tau, value)

@@ -143,10 +143,11 @@ def _corrupt_direct_total(monkeypatch, h=3, k=7):
 
 
 def test_report_lines_equal_the_encoder(monkeypatch):
-    # write_report formats exact records with int inputs from a cached
-    # template; every line must be the encoder's text of rec.to_json_dict()
+    # write_report writes passing reciprocity records from a template; every
+    # line must be the encoder's text of the record run_suite gives
     corpus = (Sl2Matrix(1, 0, 10**6, 1),)  # out of the series' reach
-    inconclusive = run_suite("theorem1", TrialConfig(trials=1, corpus=corpus))
+    stuck = TrialConfig(trials=1, corpus=corpus, suites=("theorem1",))
+    inconclusive = run_suite("theorem1", stuck)
     assert inconclusive[0].inconclusive
     with monkeypatch.context() as patch:
         _corrupt_direct_total(patch)
@@ -154,16 +155,7 @@ def test_report_lines_equal_the_encoder(monkeypatch):
     assert len(failing) == 58
     config = TrialConfig(seed=7, trials=8)
     records = [r for name in SUITES for r in run_suite(name, config)]
-    # shapes no suite makes yet: unsorted keys, a bool input, 0.0 beside -0.0
-    made = [
-        thetamod.verify.VerificationRecord(
-            "x%d", 1, inputs, Fraction(1, 3), Fraction(0), "exact", False, kappa
-        )
-        for inputs in ({"k": 2, "h": 1}, {"h": True}, {"h": -1})
-        for kappa in (0.0, -0.0, 2.5, 1)
-    ]
-    extra = inconclusive + failing + made  # these go through _line alone
-    records += extra
+    records += inconclusive + failing
     encode = thetamod.verify._RECORD_ENCODER.encode
     want = [encode(r.to_json_dict()) + "\n" for r in records]
 
@@ -175,16 +167,37 @@ def test_report_lines_equal_the_encoder(monkeypatch):
         return to_json_dict(rec)
 
     monkeypatch.setattr(thetamod.verify.VerificationRecord, "to_json_dict", spy)
-    buf = io.StringIO()
-    write_report(buf, config)
-    last = [None, ""]
-    lines = [thetamod.verify._line(r, last) for r in extra]
-    assert buf.getvalue().splitlines(keepends=True)[:-1] + lines == want
-    # the template builder encodes marker records, whose trial is not an int
+    lines = []
+    for run in (config, stuck):
+        lines += _render(run).splitlines(keepends=True)[:-1]
+    # the template builder encodes a marker record, whose trial is not an int
     slow = [r for r in encoded if type(r.trial) is int]
+    with monkeypatch.context() as patch:
+        _corrupt_direct_total(patch)
+        report = _render(TrialConfig(seed=7, trials=8, suites=("reciprocity",)))
+    *report, _ = report.splitlines(keepends=True)
+    lines += [line for line in report if '"pass": false' in line]
+    assert lines == want
     assert not [r for r in slow if r.suite == "reciprocity"]
     assert sum(r.suite == "reciprocity" for r in records) == 24463 + 58
     assert inconclusive[0] in slow
+
+
+def test_reciprocity_builds_a_record_only_for_a_nonzero_defect(monkeypatch):
+    built = []
+    record = thetamod.verify._record
+
+    def spy(suite, *args):
+        built.append(suite)
+        return record(suite, *args)
+
+    monkeypatch.setattr(thetamod.verify, "_record", spy)
+    config = TrialConfig(seed=7, suites=("reciprocity",))
+    write_report(io.StringIO(), config)
+    assert built.count("reciprocity") == 0
+    _corrupt_direct_total(monkeypatch)
+    write_report(io.StringIO(), config)
+    assert built.count("reciprocity") == 58
 
 
 def test_inconclusive_record_is_strict_json(tmp_path):
@@ -685,6 +698,18 @@ def test_cli_verify_memory_does_not_hold_the_records(tmp_path, capsys, argv):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def test_cli_verify_runs_a_repeated_suite_once(tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    twice = ["--suite", "parity-mod4"] * 2
+    assert main(["verify", *twice, "--trials", "2", "--out", str(out)]) == 0
+    *records, summary = map(json.loads, out.read_text().splitlines())
+    assert [r["trial"] for r in records] == [0, 1]
+    assert summary["summary"]["parity-mod4"]["total"] == 2
+    assert capsys.readouterr().err.count("parity-mod4:") == 1
+    config = TrialConfig(suites=("lemma2", "lemma1", "lemma2", "lemma1"))
+    assert config.suites == ("lemma2", "lemma1")
 
 
 def test_cli_verify_corpus_without_matrices(tmp_path, capsys):
