@@ -1,33 +1,19 @@
 """Direct q-series evaluation of the four Jacobi theta functions.
 
-With q = e^{i*pi*tau}, Im tau > 0:
+With q = e^{i*pi*tau}, Im tau > 0, the kind of characteristic [alpha, beta]
+(ThetaKind's docstring holds the table and its rules) is
 
-    theta1(z,tau) = -i sum_n (-1)^n q^{(n+1/2)^2} e^{(2n+1) i pi z}
-    theta2(z,tau) =    sum_n        q^{(n+1/2)^2} e^{(2n+1) i pi z}
-    theta3(z,tau) =    sum_n        q^{n^2}       e^{2 n pi i z}
-    theta4(z,tau) =    sum_n (-1)^n q^{n^2}       e^{2 n pi i z}
+    theta(z,tau) = sum_n (-1)^{beta n} q^{(n+alpha/2)^2} e^{(2n+alpha) i pi z},
 
-Terms come from a ratio recurrence (as in Johansson, arXiv:1806.06725): at
-most four exp calls per partial sum whatever N is (the starting term, the
-first ratio of each side, and q^2; three from index 0, whose term is 1),
-then two complex products per term.  The walk starts at the summed index
-nearest the peak of |term| and goes outward, so only the starting term, the
-per-term exp of its index, can overflow: exactly where a per-term sum
-would.  The ratio k steps out holds k roundings of q^2, so a term n steps
-from the start carries a relative error of about n^2/2 ulps (twice that if
-q^2 were the product of the first ratios, hence its own exp).  The two
-sides go into one total alternately, largest first; at z = 0 the two sides
-of theta1 are exact negatives of each other, so theta1(0, tau) is 0.0.
+times -i for theta1.  Partial sums come from a ratio recurrence (as in
+Johansson, arXiv:1806.06725), at most four exp calls whatever N is
+(:func:`_partial_sum`); a term n steps from the start carries a relative
+error of about n^2/2 ulps.  Truncation is certified: the evaluation refuses
+(PrecisionUnreachableError) rather than silently degrade when tol would
+need more than MAX_INDEX terms.  Argument reduction for that regime lives
+in the transform module.
 
-Truncation is certified: the tail beyond the returned partial sum is bounded
-by a geometric majorant of e^{-pi n^2 Im tau + 2 pi n |Im z|}, and the
-evaluation refuses (PrecisionUnreachableError) rather than silently degrade
-when the requested tolerance would need more than MAX_INDEX terms.  Argument
-reduction for that regime lives in the transform module.
-
-Half-period shifts z -> z + 1/2 pair the functions as theta1 <-> theta2 and
-theta3 <-> theta4.  The sign conventions, fixed here by the series oracle,
-are:
+z -> z + 1/2 flips beta, with these signs, fixed here by the series oracle:
 
     theta1(z + 1/2) = theta2(z)      theta2(z + 1/2) = -theta1(z)
     theta3(z + 1/2) = theta4(z)      theta4(z + 1/2) = theta3(z)
@@ -51,6 +37,20 @@ _PI = math.pi
 
 
 class ThetaKind(enum.Enum):
+    """A Jacobi theta function and its characteristic [alpha, beta].
+
+    In halves, entries mod 2 (Mumford, Tata Lectures on Theta I, ch. II,
+    sec. 5; DLMF 20.2(i)): theta3 = [0,0], theta4 = [0,1], theta2 = [1,0]
+    and theta1 = -[1,1].  Every per-kind rule reads the ints alpha and beta:
+
+    - the series index is n + alpha/2, and the term sign (-1)^{beta n};
+    - z+1 gives (-1)^alpha, and z+tau gives (-1)^beta;
+    - T: [alpha, beta] -> [alpha, alpha+beta+1];
+    - S: [alpha, beta] -> [beta, alpha].
+
+    theta1's extra -i is the minus sign times Mumford's e^{i pi alpha beta/2}.
+    """
+
     THETA1 = 1
     THETA2 = 2
     THETA3 = 3
@@ -68,28 +68,19 @@ class ThetaKind(enum.Enum):
         return f"theta{self.value}"
 
 
-# The members, bound once: looking an enum member up on its class is slow
-# enough to show in the per-call cost of the short sums and of each bound.
+# The members, bound once: an enum lookup on the class shows in a short sum.
 _THETA1, _THETA2, _THETA3, _THETA4 = ThetaKind
-
-HALF_PERIOD_PARTNER = {
-    ThetaKind.THETA1: ThetaKind.THETA2,
-    ThetaKind.THETA2: ThetaKind.THETA1,
-    ThetaKind.THETA3: ThetaKind.THETA4,
-    ThetaKind.THETA4: ThetaKind.THETA3,
-}
-
-
-# The kinds summed over half-integer indices.
-_HALF_INTEGER_KINDS = (_THETA1, _THETA2)
+_KIND_OF = ((_THETA3, _THETA4), (_THETA2, _THETA1))  # [alpha][beta]
+for _kind in ThetaKind:  # at 2 alpha + beta in the flattened table
+    _kind.alpha, _kind.beta = divmod(sum(_KIND_OF, ()).index(_kind), 2)
+HALF_PERIOD_PARTNER = {k: _KIND_OF[k.alpha][1 - k.beta] for k in ThetaKind}
 
 
 def truncation_bound(kind: ThetaKind, z: complex, tau: complex, N: int) -> float:
     """Upper bound on the absolute tail beyond the symmetric partial sum S_N.
 
     Every omitted term has magnitude e^{-pi y m^2 + 2 pi beta m} with
-    y = Im tau, beta = |Im z| and m = |series index| (integers for
-    theta3/theta4, half-integers for theta1/theta2).  Successive magnitudes
+    y = Im tau, beta = |Im z| and m = |n + alpha/2|.  Successive magnitudes
     shrink by at least r = e^{-pi y (2 m0 + 1) + 2 pi beta} from the first
     omitted index m0 on, so the tail is at most 2 t(m0) / (1 - r); +inf is
     returned when r >= 1 (bound not yet applicable at this N), when r
@@ -103,7 +94,7 @@ def truncation_bound(kind: ThetaKind, z: complex, tau: complex, N: int) -> float
 
 def _tail_bound(kind: ThetaKind, y: float, beta: float, N: int) -> float:
     """truncation_bound for validated y = Im tau > 0 and beta = |Im z|."""
-    m0 = N + 1.5 if kind in _HALF_INTEGER_KINDS else N + 1.0
+    m0 = N + 1 + kind.alpha / 2
     log_ratio = -_PI * y * (2 * m0 + 1) + 2 * _PI * beta
     if log_ratio >= 0:
         return math.inf
@@ -135,9 +126,9 @@ def truncation_index(
     scan from 1 would return.  The start sizes N from the leading omitted
     term alone (as in Johansson, arXiv:1806.06725): t(m) = tol/4 at the root
     m = (beta + sqrt(beta^2 + y L/pi))/y of pi y m^2 - 2 pi beta m = L,
-    with L = -log(tol/4), and the first omitted index m0 is N + 1.5
-    (theta1/2) or N + 1 (theta3/4), so N starts at ceil(m - 1.5) or
-    ceil(m - 1), a few steps from the answer; the bound certifies it.
+    with L = -log(tol/4), and the first omitted index m0 is N + 1 + alpha/2,
+    so N starts at ceil(m - 1 - alpha/2), a few steps from the answer; the
+    bound certifies it.
 
     The start is evaluated first: when it is good, N steps down from it, and
     when it is the answer that takes two bound calls.  Only a start that is
@@ -177,14 +168,15 @@ def _start_index(
     """truncation_index's closed-form start, clamped into [1, max_index].
 
     L is computed as log 4 - log tol, so that a subnormal tol/4 cannot
-    round to 0.  The discriminant can be nonpositive only when tol > 4
-    (L < 0); the start is then 1.
+    round to 0, and the root as b + sqrt(b^2 + (L/pi)/y) with b = beta/y,
+    so that y L/pi cannot overflow at a huge Im tau.  The discriminant can
+    be nonpositive only when tol > 4 (L < 0); the start is then 1.
     """
-    disc = beta * beta + y * (_LOG4 - math.log(tol)) / _PI
+    b = beta / y
+    disc = b * b + (_LOG4 - math.log(tol)) / _PI / y
     if not disc > 0:
         return 1
-    offset = 1.5 if kind in _HALF_INTEGER_KINDS else 1.0
-    start = (beta + math.sqrt(disc)) / y - offset
+    start = b + math.sqrt(disc) - (1 + kind.alpha / 2)
     if not start < max_index:  # also an overflowed start
         return max_index
     return math.ceil(start) if start > 1 else 1
@@ -192,18 +184,18 @@ def _start_index(
 
 def term_count(kind: ThetaKind, N: int) -> int:
     """Number of series terms in the symmetric partial sum S_N."""
-    return 2 * N + 2 if kind in _HALF_INTEGER_KINDS else 2 * N + 1
+    return 2 * N + 1 + kind.alpha
 
 
 def _partial_sum(
     kind: ThetaKind, z: complex, tau: complex, N: int, shift: complex = 0j
 ) -> complex:
-    """S_N: indices |n| <= N (theta3/4), or n = -N-1 .. N (theta1/2).
+    """S_N: n = -N-alpha .. N, for the characteristic [alpha, beta] of kind.
 
-    In the index m = n (theta3/4) or n + 1/2 (theta1/2) the terms are
-    t(m) = s^n e^{i pi (tau m^2 + 2 m z)}, with s = -1 for theta1/4 and 1
-    for theta2/3, and |t(m)| = e^{-pi y m^2 - 2 pi m Im z} peaks at
-    m* = -Im z / y.  The walk starts at c, the summed index nearest m*:
+    In the index m = n + alpha/2 the terms are t(m) = s^n e^{i pi (tau m^2
+    + 2 m z)} with s = (-1)^beta (see ThetaKind), and |t(m)| =
+    e^{-pi y m^2 - 2 pi m Im z} peaks at m* = -Im z / y.  The walk starts
+    at c, the summed index nearest m*:
 
         t(m+1) = t(m) R(m),  R(m) = s e^{i pi (tau (2m+1) + 2z)},  R(m+1) = R(m) q^2
         t(m-1) = t(m) D(m),  D(m) = s e^{i pi (tau (1-2m) - 2z)},  D(m-1) = D(m) q^2
@@ -232,15 +224,11 @@ def _partial_sum(
     """
     e = cmath.exp
     ipi = 1j * _PI
-    s = -z.imag / tau.imag
-    if kind is _THETA1 or kind is _THETA2:
-        lo = -N - 1
-        j = lo if s < lo else N if s >= N else math.floor(s)
-        m = j + 0.5
-    else:
-        lo = -N
-        s += 0.5
-        j = m = lo if s < lo else N if s >= N else math.floor(s)
+    alpha = kind.alpha
+    lo = -N - alpha
+    s = (1 - alpha) / 2 - z.imag / tau.imag  # c = j + alpha/2, nearest m*
+    j = lo if s < lo else N if s >= N else math.floor(s)
+    m = j + alpha / 2
     a = N - j + 1  # upward terms
     b = j - lo  # downward terms
     zz = 2 * z
@@ -248,7 +236,7 @@ def _partial_sum(
     ru = e(ipi * (tau * (2 * m + 1) + zz))
     rd = e(ipi * (tau * (1 - 2 * m) - zz))
     q2 = e(2 * ipi * tau)
-    if kind is _THETA1 or kind is _THETA4:
+    if kind.beta:
         ru = -ru
         rd = -rd
         if j % 2:
@@ -277,6 +265,12 @@ def _partial_sum(
     return -1j * total if kind is _THETA1 else total
 
 
+def _real_periods(z: complex, tau: complex) -> tuple[complex, complex]:
+    """(z, tau) moved by z+2 and T^8, which fix every kind, into |Re z| <= 1
+    and |Re tau| <= 4; x - p round(x/p) is exact for p a power of two."""
+    return z - 2 * round(z.real / 2), tau - 8 * round(tau.real / 8)
+
+
 class SeriesEvaluation(NamedTuple):
     value: complex
     index: int
@@ -292,12 +286,14 @@ def theta_series_report(
 ) -> SeriesEvaluation:
     """Certified evaluation, reporting the truncation index and term count.
 
-    A value beyond the float range (a term's modulus or phase overflows, or
-    the sum is not finite) is a DomainError, raised outside any handler.
+    The sum is taken at the point :func:`_real_periods` gives.  A value
+    beyond the float range (a term's modulus or phase overflows, or the sum
+    is not finite) is a DomainError, raised outside any handler.
     """
     N = truncation_index(kind, z, tau, tol, max_index)
+    w, t = _real_periods(z, tau)
     try:  # the largest term's exp, the only one that can overflow
-        value = _partial_sum(kind, z, tau, N)
+        value = _partial_sum(kind, w, t, N)
     except (OverflowError, ValueError):
         value = math.inf
     if not cmath.isfinite(value):
@@ -329,17 +325,18 @@ def theta1_sine_series(
 
     A deliberately different floating path (power + sin instead of paired
     exponentials) used as a mutual oracle for theta_series(THETA1, ...);
-    the two agree within 2*tol.  A term or a sum beyond the float range is
-    a DomainError, as in theta_series_report.
+    the two agree within 2*tol.  It sums at the same point, and a term or a
+    sum beyond the float range is a DomainError, as in theta_series_report.
     """
     N = truncation_index(ThetaKind.THETA1, z, tau, tol, max_index)
+    w, t = _real_periods(z, tau)
     total = 0.0 + 0.0j
     sign = 1.0
     try:  # exp or sin of an overflowing or non-finite argument
         for m in range(0, N + 1):
             h = m + 0.5
-            qpow = cmath.exp(1j * _PI * tau * (h * h))
-            total += sign * qpow * cmath.sin((2 * m + 1) * _PI * z)
+            qpow = cmath.exp(1j * _PI * t * (h * h))
+            total += sign * qpow * cmath.sin((2 * m + 1) * _PI * w)
             sign = -sign
     except (OverflowError, ValueError):
         total = math.inf

@@ -22,14 +22,15 @@ transformation factor back out in one step, with the exact integer matrix
 (as Johansson, arXiv:1806.06725, does); z is then reduced by
 quasi-periodicity into |Im z'| <= Im tau'/2, so the series sums a handful
 of terms wherever z lies.  The reduction loop carries the
-reducing matrix beside tau and, for theta2/3/4, the kind the letters lead
-to and that kind's unit phase relative to theta1's, read off the table of
-:func:`apply_letter` (theta1 always maps to itself).  The law is then
-applied once on that matrix, its exponent folded into the exponent of the
-series' largest term together with the z shift's, so only a value beyond
-the float range fails.
-:func:`apply_letter` stays off both paths: it is the chained
-oracle that :func:`predict_theta1_chained` walks along a generator word.
+reducing matrix beside tau, and the kind's characteristic by ThetaKind's T
+and S rules together with its unit phase relative to theta1's.  The law is
+then applied once on that matrix, its exponent folded into the exponent of
+the series' largest term together with the z shift's, so only a value
+beyond the float range fails.
+:func:`apply_letter` keeps its own explicit table, off both paths: it is
+the independent chained oracle that :func:`predict_theta1_chained` walks
+(the eq1, eq2 and chain-vs-direct suites), and the tests check the
+characteristic rules against it.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .modgroup import (
 )
 from .multipliers import _theta1_q, gamma2_alpha
 from .series import (
+    _KIND_OF,
     _THETA1,
     _THETA2,
     _THETA3,
@@ -213,14 +215,15 @@ def _reduce_steps(
 
     Returns ((a, b, c, d), tau', letters, kind', rel).  A = (a b; c d) is the
     left product of the letters, not normalized, and A tau = tau'.  The
-    letters are ints in application order: T^k as k != 0, S as 0.  By the
-    table of apply_letter, theta_kind becomes theta_kind', with unit phase
-    e^{i pi rel/12} relative to theta1's: T^k adds 3k to theta3 and theta4
-    and swaps them for odd k; S adds -6 (theta1's extra i) to theta2/3/4 and
-    swaps theta2 and theta4.  tau must already have passed require_upper_half.
+    letters are ints in application order: T^k as k != 0, S as 0.  Each
+    moves kind's characteristic by ThetaKind's rules, and the unit phase
+    e^{i pi rel/12} of kind' relative to theta1's: T^k adds 3k where
+    alpha = 0, S adds -6 (theta1's extra i) where alpha beta = 0.  tau must
+    already have passed require_upper_half.
     """
     letters: list[int] = []
     a, b, c, d = 1, 0, 0, 1
+    alpha, beta = kind.alpha, kind.beta
     rel = 0
     t = complex(tau)
     for _ in range(10000):
@@ -229,22 +232,20 @@ def _reduce_steps(
             t = t - m
             a, b = a - m * c, b - m * d  # T^-m A
             letters.append(-m)
-            if kind is _THETA3 or kind is _THETA4:
+            if not alpha:
                 rel -= 3 * m
-                if m % 2:
-                    kind = _THETA4 if kind is _THETA3 else _THETA3
+                beta ^= m & 1
         if abs(t) < 1.0 - 1e-12:
             t = -1 / t
             a, b, c, d = -c, -d, a, b  # S A
             letters.append(0)
-            if kind is not _THETA1:
+            if not (alpha and beta):
                 rel -= 6
-                if kind is not _THETA3:
-                    kind = _THETA4 if kind is _THETA2 else _THETA2
+            alpha, beta = beta, alpha
             if not cmath.isfinite(t):  # e.g. Im tau = 1e-320 at Re tau = 1/2
                 raise DomainError(f"reducing tau = {tau} leaves the float range")
         else:
-            return (a, b, c, d), t, letters, kind, rel
+            return (a, b, c, d), t, letters, _KIND_OF[alpha][beta], rel
     raise RuntimeError(f"fundamental-domain reduction did not terminate for {tau}")
 
 
@@ -279,14 +280,14 @@ def _law(
     i pi k/12 - Log(-i j)/2 - i pi c z z_c, where e^{i pi k/12} is
     e^{i pi rel/12} (kind' against theta1) over theta1's multiplier, k in
     [-12, 12) to round least; for A = T^b, i pi k/12 at (z, tau + b).  -A
-    acts as A, times -1 for theta2/3/4.  Re j is rounded once, from the
+    acts as A, times -1 where alpha beta = 0.  Re j is rounded once, from the
     exact ratio of Re tau; one beyond the floats raises OverflowError."""
     a, b, c, d = entries
     if c == 0:  # A = T^b: theta1 and theta2 pick up e^{i pi b/4}, nothing else
         return 1j * math.pi * ((rel - 3 * b + 12) % 24 - 12) / 12, z, tau + b
     if c < 0:  # -A acts alike
         a, b, c, d = -a, -b, -c, -d
-        if kind is not _THETA1:
+        if not (kind.alpha and kind.beta):
             rel += 12
     p, q = tau.real.as_integer_ratio()
     j = (c * p + d * q) / q + 1j * (c * tau.imag)  # Re j rounded once
@@ -307,25 +308,24 @@ def eval_fast_report(
     """Argument-reduced evaluation with term-count telemetry.
 
     A z with |Re z| > 1/2 is first moved by the nearest integer n to z - n,
-    exact in floats; theta1 and theta2 change sign with each period and
-    theta3 and theta4 do not, so the value is that at z - n, negated for odd
-    n with theta1 or theta2.  It reduces tau with the integer matrix A and
-    applies the law of A once, :func:`_law`, with the phase of kind'
-    relative to theta1's that the reduction loop carries.  Then
-    z_c = z/(c tau+d) is reduced by quasi-periodicity (DLMF 20.2(ii)): with
-    m = round(Im z_c / Im tau_c), w = z_c - m tau_c,
+    exact in floats: the value is that at z - n times (-1)^{alpha n} (see
+    ThetaKind).  It reduces tau with the integer matrix A and applies the law
+    of A once, :func:`_law`, with the phase of kind' relative to theta1's
+    that the reduction loop carries.  Then z_c = z/(c tau+d) is reduced by
+    quasi-periodicity (DLMF 20.2(ii)): with m = round(Im z_c / Im tau_c),
+    w = z_c - m tau_c,
 
         theta_kind'(z_c, tau_c)
             = s^m e^{-i pi (m^2 tau_c + 2 m w)} theta_kind'(w, tau_c)
 
-    with s = -1 for theta1/4 and 1 for theta2/3.  The series is summed once,
-    at (w, tau_c), where |Im w| <= Im tau_c / 2 puts its peak at index 0 or
-    +-1/2 and it converges in a handful of terms.  The law's exponent, the z
-    shift's and i pi where s^m = -1 make one shift, folded into the exponent
-    of the largest term: each may overflow or underflow alone while the value
-    is a float.  The truncation target is tol / |e^shift|, so the value's
-    absolute error stays within tol.  A reduced point outside the floats, a
-    value beyond the float range, and a scale e^shift at which that target
+    with s = (-1)^beta of kind'.  The series is summed once, at (w, tau_c),
+    where |Im w| <= Im tau_c / 2 puts its peak at index 0 or +-1/2 and it
+    converges in a handful of terms.  The law's exponent, the z shift's and
+    i pi where s^m = -1 make one shift, folded into the exponent of the
+    largest term: each may overflow or underflow alone while the value is a
+    float.  The truncation target is tol / |e^shift|, so the value's absolute
+    error stays within tol.  A reduced point outside the floats, a value
+    beyond the float range, and a scale e^shift at which that target
     underflows (even the rounding of the sum is beyond the floats there) are
     DomainErrors naming the caller's z and tau, the last two also Re shift,
     the log-scale.  They are raised outside any handler: they chain no inner
@@ -345,7 +345,7 @@ def eval_fast_report(
     m = round(ratio)
     w = z_c - m * tau_c
     shift = exponent - 1j * math.pi * m * (z_c + w)  # -i pi (m^2 tau_c + 2 m w)
-    if m % 2 and (kind_c is _THETA1 or kind_c is _THETA4):
+    if m % 2 and kind_c.beta:
         shift += 1j * math.pi  # s^m = -1
     inner_tol = tol if shift.real <= 0 else tol * math.exp(-shift.real)  # NaN stays NaN
     value = _INF
@@ -360,7 +360,7 @@ def eval_fast_report(
             f"{kind} at z = {z}, tau = {tau} is beyond the float range"
             f" (log-scale {shift.real:.6g})"
         )
-    if n % 2 and (kind is _THETA1 or kind is _THETA2):
+    if n % 2 and kind.alpha:
         value = -value
     return FastEvaluation(
         value, term_count(kind_c, N), tau_c, kind_c, tuple(letters), entries

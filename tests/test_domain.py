@@ -11,9 +11,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetamod.errors import DomainError
+from thetamod.errors import DomainError, PrecisionUnreachableError
 from thetamod.modgroup import Sl2Matrix, mobius, translation
-from thetamod.transform import conditioning_factor
+from thetamod.series import ThetaKind
+from thetamod.transform import conditioning_factor, eval_fast
 
 _reals = st.floats(allow_nan=False, allow_infinity=False)
 upper_half = st.builds(
@@ -34,7 +35,9 @@ def sl2_matrices(draw):
     if c == 0:
         A = translation(draw(st.integers(-(10**C_EXPONENT), 10**C_EXPONENT)))
     else:
-        d = draw(st.integers(-c, c).filter(lambda d: math.gcd(c, d) == 1))
+        d = draw(st.integers(-c, c))
+        while math.gcd(c, d) != 1:  # stops by 1 or -1 at the latest
+            d += 1 if d <= 0 else -1
         a = pow(d, -1, c) + c * draw(st.integers(-3, 3))
         A = Sl2Matrix(a, (a * d - 1) // c, c, d)
     return -A if draw(st.booleans()) else A
@@ -60,3 +63,14 @@ def test_returns_a_finite_value_or_a_domain_error(name, A, z, tau):
     except DomainError:
         return
     assert valid(value), (A, z, tau, value)
+
+
+@pytest.mark.parametrize("kind", ThetaKind, ids=str)
+@settings(max_examples=2000, deadline=None)
+@given(z=any_z, tau=upper_half)
+def test_eval_fast_returns_a_finite_value_or_a_named_error(kind, z, tau):
+    try:
+        value = eval_fast(kind, z, tau)
+    except (DomainError, PrecisionUnreachableError):
+        return
+    assert cmath.isfinite(value), (kind, z, tau, value)

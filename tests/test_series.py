@@ -245,12 +245,10 @@ def test_non_finite_tolerance_is_refused(tol):
     [
         (K3, 400j, 1j),  # largest term about e^{502,655}
         (K1, 50j, 0.1 + 1j),  # about e^{7,854}
-        (K4, -2e-7j, 1e300 + 1.6e-11j),  # its phase pi Re tau m^2, m ~ 12,500
     ],
 )
 def test_a_value_beyond_the_float_range_is_a_domain_error(kind, z, tau):
-    # once a raw OverflowError from the largest term's exp, or a raw
-    # ValueError ("math domain error") from an exp of infinite phase
+    # once a raw OverflowError from the largest term's exp
     match = f"^{kind} at z = .*: its largest term or its sum is beyond the float range$"
     with pytest.raises(DomainError, match=match):
         theta_series(kind, z, tau)
@@ -269,17 +267,51 @@ def test_a_non_finite_sum_is_a_domain_error():
         theta_series(K3, z, tau)
 
 
-@pytest.mark.parametrize(
-    "z, tau",
-    [(50j, 0.1 + 1j), (0.1, 1e306 + 1e-4j)],  # a term's modulus / its phase overflows
-)
+@pytest.mark.parametrize("z, tau", [(50j, 0.1 + 1j)])  # a term's modulus overflows
 def test_sine_series_beyond_the_float_range_is_a_domain_error(z, tau):
-    # once a raw OverflowError ("math range error") or ValueError ("math
-    # domain error") from a term's exp or sin
+    # once a raw OverflowError ("math range error") from a term's exp or sin
     match = r"^theta1 at z = .*: a term or the sine sum is beyond the float range$"
     with pytest.raises(DomainError, match=match) as exc:
         theta1_sine_series(z, tau)
     assert exc.value.__context__ is None  # raised outside the handler
+
+
+@pytest.mark.parametrize(
+    "kind, z, tau, truth",
+    [
+        (K3, 0.1, 1e12 + 1j, 1.0699237438339497),
+        (K3, 0.1, 1e300 + 1j, 1.0699237438339497),  # 1e300 is a multiple of 8
+        (K1, 0.1, 4e6 + 0.01j, 0.0),  # about 1.5e-21; returns 1.2e-11
+        (K4, -2e-7j, 1e300 + 1.6e-11j, 0.0),  # eval_fast's 0j; returns -8.9e-15
+        (K1, 0.1, 1e306 + 1e-4j, 0.0),  # returns -2.4e-12
+    ],
+    ids=["theta3-1e12", "theta3-1e300", "theta1-4e6", "theta4-1e300", "theta1-1e306"],
+)
+def test_a_huge_real_part_is_reduced_exactly(kind, z, tau, truth):
+    # pi (m^2 Re tau + 2 m Re z) in floats once rounded the phases away:
+    # 1.0699310960-1.79e-6i at Re tau = 1e12, 0.963-0.078i at 1e300, 7.1e-10
+    # for theta1; the theta4 case, and the sine series at 1e306, overflowed
+    # into a refusal as beyond the float range
+    assert abs(theta_series(kind, z, tau) - truth) < 1e-10  # the default tol
+    if kind is K1:
+        assert abs(theta1_sine_series(z, tau) - truth) < 1e-10
+
+
+def test_huge_real_parts_agree_with_the_point_reduced_by_hand():
+    # math.fmod is exact too; its residue may differ from _real_periods' by
+    # one period, and both values are within tol of the truth
+    rng = random.Random(36)
+    tol = 1e-10
+    for _ in range(100):
+        kind = rng.choice(ALL_KINDS)
+        x = rng.choice((-1, 1)) * 10 ** rng.uniform(0, 15)
+        u = rng.choice((-1, 1)) * 10 ** rng.uniform(0, rng.choice((15, 300)))
+        z, tau = complex(x, rng.uniform(-0.3, 0.3)), complex(u, rng.uniform(0.3, 2))
+        by_hand = complex(math.fmod(x, 2), z.imag), complex(math.fmod(u, 8), tau.imag)
+        expected = theta_series(kind, *by_hand, tol)
+        assert abs(theta_series(kind, z, tau, tol) - expected) < 2 * tol
+        if kind is K1:
+            assert abs(theta1_sine_series(z, tau, tol) - expected) < 3 * tol
 
 
 def test_truncation_index_rejects_max_index_below_one():
@@ -387,6 +419,24 @@ def test_truncation_index_steps_down_past_its_start():
     # on both sides of its peak, and the closed-form start (N = 3, past the
     # far root) lies above the first good index
     assert _check_first_good(K4, 34.5j, 10j, 1e161, 1000) == 2
+
+
+def test_a_huge_im_tau_takes_one_bound_call(monkeypatch):
+    # y L / pi once overflowed past Im tau ~ 7.3e306: the start clamped to
+    # MAX_INDEX, and N stepped down to 1 one bound call at a time
+    calls = []
+    tail_bound = series._tail_bound
+
+    def counting(kind, y, beta, N):
+        calls.append(N)
+        return tail_bound(kind, y, beta, N)
+
+    monkeypatch.setattr(series, "_tail_bound", counting)
+    for kind in ALL_KINDS:
+        for z in (0.3, 0.3 + 1j, 1e300j):
+            calls.clear()
+            assert truncation_index(kind, z, 1e308j, 1e-10) == 1
+            assert calls == [1]
 
 
 def test_a_start_that_is_the_answer_takes_two_bound_calls(monkeypatch):
