@@ -213,7 +213,7 @@ def _close_word(letters: list[Letter], a: int, b: int) -> GeneratorWord:
     """End a reduction at the remainder (a b; 0 a) = +-T^j: append T^j unless j = 0."""
     sign = 1 if a == 1 else -1
     if b != 0:
-        letters.append(Letter("T", sign * b))
+        letters.append(_tuple_new(Letter, ("T", sign * b)))
     return GeneratorWord(tuple(letters), sign)
 
 
@@ -230,7 +230,7 @@ def decompose_gamma(A: Sl2Matrix) -> GeneratorWord:
     while c != 0:
         m = _round_half_down(a, c)
         if m != 0:
-            letters.append(Letter("T", m))
+            letters.append(_tuple_new(Letter, ("T", m)))
         letters.append(_S_LETTER)
         # peel: M = T^m S M'  =>  M' = S^{-1} T^{-m} M
         a, b, c, d = c, d, m * c - a, m * d - b
@@ -252,10 +252,10 @@ def decompose_gamma2(A: Sl2Matrix) -> GeneratorWord:
     while c != 0:
         if abs(c) >= abs(a):
             m = _round_half_down(c, 2 * a)
-            letters.append(Letter("S2", m))
+            letters.append(_tuple_new(Letter, ("S2", m)))
             c, d = c - 2 * m * a, d - 2 * m * b  # S2^-m M
         else:
             m = _round_half_down(a, 2 * c)
-            letters.append(Letter("T", 2 * m))
+            letters.append(_tuple_new(Letter, ("T", 2 * m)))
             a, b = a - 2 * m * c, b - 2 * m * d  # T^-2m M
     return _close_word(letters, a, b)

@@ -30,9 +30,9 @@ negative; then epsilon1(N) = epsilon1(A) e^{i*pi*delta/12} with
 
 (Apostol, Modular Functions and Dirichlet Series, ch. 3: consequences of
 Dedekind reciprocity).  This table, _RIGHT_PHASE, is the one home of these
-laws: :func:`right_step` reads it, :func:`lemma_sides` checks it against
-Dedekind sums, and :func:`theta1_epsilon_induction` rebuilds epsilon1 from
-epsilon1(S) = -i with it.
+phases, and :func:`_right` of the products N, on four ints: :func:`right_step`
+wraps it, :func:`lemma_sides` checks it against Dedekind sums, and
+:func:`theta1_epsilon_induction` walks it along the word from epsilon1(S) = -i.
 
 The level-2 laws for theta2/theta3/theta4 have the same shape, with unit
 factor alpha(kind, A) * epsilon1(A); ``transform._law`` applies all four
@@ -44,14 +44,7 @@ from __future__ import annotations
 from .dedekind import _g
 from .errors import DomainError, int_text
 from .exact import UnitPhase, jacobi_symbol
-from .modgroup import (
-    S,
-    Letter,
-    Sl2Matrix,
-    decompose_gamma,
-    is_gamma2,
-    translation,
-)
+from .modgroup import S, Letter, Sl2Matrix, _tuple_new, decompose_gamma, is_gamma2
 from .series import ThetaKind
 
 # The right-multiplication laws in units of pi/12, keyed by (generator,
@@ -151,24 +144,43 @@ def gamma2_prefactor(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
     return UnitPhase._of(gamma2_alpha(kind, A).residue + theta1_epsilon(A).residue - 3)
 
 
+def _right(a: int, b: int, c: int, d: int, gen: str, exp: int) -> tuple:
+    """(a, b, c, d, delta) of N = A L for A = (a b; c d), c > 0, and L = T^exp,
+    S or S2 (exp 1): the one home of these products, on plain ints.
+
+    N is (a, b + exp*a; c, d + exp*c), (b, -a; d, -c) or (a + 2b, b; c + 2d, d),
+    negated when its lower-left entry is negative, and delta is read from
+    _RIGHT_PHASE on each call.  Nothing is checked: see :func:`right_step`.
+    """
+    if gen == "T":
+        b, d = b + exp * a, d + exp * c
+    elif gen == "S":
+        a, b, c, d = b, -a, d, -c
+    else:
+        a, c = a + 2 * b, c + 2 * d
+    if c < 0:
+        return -a, -b, -c, -d, _RIGHT_PHASE[gen, True] * exp
+    return a, b, c, d, _RIGHT_PHASE[gen, False] * exp
+
+
 def right_step(A: Sl2Matrix, letter: Letter) -> tuple[Sl2Matrix, int]:
     """(N, delta): N = +-A L, c_N > 0, epsilon1(N) = epsilon1(A) e^{i*pi*delta/12}.
 
-    For c_A > 0 and L one of T^m, S, S2; delta is read from _RIGHT_PHASE (see
-    the module docstring).  Any other letter, or a product with lower-left
-    entry 0, is a DomainError.
+    For c_A > 0 and L one of T^m, S, S2, by :func:`_right`.  Any other
+    letter, or a product with lower-left entry 0, is a DomainError.
     """
     _require_positive_c(A, "right_step")
-    gen = letter.gen
-    if gen == "S2" and letter.exp != 1:
+    gen, exp = letter
+    if gen not in ("T", "S", "S2"):
+        raise DomainError(f"unknown generator {gen!r}")
+    if gen == "S" and exp != 1:  # S^2 = -I, so no other power of S is S
+        raise DomainError(f"an S letter has exponent 1, not {exp}")
+    if (gen == "S2" and exp != 1) or type(exp) is not int:
         raise DomainError(f"right_step takes T^m, S or S2, not {letter}")
-    M = A * letter.matrix()  # refuses an unknown generator and S^k, k != 1
-    if gen == "T":
-        return M, _RIGHT_PHASE["T", False] * letter.exp
-    if M.c == 0:
+    *N, delta = _right(*A, gen, exp)
+    if N[2] == 0:
         raise DomainError(f"{A} * {letter} has lower-left entry 0")
-    flipped = M.c < 0
-    return (-M if flipped else M), _RIGHT_PHASE[gen, flipped]
+    return _tuple_new(Sl2Matrix, N), delta
 
 
 def lemma_sides(A: Sl2Matrix, letter: Letter) -> tuple[UnitPhase, UnitPhase]:
@@ -188,9 +200,9 @@ def theta1_epsilon_induction(A: Sl2Matrix) -> UnitPhase:
     The word is T^j S L_1 L_2 ... (T^j possibly empty).  Its prefix T^j S =
     (j -1; 1 0) has c = 1, where epsilon1 depends only on a + d, so it
     shares the value -i e^{i*pi*j/4} with S T^j, one right step from the
-    base value epsilon1(S) = -i.  Every later letter is one
-    :func:`right_step`, so the induction uses no Dedekind sum and no phase
-    law of its own.
+    base value epsilon1(S) = -i.  Every later letter is one :func:`_right`
+    step on four ints, never to c = 0 (each later S follows a T^m, |m| >= 2),
+    so the induction uses no Dedekind sum and no phase law of its own.
 
     This is the computational content of the induction that extends the
     theta1 law from S to the whole group; agreement with
@@ -202,9 +214,9 @@ def theta1_epsilon_induction(A: Sl2Matrix) -> UnitPhase:
         j, letters = letters[0].exp, letters[1:]
     if not letters:
         raise DomainError("translation matrices carry no inversion multiplier")
-    k = right_step(S, Letter("T", j))[1] - 6  # epsilon1(S) = -i
-    N = translation(j) * S
-    for letter in letters[1:]:
-        N, delta = right_step(N, letter)
+    k = _right(*S, "T", j)[4] - 6  # epsilon1(S) = -i
+    a, b, c, d = j, -1, 1, 0  # T^j S
+    for gen, exp in letters[1:]:
+        a, b, c, d, delta = _right(a, b, c, d, gen, exp)
         k += delta
     return UnitPhase._of(k)

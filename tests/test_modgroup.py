@@ -1,6 +1,8 @@
 """Matrix algebra, Mobius action, and generator-word decomposition."""
 
 import copy
+import hashlib
+import json
 import math
 import pickle
 import random
@@ -465,3 +467,26 @@ def test_decompose_gamma2_matches_a_per_step_matrix_walk(huge_matrices):
         w = decompose_gamma2(A)
         assert w == _reference_decompose2(A), A
         assert recompose(w) == A
+
+
+# sha256 of every word's str and sorted-key JSON, one line each, over the
+# corpora below, each matrix and its negative.
+_WORD_DIGESTS = {
+    "gamma": "341e13dc07f852b71ca7fc2beff0bf82cce87400a6ec9766a548a4b4a5115fc9",
+    "gamma2": "7200bf8ec3e1ca276390cd5456ca1e99b1c7d832bc3f6a9748a51b364c72438a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WORD_DIGESTS))
+def test_words_print_and_serialize_byte_for_byte(name, huge_matrices):
+    if name == "gamma":
+        decompose, matrices = decompose_gamma, huge_matrices + _seeded_matrices(2000, False, 29)
+    else:
+        level2 = [A for A in huge_matrices if is_gamma2(A)]
+        decompose, matrices = decompose_gamma2, level2 + _seeded_matrices(2000, True, 31)
+    digest = hashlib.sha256()
+    for A in matrices + [-A for A in matrices]:
+        w = decompose(A)
+        assert all(type(l) is Letter and type(l.exp) is int for l in w.letters), A
+        digest.update(f"{w}\n{json.dumps(w.to_json(), sort_keys=True)}\n".encode())
+    assert digest.hexdigest() == _WORD_DIGESTS[name]

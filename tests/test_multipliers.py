@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,10 +16,13 @@ from thetamod.modgroup import (
     IDENTITY,
     S,
     S2,
+    GeneratorWord,
     Letter,
     Sl2Matrix,
+    decompose_gamma,
     mobius,
     normalize_sign,
+    recompose,
     shear,
     translation,
 )
@@ -198,6 +202,12 @@ def test_right_step_rejections(A, letter):
         right_step(A, letter)
 
 
+@pytest.mark.parametrize("letter", [Letter("T", 0.5), Letter("T", True), Letter("S2", 1.0)])
+def test_right_step_refuses_an_exponent_that_is_not_an_int(letter):
+    with pytest.raises(DomainError):
+        right_step(S, letter)
+
+
 @pytest.mark.parametrize(
     "entry, suite",
     [
@@ -219,6 +229,65 @@ def test_phase_table_is_the_one_home(monkeypatch, entry, suite):
     if entry[0] != "S2":  # full-group words have no S2 letters
         draws = [A for A, _ in _draws(30, 50)]
         assert any(theta1_epsilon_induction(A) != theta1_epsilon(A) for A in draws)
+
+
+def test_right_step_is_the_signed_matrix_product():
+    """right_step's four-int products against A * L.matrix(), made positive,
+    with the table's phase: 12,000 seeded pairs, entries up to 10^18."""
+    rng = random.Random(37)
+    branches = Counter()
+    while sum(branches.values()) < 12000:
+        c = int(10 ** rng.uniform(0, 18))
+        d = rng.randint(-2 * c, 2 * c)
+        if math.gcd(c, d) != 1:
+            continue
+        a = pow(d, -1, c) + c * rng.randint(-3, 3)
+        A = Sl2Matrix(a, (a * d - 1) // c, c, d)
+        gen = rng.choice(("T", "S", "S2"))
+        letter = Letter(gen, rng.randint(-(10**6), 10**6) if gen == "T" else 1)
+        N = A * letter.matrix()
+        if N.c == 0:
+            with pytest.raises(DomainError):
+                right_step(A, letter)
+            continue
+        flipped = N.c < 0
+        delta = multipliers._RIGHT_PHASE[gen, flipped] * letter.exp
+        step = right_step(A, letter)
+        assert step == ((-N if flipped else N), delta), (A, letter)
+        assert type(step[0]) is Sl2Matrix and type(step[1]) is int, (A, letter)
+        branches[gen, flipped] += 1
+    assert min(branches[key] for key in multipliers._RIGHT_PHASE) > 1000, branches
+
+
+def test_the_induction_builds_no_matrix_per_letter(monkeypatch):
+    """The induction walks four ints: the Sl2Matrix constructions, products
+    and negations it makes, and the letter matrices it builds, are the same
+    few on a word of 5 letters as on one of 27."""
+    T2, T3, S_ = Letter("T", 2), Letter("T", 3), Letter("S")
+    short = recompose(GeneratorWord((T2, S_, T3, S_, T2)))
+    long = recompose(GeneratorWord((T2, S_) + (T3, S_) * 12 + (T2,)))
+    assert [len(decompose_gamma(A).letters) for A in (short, long)] == [5, 27]
+    made = Counter()
+
+    def counted(owner, name):
+        original = owner.__dict__[name]
+
+        def wrapper(*args):
+            made[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("__new__", "__mul__", "__neg__"):
+        counted(Sl2Matrix, name)
+    counted(Letter, "matrix")
+    totals = []
+    for A in (short, long):
+        made.clear()
+        induced = theta1_epsilon_induction(A)
+        totals.append(sum(made.values()))
+        assert induced == theta1_epsilon(A), A
+    assert totals[0] == totals[1] <= 2, totals
 
 
 def test_epsilon1_eighth_root_of_unity():
