@@ -15,8 +15,8 @@ only as the oracle behind reciprocity: checking reciprocity with a
 reciprocity-based algorithm would prove nothing.  It has two forms of the
 one definition T(h, k) = sum_{r=1}^{k-1} r*(h*r mod k).  ``_direct_total``
 is an integer loop over one pair in O(1) memory; it serves the single
-pairs of :func:`reciprocity_defect` and ``_dedekind_sum_direct``, which
-accept any k.  ``_direct_row`` gives T(h, k) for every h at one k by
+pairs of :func:`reciprocity_defect`, which accept any k, and the tests'
+direct s(h, k).  ``_direct_row`` gives T(h, k) for every h at one k by
 strides over a per-k cycle of residues, so its loops run in C; the
 reciprocity suite of ``thetamod verify`` walks :func:`reciprocity_defects`,
 which tables those rows once per walk and never uses a derived symmetry of
@@ -82,8 +82,8 @@ def _direct_total(h: int, k: int) -> int:
     """T(h, k) = sum_{r=1}^{k-1} r*(h*r mod k) for 0 <= h < k: the O(k) loop.
 
     The single-pair form of the oracle, in O(1) memory for any k: it serves
-    :func:`reciprocity_defect` and ``_dedekind_sum_direct``, and is the
-    tests' reference for ``_direct_row``.  The residue h*r mod k is carried
+    :func:`reciprocity_defect`, and is the tests' reference for ``_direct_row``
+    and their direct s(h, k).  The residue h*r mod k is carried
     by repeated addition, so the loop multiplies only r*m.
     """
     total = 0
@@ -113,27 +113,16 @@ def _direct_row(k: int) -> list[int]:
     ]
 
 
-def _dedekind_sum_direct(h: int, k: int) -> Fraction:
-    """s(h, k) by the O(k) summation: the tests' reference for dedekind_sum.
-
-    With m_r = h*r mod k (never 0 for coprime h, k and 0 < r < k),
-    ((hr/k)) = m_r/k - 1/2, so
-
-        s(h, k) = T(h mod k, k)/k^2 - (k-1)/4.
-    """
-    _require_coprime(h, k, "_dedekind_sum_direct")
-    return Fraction(_direct_total(h % k, k), k * k) - Fraction(k - 1, 4)
-
-
 _ZERO = Fraction(0)
 
 
 def _defect(h: int, k: int, t_hk: int, t_kh: int) -> Fraction:
     """The reciprocity defect of coprime h, k >= 1 from two direct totals.
 
-    With t_hk = T(h mod k, k) and t_kh = T(k mod h, h), s(h, k) and s(k, h)
-    as in :func:`_dedekind_sum_direct`, and the whole identity scaled by
-    12h^2k^2 to stay over integers:
+    With t_hk = T(h mod k, k) and t_kh = T(k mod h, h), s(h, k) =
+    t_hk/k^2 - (k-1)/4 (as ((hr/k)) = (hr mod k)/k - 1/2 for 0 < r < k) and
+    s(k, h) alike, and the whole identity scaled by 12h^2k^2 to stay over
+    integers:
 
         12h^2k^2 * defect = 12h^2*t_hk + 12k^2*t_kh
                             - 3h^2k^2(h + k - 3) - hk(h^2 + k^2 + 1).

@@ -155,6 +155,8 @@ class Letter(NamedTuple):
     exp: int = 1
 
     def matrix(self) -> Sl2Matrix:
+        if type(self.exp) is not int:  # no bool, no float
+            raise DomainError(f"a letter's exponent is an int, not {self.exp!r}")
         if self.gen == "S":
             if self.exp != 1:  # S^2 = -I, so no other power of S is S
                 raise DomainError(f"an S letter has exponent 1, not {self.exp}")

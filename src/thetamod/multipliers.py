@@ -35,8 +35,9 @@ wraps it, :func:`lemma_sides` checks it against Dedekind sums, and
 :func:`theta1_epsilon_induction` walks it along the word from epsilon1(S) = -i.
 
 The level-2 laws for theta2/theta3/theta4 have the same shape, with unit
-factor alpha(kind, A) * epsilon1(A); ``transform._law`` applies all four
-laws, translations included, with epsilon1 from :func:`_theta1_q`.
+factor alpha(kind, A) * epsilon1(A), alpha from the law of the
+characteristic (``series._char_law``); ``transform._law`` applies every
+kind's law, translations included, with epsilon1 from :func:`_theta1_q`.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .dedekind import _g
 from .errors import DomainError, int_text
 from .exact import UnitPhase, jacobi_symbol
 from .modgroup import S, Letter, Sl2Matrix, _tuple_new, decompose_gamma, is_gamma2
-from .series import ThetaKind
+from .series import ThetaKind, _char_law
 
 # The right-multiplication laws in units of pi/12, keyed by (generator,
 # flipped); the T entry is per unit exponent.  See the module docstring.
@@ -115,26 +116,14 @@ ALPHA_KINDS = (ThetaKind.THETA2, ThetaKind.THETA3, ThetaKind.THETA4)
 
 
 def gamma2_alpha(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
-    """The integer i-power prefactor of the level-2 laws, computed exactly.
-
-    Exponents (all integers since b, c are even and a, d odd):
-
-        theta2: (d-1)(c/2 - 1) + c/2
-        theta3: (d-1)(c/2 + 1) - (b/2) a + c/2
-        theta4: (a-1)(b/2 - 1) - b/2
-    """
+    """The i-power prefactor alpha of the level-2 laws (the paper's Theorem 2),
+    exactly: e^{-i pi rel/12} of the law of the characteristic, which maps
+    every kind to itself on level 2."""
     if kind not in ALPHA_KINDS:
         raise DomainError(f"gamma2_alpha applies to theta2/3/4, not {kind}")
     if not is_gamma2(A):
         raise DomainError(f"{A} is not congruent to the identity mod 2")
-    a, b, c, d = A
-    if kind is ThetaKind.THETA2:
-        e = (d - 1) * (c // 2 - 1) + c // 2
-    elif kind is ThetaKind.THETA3:
-        e = (d - 1) * (c // 2 + 1) - (b // 2) * a + c // 2
-    else:
-        e = (a - 1) * (b // 2 - 1) - b // 2
-    return UnitPhase._of(6 * e)
+    return UnitPhase._of(-_char_law(kind, *A)[1])
 
 
 def gamma2_prefactor(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:

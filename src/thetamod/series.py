@@ -45,8 +45,8 @@ class ThetaKind(enum.Enum):
 
     - the series index is n + alpha/2, and the term sign (-1)^{beta n};
     - z+1 gives (-1)^alpha, and z+tau gives (-1)^beta;
-    - T: [alpha, beta] -> [alpha, alpha+beta+1];
-    - S: [alpha, beta] -> [beta, alpha].
+    - A = (a b; c d): [alpha, beta] -> [d alpha - c beta + cd, a beta - b alpha
+      + ab] (:func:`_char_law`); T gives [alpha, alpha+beta+1], S [beta, alpha].
 
     theta1's extra -i is the minus sign times Mumford's e^{i pi alpha beta/2}.
     """
@@ -76,6 +76,34 @@ for _kind in ThetaKind:  # at 2 alpha + beta in the flattened table
 HALF_PERIOD_PARTNER = {k: _KIND_OF[k.alpha][1 - k.beta] for k in ThetaKind}
 
 
+def _char_law(kind: ThetaKind, a: int, b: int, c: int, d: int) -> tuple[ThetaKind, int]:
+    """The law of the characteristic (Igusa, Theta Functions, ch. V): the kind'
+    theta_kind goes to under A = (a b; c d), and rel mod 24, its law's unit
+    e^{i pi rel/12} against theta1's (0 for theta1).  With [alpha, beta] of kind,
+    x = a beta - b alpha + ab and [alpha', beta'] = [d alpha - c beta + cd, x] mod 2,
+    rel = u(alpha, beta) - u(1, 1), with (as in the README's Conventions)
+
+        u = 6(alpha beta - alpha' beta' + alpha'(x - beta'))
+            + 3(bd alpha - 2bc alpha beta + ac beta) - 6ab(d alpha - c beta),
+
+    here expanded as 3r mod 24, where mod 8 r = 2(alpha beta + alpha'(x - 2 beta')
+    + 1 - a + b - ab + bc(1 - alpha beta)), plus (2a - 1)bd where alpha = 0 and
+    minus (2b + 1)ac where beta = 0.  -A adds 12 where alpha beta = 0 (S^2 = -I).
+    """
+    a, b, c, d = a & 7, b & 7, c & 7, d & 7  # it reads A mod 8: small ints
+    alpha, beta = kind.alpha, kind.beta
+    ab = a * b
+    x = a * beta - b * alpha + ab
+    alpha_, beta_ = (d * alpha - c * beta + c * d) & 1, x & 1
+    r = 2 * (alpha * beta + alpha_ * (x - 2 * beta_) + 1 - a + b - ab
+             + b * c * (1 - alpha * beta))
+    if not alpha:
+        r += (2 * a - 1) * b * d
+    if not beta:
+        r -= (2 * b + 1) * a * c
+    return _KIND_OF[alpha_][beta_], 3 * (r & 7)
+
+
 def truncation_bound(kind: ThetaKind, z: complex, tau: complex, N: int) -> float:
     """Upper bound on the absolute tail beyond the symmetric partial sum S_N.
 
@@ -84,7 +112,7 @@ def truncation_bound(kind: ThetaKind, z: complex, tau: complex, N: int) -> float
     shrink by at least r = e^{-pi y (2 m0 + 1) + 2 pi beta} from the first
     omitted index m0 on, so the tail is at most 2 t(m0) / (1 - r); +inf is
     returned when r >= 1 (bound not yet applicable at this N), when r
-    rounds to 1, and when t(m0) would overflow.
+    rounds to 1, when t(m0) would overflow, and when either logarithm is NaN.
     """
     require_upper_half(tau, z)
     if N < 1:
@@ -96,11 +124,11 @@ def _tail_bound(kind: ThetaKind, y: float, beta: float, N: int) -> float:
     """truncation_bound for validated y = Im tau > 0 and beta = |Im z|."""
     m0 = N + 1 + kind.alpha / 2
     log_ratio = -_PI * y * (2 * m0 + 1) + 2 * _PI * beta
-    if log_ratio >= 0:
+    if not log_ratio < 0:  # NaN too: -inf + inf at a huge Im tau and Im z
         return math.inf
     log_t0 = -_PI * y * m0 * m0 + 2 * _PI * beta * m0
     denominator = 1.0 - math.exp(log_ratio)  # 0.0 when r rounds to 1
-    if log_t0 > 700.0 or denominator <= 0.0:
+    if not log_t0 <= 700.0 or denominator <= 0.0:
         return math.inf
     return 2.0 * math.exp(log_t0) / denominator
 

@@ -6,11 +6,12 @@ The theta1 law for A = (a b; c d), c > 0, Im tau > 0:
         = epsilon1(A) (-i(c tau+d))^{1/2} e^{i pi c z^2/(c tau+d)} theta1(z, tau)
 
 and for c = 0 the translation law theta1(z, tau+m) = e^{i pi m/4} theta1(z, tau).
-The level-2 laws for theta2/3/4 have the same shape, with unit factor
-gamma2_alpha(kind, A) epsilon1(A).  :func:`_law` is the one implementation
-of them all, as one exponent and an image point; eval_fast and
-:func:`reduce_tau` apply it on the reducing matrix, and the predictors,
-which the theorem suites check, on theirs.
+Every kind has a law of the same shape for every A, to the kind and unit
+that series._char_law gives (gamma2_alpha(kind, A) epsilon1(A) on level 2
+for theta2/3/4).  :func:`_law` is the one implementation of them all, as one
+exponent and an image point; eval_fast and :func:`reduce_tau` apply it on
+the reducing matrix, and the predictors, which the theorem suites check, on
+theirs.
 
 Branch safety: for c > 0 and Im tau > 0, Re(-i(c tau+d)) = c Im tau > 0, so
 -i(c tau+d) stays in the open right half-plane, where the principal Log, and
@@ -21,12 +22,10 @@ Fast evaluation reduces tau into the fundamental domain (|Re| <= 1/2,
 transformation factor back out in one step, with the exact integer matrix
 (as Johansson, arXiv:1806.06725, does); z is then reduced by
 quasi-periodicity into |Im z'| <= Im tau'/2, so the series sums a handful
-of terms wherever z lies.  The reduction loop carries the
-reducing matrix beside tau, and the kind's characteristic by ThetaKind's T
-and S rules together with its unit phase relative to theta1's.  The law is
-then applied once on that matrix, its exponent folded into the exponent of
-the series' largest term together with the z shift's, so only a value
-beyond the float range fails.
+of terms wherever z lies.  The reduction loop carries only the
+reducing matrix beside tau.  The law is then applied once on that matrix,
+its exponent folded into the exponent of the series' largest term together
+with the z shift's, so only a value beyond the float range fails.
 :func:`apply_letter` keeps its own explicit table, off both paths: it is
 the independent chained oracle that :func:`predict_theta1_chained` walks
 (the eq1, eq2 and chain-vs-direct suites), and the tests check the
@@ -49,7 +48,6 @@ from .modgroup import (
 )
 from .multipliers import _theta1_q, gamma2_alpha
 from .series import (
-    _KIND_OF,
     _THETA1,
     _THETA2,
     _THETA3,
@@ -57,6 +55,7 @@ from .series import (
     DEFAULT_TOL,
     MAX_INDEX,
     ThetaKind,
+    _char_law,
     _partial_sum,
     term_count,
     theta_series,
@@ -64,6 +63,7 @@ from .series import (
 )
 
 _INF = complex(math.inf, math.inf)
+_F_SLACK = 1e-12  # a reduced tau is in |Re| <= 1/2 + slack, |tau| >= 1 - slack
 
 
 def conditioning_factor(A: Sl2Matrix, z: complex, tau: complex) -> float:
@@ -89,7 +89,7 @@ def conditioning_factor(A: Sl2Matrix, z: complex, tau: complex) -> float:
 
 
 def _predict(
-    kind: ThetaKind, A: Sl2Matrix, rel: int, z: complex, tau: complex, tol: float
+    kind: ThetaKind, A: Sl2Matrix, z: complex, tau: complex, tol: float
 ) -> complex:
     """theta_kind(z/(c tau+d), A tau) as theta_series(kind, z, tau) e^{-exponent}.
 
@@ -100,7 +100,7 @@ def _predict(
     if normalize_sign(A)[1]:
         raise DomainError(f"the law needs c > 0 or (c = 0, d > 0), not {A}")
     try:
-        exponent = _law(kind, A, rel, z, tau)[0]
+        exponent = _law(kind, A, z, tau)[0]
         scale = cmath.exp(-exponent) if cmath.isfinite(exponent) else _INF
     except OverflowError:  # Re j or e^{-exponent} beyond the floats
         scale = _INF
@@ -119,15 +119,17 @@ def predict_theta1(
     """Right-hand side of the theta1 law: the predicted theta1(z/(c tau+d), A tau),
     e^{i pi m/4} theta1(z, tau) for A = T^m.  Agreement with the directly
     summed left-hand side within tol * kappa is the tested contract."""
-    return _predict(_THETA1, A, 0, z, tau, tol)
+    return _predict(_THETA1, A, z, tau, tol)
 
 
 def predict_theta_gamma2(
     kind: ThetaKind, A: Sl2Matrix, z: complex, tau: complex, tol: float = DEFAULT_TOL
 ) -> complex:
     """Predicted theta_kind(z/(c tau+d), A tau) for a level-2 matrix; for
-    A = T^{2m} theta3/theta4 are invariant and theta2 picks up e^{i pi m/2}."""
-    return _predict(kind, A, -gamma2_alpha(kind, A).residue, z, tau, tol)
+    A = T^{2m} theta3/theta4 are invariant and theta2 picks up e^{i pi m/2}.
+    Other kinds and matrices are refused as gamma2_alpha refuses them."""
+    gamma2_alpha(kind, A)
+    return _predict(kind, A, z, tau, tol)
 
 
 def apply_letter(
@@ -194,7 +196,7 @@ def predict_theta1_chained(
 
 
 def reduce_tau(tau: complex) -> tuple[Sl2Matrix, complex]:
-    """Reduce tau into |Re| <= 1/2, |tau'| >= 1 - 1e-12; returns (A, A tau).
+    """Reduce tau into |Re| <= 1/2, |tau'| >= 1 - _F_SLACK; returns (A, A tau).
 
     A is the matrix of :func:`_reduce_steps` and A tau its law's image, the
     tau' eval_fast sums at.  Where A tau misses that domain (the float loop
@@ -202,50 +204,37 @@ def reduce_tau(tau: complex) -> tuple[Sl2Matrix, complex]:
     """
     require_upper_half(tau)
     entries = _reduce_steps(tau)[0]
-    tau_c = _law(_THETA1, entries, 0, 0j, tau)[2]
-    if abs(tau_c.real) <= 0.5 + 1e-12 and abs(tau_c) >= 1 - 1e-12:
+    tau_c = _law(_THETA1, entries, 0j, tau)[2]
+    if abs(tau_c.real) <= 0.5 + _F_SLACK and abs(tau_c) >= 1 - _F_SLACK:
         return Sl2Matrix(*entries), tau_c
     raise DomainError(f"reducing tau = {tau} misses the fundamental domain in floats")
 
 
-def _reduce_steps(
-    tau: complex, kind: ThetaKind = _THETA1
-) -> tuple[tuple[int, int, int, int], complex, list[int], ThetaKind, int]:
-    """Reduce tau, carrying the reducing matrix and the kind it leads to.
-
-    Returns ((a, b, c, d), tau', letters, kind', rel).  A = (a b; c d) is the
-    left product of the letters, not normalized, and A tau = tau'.  The
-    letters are ints in application order: T^k as k != 0, S as 0.  Each
-    moves kind's characteristic by ThetaKind's rules, and the unit phase
-    e^{i pi rel/12} of kind' relative to theta1's: T^k adds 3k where
-    alpha = 0, S adds -6 (theta1's extra i) where alpha beta = 0.  tau must
-    already have passed require_upper_half.
+def _reduce_steps(tau: complex) -> tuple[tuple[int, int, int, int], complex, list[int]]:
+    """Reduce tau, carrying the reducing matrix: returns ((a, b, c, d), tau', letters).
+  A = (a b; c d) is the left
+    product of the letters, not normalized, and A tau = tau'.  The letters
+    are ints in application order: T^k as k != 0, S as 0.  tau must already
+    have passed require_upper_half.
     """
     letters: list[int] = []
     a, b, c, d = 1, 0, 0, 1
-    alpha, beta = kind.alpha, kind.beta
-    rel = 0
     t = complex(tau)
+    edge = 1.0 - _F_SLACK
     for _ in range(10000):
         m = round(t.real)
         if m != 0:
             t = t - m
             a, b = a - m * c, b - m * d  # T^-m A
             letters.append(-m)
-            if not alpha:
-                rel -= 3 * m
-                beta ^= m & 1
-        if abs(t) < 1.0 - 1e-12:
+        if abs(t) < edge:
             t = -1 / t
             a, b, c, d = -c, -d, a, b  # S A
             letters.append(0)
-            if not (alpha and beta):
-                rel -= 6
-            alpha, beta = beta, alpha
             if not cmath.isfinite(t):  # e.g. Im tau = 1e-320 at Re tau = 1/2
                 raise DomainError(f"reducing tau = {tau} leaves the float range")
         else:
-            return (a, b, c, d), t, letters, _KIND_OF[alpha][beta], rel
+            return (a, b, c, d), t, letters
     raise RuntimeError(f"fundamental-domain reduction did not terminate for {tau}")
 
 
@@ -271,31 +260,31 @@ class FastEvaluation(NamedTuple):
 
 
 def _law(
-    kind: ThetaKind, entries: tuple[int, ...], rel: int, z: complex, tau: complex
-) -> tuple[complex, complex, complex]:
-    """The law of A = (a b; c d) as (exponent, z_c, tau_c), with
+    kind: ThetaKind, entries: tuple[int, ...], z: complex, tau: complex
+) -> tuple[complex, complex, complex, ThetaKind]:
+    """The law of A = (a b; c d) as (exponent, z_c, tau_c, kind'), with
     theta_kind(z, tau) = e^exponent theta_kind'(z_c, tau_c).
 
+    A and -A act alike, so A is first taken with c > 0 or (c = 0, d = 1).
     With j = c tau + d: z_c = z/j, tau_c = A tau and exponent =
     i pi k/12 - Log(-i j)/2 - i pi c z z_c, where e^{i pi k/12} is
-    e^{i pi rel/12} (kind' against theta1) over theta1's multiplier, k in
-    [-12, 12) to round least; for A = T^b, i pi k/12 at (z, tau + b).  -A
-    acts as A, times -1 where alpha beta = 0.  Re j is rounded once, from the
-    exact ratio of Re tau; one beyond the floats raises OverflowError."""
+    e^{i pi rel/12} (kind' against theta1, by series._char_law) over
+    theta1's multiplier, k in [-12, 12) to round least; for A = T^b,
+    i pi k/12 at (z, tau + b).  Re j is rounded once, from the exact ratio
+    of Re tau; one beyond the floats raises OverflowError."""
     a, b, c, d = entries
-    if c == 0:  # A = T^b: theta1 and theta2 pick up e^{i pi b/4}, nothing else
-        return 1j * math.pi * ((rel - 3 * b + 12) % 24 - 12) / 12, z, tau + b
-    if c < 0:  # -A acts alike
+    if c < 0 or not c and d < 0:
         a, b, c, d = -a, -b, -c, -d
-        if not (kind.alpha and kind.beta):
-            rel += 12
+    kind_c, rel = _char_law(kind, a, b, c, d)
+    if not c:  # A = T^b: theta1 and theta2 pick up e^{i pi b/4}, nothing else
+        return 1j * math.pi * ((rel - 3 * b + 12) % 24 - 12) / 12, z, tau + b, kind_c
     p, q = tau.real.as_integer_ratio()
     j = (c * p + d * q) / q + 1j * (c * tau.imag)  # Re j rounded once
     z_c = z / j
     k = (rel - _theta1_q(a, c, d) + 12) % 24 - 12
     gauss = 1j * math.pi * c * z * z_c  # i pi c z^2/j
     exponent = 1j * math.pi * k / 12 - 0.5 * cmath.log(-1j * j) - gauss
-    return exponent, z_c, a / c - 1 / (c * j)
+    return exponent, z_c, a / c - 1 / (c * j), kind_c
 
 
 def eval_fast_report(
@@ -310,9 +299,8 @@ def eval_fast_report(
     A z with |Re z| > 1/2 is first moved by the nearest integer n to z - n,
     exact in floats: the value is that at z - n times (-1)^{alpha n} (see
     ThetaKind).  It reduces tau with the integer matrix A and applies the law
-    of A once, :func:`_law`, with the phase of kind' relative to theta1's
-    that the reduction loop carries.  Then z_c = z/(c tau+d) is reduced by
-    quasi-periodicity (DLMF 20.2(ii)): with m = round(Im z_c / Im tau_c),
+    of A once, :func:`_law`, which names the kind' it leads to.  Then
+    z_c = z/(c tau+d) is reduced by quasi-periodicity (DLMF 20.2(ii)): with m = round(Im z_c / Im tau_c),
     w = z_c - m tau_c,
 
         theta_kind'(z_c, tau_c)
@@ -336,8 +324,8 @@ def eval_fast_report(
     require_upper_half(tau, z)
     z = complex(z)
     n = round(z.real) if abs(z.real) > 0.5 else 0
-    entries, _, letters, kind_c, rel = _reduce_steps(tau, kind)
-    exponent, z_c, tau_c = _law(kind, entries, rel, z - n, tau)
+    entries, _, letters = _reduce_steps(tau)
+    exponent, z_c, tau_c, kind_c = _law(kind, entries, z - n, tau)
     # z_c = w + m tau_c with Im w in [-Im tau_c/2, Im tau_c/2]
     ratio = z_c.imag / tau_c.imag if tau_c.imag > 0 else math.nan
     if not (math.isfinite(ratio) and cmath.isfinite(tau_c)):
@@ -351,9 +339,9 @@ def eval_fast_report(
     value = _INF
     if inner_tol / 2 > 0 and cmath.isfinite(shift):  # else the value's scale overflows
         N = truncation_index(kind_c, w, tau_c, inner_tol, max_index)
-        try:  # the largest term's exp, the only one that can overflow
+        try:  # the largest term's exp overflows, or a ratio's phase (a huge Re w)
             value = _partial_sum(kind_c, w, tau_c, N, shift)
-        except OverflowError:
+        except (OverflowError, ValueError):
             pass
     if not cmath.isfinite(value):  # raised outside the handler: nothing chained
         raise DomainError(

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 import thetamod.dedekind
 from thetamod.dedekind import (
     _ZERO,
-    _dedekind_sum_direct,
     _direct_row,
     _direct_total,
     dedekind_sum,
@@ -35,6 +34,15 @@ def dedekind_oracle(h: int, k: int) -> Fraction:
         (Fraction(r, k) * sawtooth(Fraction(h * r, k)) for r in range(1, k)),
         Fraction(0),
     )
+
+
+def _dedekind_sum_direct(h: int, k: int) -> Fraction:
+    """s(h, k) by the O(k) summation, the reference for dedekind_sum.
+
+    With m_r = h*r mod k (never 0 for coprime h, k and 0 < r < k),
+    ((hr/k)) = m_r/k - 1/2, so s(h, k) = T(h mod k, k)/k^2 - (k-1)/4.
+    """
+    return Fraction(_direct_total(h % k, k), k * k) - Fraction(k - 1, 4)
 
 
 def test_sawtooth_examples():

@@ -9,12 +9,12 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from thetamod.errors import DomainError, PrecisionUnreachableError
 from thetamod.modgroup import Sl2Matrix, mobius, translation
-from thetamod.series import ThetaKind
-from thetamod.transform import conditioning_factor, eval_fast
+from thetamod.series import ThetaKind, truncation_bound
+from thetamod.transform import conditioning_factor, eval_fast, reduce_tau
 
 _reals = st.floats(allow_nan=False, allow_infinity=False)
 upper_half = st.builds(
@@ -50,6 +50,11 @@ SWEPT = {
         lambda w: cmath.isfinite(w) and w.imag > 0,
     ),
     "conditioning_factor": (conditioning_factor, lambda kappa: 0 <= kappa < math.inf),
+    # the image is in the fundamental domain, within reduce_tau's slack
+    "reduce_tau": (
+        lambda A, z, tau: reduce_tau(tau)[1],
+        lambda t: cmath.isfinite(t) and abs(t.real) <= 0.5 + 1e-12 and abs(t) >= 1 - 1e-12,
+    ),
 }
 
 
@@ -63,6 +68,18 @@ def test_returns_a_finite_value_or_a_domain_error(name, A, z, tau):
     except DomainError:
         return
     assert valid(value), (A, z, tau, value)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(kind=st.sampled_from(ThetaKind), z=any_z, tau=upper_half, N=st.integers(1, 10**6))
+# Im tau m0^2 and Im z m0 overflow alike there: the bound's logarithm is -inf + inf
+@example(kind=ThetaKind.THETA3, z=1.4305587428785142e307j, tau=1.4305587428785142e307j, N=1)
+def test_truncation_bound_is_a_bound_or_a_domain_error(kind, z, tau, N):
+    try:
+        bound = truncation_bound(kind, z, tau, N)
+    except DomainError:
+        return
+    assert 0 <= bound <= math.inf, (kind, z, tau, N, bound)  # no NaN
 
 
 @pytest.mark.parametrize("kind", ThetaKind, ids=str)

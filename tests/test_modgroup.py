@@ -231,6 +231,17 @@ def test_s_letter_with_an_exponent_is_rejected(exp):
         recompose(GeneratorWord((Letter("S", exp),)))
 
 
+@pytest.mark.parametrize(
+    "letter", [Letter("S", True), Letter("S2", True), Letter("T", True), Letter("S", 1.0)], ids=repr
+)
+def test_a_letter_exponent_that_is_not_an_int_is_rejected(letter):
+    # True == 1 and 1.0 == 1, so without the check S^True would read as S
+    with pytest.raises(DomainError, match="^a letter's exponent is an int, not "):
+        letter.matrix()
+    with pytest.raises(DomainError, match="^a letter's exponent is an int, not "):
+        recompose(GeneratorWord((letter,)))
+
+
 def test_unknown_generator_is_rejected():
     with pytest.raises(DomainError, match="unknown generator"):
         Letter("X").matrix()

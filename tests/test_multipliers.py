@@ -123,6 +123,50 @@ def test_alpha_examples():
         gamma2_alpha(ThetaKind.THETA1, S2)
 
 
+def _paper_alpha(kind, A):
+    """The paper's Theorem 2 prefactor alpha = i^e of a level-2 matrix, with
+    e an integer since b, c are even and a, d odd:
+
+        theta2: e = (d-1)(c/2 - 1) + c/2
+        theta3: e = (d-1)(c/2 + 1) - (b/2) a + c/2
+        theta4: e = (a-1)(b/2 - 1) - b/2
+    """
+    a, b, c, d = A
+    e = {
+        K2: (d - 1) * (c // 2 - 1) + c // 2,
+        K3: (d - 1) * (c // 2 + 1) - (b // 2) * a + c // 2,
+        K4: (a - 1) * (b // 2 - 1) - b // 2,
+    }[kind]
+    return UnitPhase(Fraction(e, 2))
+
+
+def test_alpha_is_the_papers_on_level_2():
+    # the law of the characteristic against the paper's three exponents on
+    # 10,000 seeded level-2 matrices: |c| log-uniform up to 10^18 or c = 0,
+    # either sign
+    rng = random.Random(63)
+    seen = Counter()
+    while sum(seen.values()) < 10000:
+        c = 2 * (int(10 ** rng.uniform(0, 18)) // 2)
+        if c == 0:
+            A = translation(2 * rng.randint(-(10**18), 10**18))
+        else:
+            d = rng.randint(-c, c) | 1
+            if math.gcd(c, d) != 1:
+                continue
+            a = pow(d, -1, c) + c * rng.randint(-3, 3)
+            b = (a * d - 1) // c
+            if b % 2:  # a + c gives b + d, and d is odd
+                a, b = a + c, b + d
+            A = Sl2Matrix(a, b, c, d)
+        if rng.random() < 0.5:
+            A = -A
+        seen[(A.c > 0) - (A.c < 0)] += 1
+        for kind in (K2, K3, K4):
+            assert gamma2_alpha(kind, A) == _paper_alpha(kind, A), (kind, A)
+    assert min(seen[-1], seen[1]) > 4000 and seen[0] > 50, seen
+
+
 def test_gamma2_prefactor_lemma5_anchor():
     # alpha(theta3, S2) * epsilon1'(S2) = i * (-i) = 1, exactly
     assert gamma2_prefactor(K3, S2) == UnitPhase(0)
@@ -356,12 +400,13 @@ def test_gamma2_prefactor_matches_eta_cube_convention():
             assert gamma2_prefactor(kind, A) == expected
 
 
-def _law_unit(kind, A, rel, tau=0.3 + 1.1j):
+def _law_unit(kind, A, tau=0.3 + 1.1j):
     """The unit factor of transform._law's law of A, as the predictors apply
     it: e^{-exponent} over (-i j)^{1/2} e^{i pi c z^2/j}, j = c tau+d, read
     back from the exponent; at c = 0 the exponent is the unit's alone."""
     z = 0.1 + 0.2j
-    exponent = transform._law(kind, A, rel, z, tau)[0]
+    exponent, _, _, kind_c = transform._law(kind, A, z, tau)
+    assert kind_c is kind  # theta1 on the whole group, theta2/3/4 on level 2
     if not A.c:
         return cmath.exp(-exponent)
     j = A.c * tau + A.d
@@ -373,24 +418,22 @@ def _is_phase(value, phase):
 
 
 def test_law_phase_table():
-    # theta1 (residue 0): epsilon1 on the whole group
+    # theta1: epsilon1 on the whole group
     for A, _ in _draws(61, 100):
-        assert _is_phase(_law_unit(K1, A, 0), theta1_epsilon(A)), A
-    # theta2/3/4 (residue -alpha, as predict_theta_gamma2 passes): alpha * epsilon1
+        assert _is_phase(_law_unit(K1, A), theta1_epsilon(A)), A
+    # theta2/3/4 on level 2: the paper's alpha * epsilon1
     for A, _ in _draws(62, 200, gamma2=True):
         for kind in (K2, K3, K4):
-            alpha = gamma2_alpha(kind, A)
-            unit = _law_unit(kind, A, -alpha.residue)
-            assert _is_phase(unit, alpha * theta1_epsilon(A)), (kind, A)
+            unit = _law_unit(kind, A)
+            assert _is_phase(unit, _paper_alpha(kind, A) * theta1_epsilon(A)), (kind, A)
     # c = 0: the translation laws
     for b in range(-9, 10):
-        assert _is_phase(_law_unit(K1, translation(b), 0), UnitPhase(Fraction(b, 4)))
+        assert _is_phase(_law_unit(K1, translation(b)), UnitPhase(Fraction(b, 4)))
     for m in range(-5, 6):
         T2m = translation(2 * m)
-        assert _is_phase(_law_unit(K1, T2m, 0), UnitPhase(Fraction(m, 2)))
+        assert _is_phase(_law_unit(K1, T2m), UnitPhase(Fraction(m, 2)))
         for kind, phase in ((K2, Fraction(m, 2)), (K3, 0), (K4, 0)):
-            unit = _law_unit(kind, T2m, -gamma2_alpha(kind, T2m).residue)
-            assert _is_phase(unit, UnitPhase(phase)), (kind, m)
+            assert _is_phase(_law_unit(kind, T2m), UnitPhase(phase)), (kind, m)
 
 
 @pytest.mark.parametrize(

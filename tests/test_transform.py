@@ -18,6 +18,7 @@ from thetamod.modgroup import (
     S2,
     Letter,
     Sl2Matrix,
+    decompose_gamma,
     is_gamma2,
     mobius,
     normalize_sign,
@@ -75,7 +76,7 @@ def _law_root(A, tau):
     """(root, log |root|) of transform._law's theta1 law of A at tau, z = 0;
     the root is read back from the exponent, Log(unit) - Log(root), with the
     unit from epsilon1."""
-    exponent = transform._law(K1, A, 0, 0j, tau)[0]
+    exponent = transform._law(K1, A, 0j, tau)[0]
     eps1 = theta1_epsilon(A).to_complex() if A.c else cmath.exp(1j * math.pi * A.b / 4)
     return cmath.exp(-exponent) / eps1, -exponent.real
 
@@ -85,13 +86,66 @@ def test_law_root_examples():
     assert _law_root(S, 2j) == (pytest.approx(math.sqrt(2)), pytest.approx(math.log(2) / 2))
     assert _law_root(IDENTITY, 0.3 + 0.7j) == (1.0, 0.0)
     assert _law_root(translation(5), 1j) == (pytest.approx(1.0), 0.0)
-    # -A acts as A: the same law for theta1 (odd in z), its negative for
-    # theta2/3/4 (even)
+    # -A acts as A: the law takes the sign off first, for every kind
     z, tau = 0.1 + 0.2j, 0.3 + 0.7j
-    assert transform._law(K1, -S, 0, z, tau) == transform._law(K1, S, 0, z, tau)
-    negated, law = transform._law(K3, -S2, 0, z, tau), transform._law(K3, S2, 0, z, tau)
-    assert cmath.exp(negated[0]) == pytest.approx(-cmath.exp(law[0]))
-    assert negated[1:] == pytest.approx(law[1:])
+    for kind, A in ((K1, S), (K3, S2), (K2, translation(3))):
+        assert transform._law(kind, -A, z, tau) == transform._law(kind, A, z, tau)
+    # so -A's unit, as a walk would carry it, is A's times -1 for theta2/3/4
+    # (even in z) and A's for theta1 (odd): S^2 = -I
+    assert series._char_law(K1, *-S) == series._char_law(K1, *S) == (K1, 0)
+    assert series._char_law(K3, *-S2) == (K3, (series._char_law(K3, *S2)[1] + 12) % 24)
+
+
+_CHARACTERISTIC = {K3: (0, 0), K4: (0, 1), K2: (1, 0), K1: (1, 1)}
+_KIND = {char: kind for kind, char in _CHARACTERISTIC.items()}
+
+
+def _walk(kind, letters):
+    """(kind', rel mod 24) along the letters in application order, T^k as
+    k != 0 and S as 0, by ThetaKind's T and S rules: T^k adds 3k to the unit
+    where alpha = 0, and S adds -6 (theta1's extra i) where alpha beta = 0."""
+    (alpha, beta), rel = _CHARACTERISTIC[kind], 0
+    for k in letters:
+        if k:
+            if not alpha:
+                rel += 3 * k
+                beta ^= k & 1
+        else:
+            if not (alpha and beta):
+                rel -= 6
+            alpha, beta = beta, alpha
+    return _KIND[alpha, beta], rel % 24
+
+
+def test_law_of_the_characteristic_is_the_walk_mod_8():
+    # one word per class of SL(2, Z/8), breadth first from I by T, T^-1 and
+    # S on the left (S^2 = -I included): the law reads A mod 8
+    words = {(1, 0, 0, 1): ((1, 0, 0, 1), [])}
+    frontier = list(words.values())
+    while frontier:
+        grown = []
+        for (a, b, c, d), word in frontier:
+            for k in (1, -1, 0):
+                A = (a + k * c, b + k * d, c, d) if k else (-c, -d, a, b)
+                key = tuple(x % 8 for x in A)
+                if key not in words:
+                    words[key] = A, word + [k]
+                    grown.append(words[key])
+        frontier = grown
+    assert len(words) == 384
+    for kind in (K1, K2, K3, K4):
+        for A, word in words.values():
+            assert series._char_law(kind, *A) == _walk(kind, word), (kind, A, word)
+
+
+def test_law_of_the_characteristic_is_the_walk_on_huge_words(huge_matrices):
+    for M in huge_matrices:
+        for A in (M, -M):
+            word = decompose_gamma(A)  # A = sign * L1 ... Ln, Ln applied first
+            letters = [l.exp if l.gen == "T" else 0 for l in reversed(word.letters)]
+            letters += [] if word.sign == 1 else [0, 0]  # -I = S^2
+            for kind in (K1, K2, K3, K4):
+                assert series._char_law(kind, *A) == _walk(kind, letters), (kind, A)
 
 
 def test_law_root_branch():
@@ -608,8 +662,8 @@ def test_law_phase_shift_fails_its_theorem_suite(monkeypatch, shifted):
     # of that kind's theorem suite, and eval_fast for that kind, and nothing else
     true_law = transform._law
 
-    def shifted_law(kind, entries, rel, z, tau):
-        exponent, *rest = true_law(kind, entries, rel, z, tau)
+    def shifted_law(kind, entries, z, tau):
+        exponent, *rest = true_law(kind, entries, z, tau)
         return (exponent + 1j * math.pi / 4 if kind is shifted else exponent, *rest)
 
     monkeypatch.setattr(transform, "_law", shifted_law)
@@ -902,6 +956,13 @@ def test_eval_fast_names_the_callers_point_when_the_reduced_point_leaves_the_flo
             message = f"{kind} at z = {z}, tau = 1j is beyond the float range (log-scale inf)"
             with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                 eval_fast(kind, complex(z), 1j)
+    # z_c = z/j with j ~ 1e-308 puts Re w near 4.5e307, and the ratios' phase
+    # overflows: a raw ValueError ("math domain error") came from the sum
+    tau = 1.1125369292536007e-308 + 1e-323j
+    for kind in (K1, K2, K3, K4):
+        message = f"{kind} at z = (0.5+0j), tau = {tau} is beyond the float range"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)} "):
+            eval_fast(kind, 0.5, tau)
 
 
 def test_eval_fast_reduces_re_z_on_entry():
