@@ -115,14 +115,19 @@ def theta1_epsilon_closed(A: Sl2Matrix) -> UnitPhase:
 ALPHA_KINDS = (ThetaKind.THETA2, ThetaKind.THETA3, ThetaKind.THETA4)
 
 
-def gamma2_alpha(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
-    """The i-power prefactor alpha of the level-2 laws (the paper's Theorem 2),
-    exactly: e^{-i pi rel/12} of the law of the characteristic, which maps
-    every kind to itself on level 2."""
+def _require_gamma2(kind: ThetaKind, A: Sl2Matrix) -> None:
+    """The level-2 laws' refusals: kind is theta2/3/4 and A is in Gamma(2)."""
     if kind not in ALPHA_KINDS:
         raise DomainError(f"gamma2_alpha applies to theta2/3/4, not {kind}")
     if not is_gamma2(A):
         raise DomainError(f"{A} is not congruent to the identity mod 2")
+
+
+def gamma2_alpha(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
+    """The i-power prefactor alpha of the level-2 laws (the paper's Theorem 2),
+    exactly: e^{-i pi rel/12} of the law of the characteristic, which maps
+    every kind to itself on level 2."""
+    _require_gamma2(kind, A)
     return UnitPhase._of(-_char_law(kind, *A)[1])
 
 

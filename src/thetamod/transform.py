@@ -26,10 +26,10 @@ of terms wherever z lies.  The reduction loop carries only the
 reducing matrix beside tau.  The law is then applied once on that matrix,
 its exponent folded into the exponent of the series' largest term together
 with the z shift's, so only a value beyond the float range fails.
-:func:`apply_letter` keeps its own explicit table, off both paths: it is
-the independent chained oracle that :func:`predict_theta1_chained` walks
-(the eq1, eq2 and chain-vs-direct suites), and the tests check the
-characteristic rules against it.
+:func:`apply_letter` holds theta1's two generator laws alone, the paper's
+eq1 and eq2, off both paths: it is the independent chained oracle that
+:func:`predict_theta1_chained` walks (the eq1, eq2 and chain-vs-direct
+suites), and it shares no code with :func:`_law`.
 """
 
 from __future__ import annotations
@@ -46,12 +46,9 @@ from .modgroup import (
     decompose_gamma,
     normalize_sign,
 )
-from .multipliers import _theta1_q, gamma2_alpha
+from .multipliers import _require_gamma2, _theta1_q
 from .series import (
     _THETA1,
-    _THETA2,
-    _THETA3,
-    _THETA4,
     DEFAULT_TOL,
     MAX_INDEX,
     ThetaKind,
@@ -128,51 +125,32 @@ def predict_theta_gamma2(
     """Predicted theta_kind(z/(c tau+d), A tau) for a level-2 matrix; for
     A = T^{2m} theta3/theta4 are invariant and theta2 picks up e^{i pi m/2}.
     Other kinds and matrices are refused as gamma2_alpha refuses them."""
-    gamma2_alpha(kind, A)
+    _require_gamma2(kind, A)
     return _predict(kind, A, z, tau, tol)
 
 
 def apply_letter(
-    kind: ThetaKind,
-    letter: Letter,
-    z: complex,
-    tau: complex,
-    factor: complex = 1 + 0j,
-) -> tuple[ThetaKind, complex, complex, complex]:
-    """Carry factor * theta_kind(z, tau) across one generator letter L.
+    letter: Letter, z: complex, tau: complex, factor: complex = 1 + 0j
+) -> tuple[complex, complex, complex]:
+    """Carry factor * theta1(z, tau) across one generator letter L.
 
-    Returns (kind', factor', z', tau') with (z', tau') = (z/(c tau+d), L tau)
-    and factor * theta_kind(z, tau) = factor' * theta_kind'(z', tau'), for
-    L = T^m or S (anything else is a DomainError).  This is the one home of
-    the one-generator laws; with J = (-i tau)^{1/2} e^{i pi z^2/tau} they are
+    Returns (factor', z', tau') with (z', tau') = (z/(c tau+d), L tau) and
+    factor * theta1(z, tau) = factor' * theta1(z', tau'), for L = T^m with m
+    an int, or S; anything else is a DomainError.  These are theta1's two
+    generator laws, the paper's eq1 and eq2; with
+    J = (-i tau)^{1/2} e^{i pi z^2/tau}:
 
-        tau -> tau+1:  theta1 -> e^{i pi/4} theta1   theta2 -> e^{i pi/4} theta2
-                       theta3 -> theta4              theta4 -> theta3
-        tau -> -1/tau (z -> z/tau):
-                       theta1 -> -i J theta1         theta3 -> J theta3
-                       theta2 -> J theta4            theta4 -> J theta2
-
-    and every entry is pinned by the series oracle in the test suite.  The
-    factor is updated in place, never multiplied by a per-letter unit:
-    theta3/4 under T^m leave it untouched, so an overflowed factor stays
-    inf instead of turning into nan.
+        tau -> tau+m:                theta1 -> e^{i pi m/4} theta1
+        tau -> -1/tau (z -> z/tau):  theta1 -> -i J theta1
     """
-    if letter.gen == "T":
-        m = letter.exp
-        if kind is _THETA1 or kind is _THETA2:
-            factor *= cmath.exp(-1j * math.pi * m / 4)
-        elif m % 2 != 0:
-            kind = _THETA4 if kind is _THETA3 else _THETA3
-        return kind, factor, z, tau + m
-    if letter.gen == "S" and letter.exp == 1:
+    gen, m = letter
+    if type(m) is not int:  # no bool, no float
+        raise DomainError(f"a letter's exponent is an int, not {m!r}")
+    if gen == "T":
+        return factor * cmath.exp(-1j * math.pi * m / 4), z, tau + m
+    if gen == "S" and m == 1:
         J = cmath.sqrt(-1j * tau) * cmath.exp(1j * math.pi * z * z / tau)
-        if kind is _THETA1:
-            factor *= 1j / J
-        else:
-            factor /= J
-            if kind is not _THETA3:
-                kind = _THETA4 if kind is _THETA2 else _THETA2
-        return kind, factor, z / tau, -1 / tau
+        return factor * (1j / J), z / tau, -1 / tau
     raise DomainError(f"apply_letter takes T^m or S, not {letter}")
 
 
@@ -187,10 +165,10 @@ def predict_theta1_chained(
     chained-induction invariant.
     """
     word = decompose_gamma(A)
-    base = theta_series(ThetaKind.THETA1, z, tau, tol)
-    kind, factor = ThetaKind.THETA1, 1 + 0j
+    base = theta_series(_THETA1, z, tau, tol)
+    factor = 1 + 0j
     for letter in reversed(word.letters):
-        kind, factor, z, tau = apply_letter(kind, letter, z, tau, factor)
+        factor, z, tau = apply_letter(letter, z, tau, factor)
     value = base / factor
     return value if word.sign == 1 else -value
 

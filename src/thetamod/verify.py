@@ -21,7 +21,7 @@ eq1, eq2, lemma5, theorem1 and theorem2-* share one law check,
 side's), against ``predictor(A, z, tau, tol)``, with kappa from
 ``conditioning_factor`` (lemma5 keeps kappa 1).  eq1 (A = T^m) and eq2
 (A = S) are one trial, :func:`_eq`, through ``predict_theta1_chained``,
-which walks ``apply_letter``, the chained oracle of the one-generator laws;
+which walks ``apply_letter``, the chained oracle of theta1's T and S laws;
 lemma5 (theta3, A = S2) and the theorems through ``predict_theta1`` and
 ``predict_theta_gamma2``, which apply ``transform._law`` as ``eval_fast`` does.
 
@@ -60,6 +60,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -115,13 +116,20 @@ class TrialConfig:
         # each suite runs once, at its first position: a repeat would write
         # its records twice under one summary entry
         object.__setattr__(self, "suites", tuple(dict.fromkeys(self.suites)))
-        if self.trials < 1:
-            raise DomainError("trials must be >= 1")
+        if type(self.trials) is not int or self.trials < 1:  # no bool, no float
+            raise DomainError(f"trials must be an int >= 1, not {self.trials!r}")
         if not 0 < self.tol < math.inf:
             raise DomainError(f"tol must be positive and finite, got {self.tol}")
         unknown = set(self.suites) - set(SUITES)
         if unknown:
             raise DomainError(f"unknown suites: {sorted(unknown)}")
+        corpus = self.corpus
+        if corpus is not None and not (
+            isinstance(corpus, Sequence)
+            and corpus
+            and all(isinstance(M, Sl2Matrix) for M in corpus)
+        ):
+            raise DomainError("corpus must be None or a non-empty sequence of Sl2Matrix")
 
 
 @dataclass

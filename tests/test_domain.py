@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from thetamod.errors import DomainError, PrecisionUnreachableError
 from thetamod.modgroup import Sl2Matrix, mobius, translation
-from thetamod.series import ThetaKind, truncation_bound
+from thetamod.series import ThetaKind, theta1_sine_series, theta_series, truncation_bound
 from thetamod.transform import conditioning_factor, eval_fast, reduce_tau
 
 _reals = st.floats(allow_nan=False, allow_infinity=False)
@@ -91,3 +91,23 @@ def test_eval_fast_returns_a_finite_value_or_a_named_error(kind, z, tau):
     except (DomainError, PrecisionUnreachableError):
         return
     assert cmath.isfinite(value), (kind, z, tau, value)
+
+
+# the direct series, as f(kind, z, tau); theta1_sine_series has no kind to draw
+SERIES = {
+    "theta_series": theta_series,
+    "theta1_sine_series": lambda kind, z, tau: theta1_sine_series(z, tau),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES))
+@settings(max_examples=2000, deadline=None)
+@given(kind=st.sampled_from(ThetaKind), z=any_z, tau=upper_half)
+def test_series_return_a_finite_value_or_a_named_error(name, kind, z, tau):
+    # a tol the series cannot reach within its term cap is the named
+    # PrecisionUnreachableError, as for eval_fast
+    try:
+        value = SERIES[name](kind, z, tau)
+    except (DomainError, PrecisionUnreachableError):
+        return
+    assert cmath.isfinite(value), (name, kind, z, tau, value)

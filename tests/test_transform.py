@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from thetamod import series, transform
+from thetamod import multipliers, series, transform
 from thetamod.cli import main
 from thetamod.errors import DomainError, PrecisionUnreachableError
 from thetamod.modgroup import (
@@ -313,6 +313,23 @@ def test_predict_gamma2_rejects():
         predict_theta_gamma2(K1, S2, 0.1, 1j)
 
 
+def test_predict_gamma2_reads_the_law_once(monkeypatch):
+    # the refusals are gamma2_alpha's, but the law is read by _law alone
+    calls = []
+    true_char_law = series._char_law
+
+    def spy(*args):
+        calls.append(args)
+        return true_char_law(*args)
+
+    for module in (series, transform, multipliers):
+        monkeypatch.setattr(module, "_char_law", spy)
+    for kind, A in ((K3, S2), (K2, Sl2Matrix(3, 2, 4, 3)), (K4, translation(2))):
+        calls.clear()
+        predict_theta_gamma2(kind, A, 0.1, 1j)
+        assert len(calls) == 1, (kind, A)
+
+
 def test_predictors_refuse_before_summing(monkeypatch):
     def summed(*args):
         raise AssertionError("a refused input reached the series")
@@ -524,14 +541,21 @@ def test_reduction_matrix_is_the_left_product_of_the_letters():
         assert reduce_tau(tau)[0] == A
 
 
+def _unit(rel):
+    return cmath.exp(1j * math.pi * rel / 12)
+
+
 def _letter_walk(kind, z, tau, tol):
-    """eval_fast as a walk of apply_letter along the reduction letters, with
-    the factor carried letter by letter; None where the walk is not finite."""
-    letters = [Letter("T", k) if k else Letter("S") for k in transform._reduce_steps(tau)[2]]
+    """eval_fast as a walk of theta1's apply_letter along the reduction
+    letters, the factor carried letter by letter, times the kind's unit
+    against theta1 from _walk; None where the walk is not finite."""
+    steps = transform._reduce_steps(tau)[2]
+    kind, rel = _walk(kind, steps)
     factor = 1 + 0j
     try:
-        for letter in letters:
-            kind, factor, z, tau = apply_letter(kind, letter, z, tau, factor)
+        for k in steps:
+            factor, z, tau = apply_letter(Letter("T", k) if k else Letter("S"), z, tau, factor)
+        factor *= _unit(rel)
         value = factor * theta_series(kind, z, tau, tol / max(abs(factor), 1.0))
     except (ArithmeticError, ValueError):  # a raw overflow, or a named error
         return None
@@ -600,24 +624,31 @@ def test_conditioning_factor_refuses_a_nonfinite_kappa(z):
 @pytest.mark.parametrize("letter", [Letter("T", 1), Letter("T", -1), Letter("T", 2), Letter("S")], ids=str)
 @pytest.mark.parametrize("kind", [K1, K2, K3, K4], ids=str)
 def test_apply_letter_table_entry(kind, letter):
-    # factor * theta_kind(z, tau) = factor' * theta_kind'(z', tau'), with
-    # (z', tau') = (z/(c tau+d), L tau), against the direct series
+    # factor * theta_kind(z, tau) = factor' e^{i pi rel/12} theta_kind'(z', tau'),
+    # with (z', tau') = (z/(c tau+d), L tau), factor' from theta1's law and
+    # (kind', rel) from _walk, against the direct series
     L = letter.matrix()
+    kind2, rel = _walk(kind, [letter.exp if letter.gen == "T" else 0])
     rng = random.Random(f"apply-letter:{kind}:{letter}")
     for _ in range(4):
         z, tau = _point(rng)
         factor = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
-        kind2, factor2, z2, tau2 = apply_letter(kind, letter, z, tau, factor)
+        factor2, z2, tau2 = apply_letter(letter, z, tau, factor)
         assert tau2 == pytest.approx(mobius(L, tau), abs=1e-14)
         assert z2 == pytest.approx(z / (L.c * tau + L.d), abs=1e-14)
         lhs = factor * theta_series(kind, z, tau, 1e-13)
-        rhs = factor2 * theta_series(kind2, z2, tau2, 1e-13)
+        rhs = factor2 * _unit(rel) * theta_series(kind2, z2, tau2, 1e-13)
         assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs)), (z, tau)
 
 
 def test_apply_letter_rejects_other_letters():
-    with pytest.raises(DomainError):
-        apply_letter(K3, Letter("S2"), 0.1, 1j)
+    # only a word letter has a law: T^0.5 would move tau by a non-integer
+    for letter in (Letter("T", 0.5), Letter("T", True), Letter("S", 1.0)):
+        with pytest.raises(DomainError, match="exponent is an int"):
+            apply_letter(letter, 0.1, 1j)
+    for letter in (Letter("S", 2), Letter("S2")):
+        with pytest.raises(DomainError, match="takes T\\^m or S"):
+            apply_letter(letter, 0.1, 1j)
 
 
 class _EngineCalled(Exception):
@@ -686,13 +717,13 @@ def test_law_phase_shift_fails_its_theorem_suite(monkeypatch, shifted):
 @pytest.mark.parametrize("gen", ["T", "S"])
 def test_generator_suites_check_apply_letter(monkeypatch, gen):
     # eq1 and eq2 predict through apply_letter, the chained oracle: an
-    # e^{i pi/4} shift on one generator's law fails exactly its suites
+    # e^{i pi/4} shift on theta1's T or S law fails exactly its suites
     true_letter = transform.apply_letter
     eighth = cmath.exp(1j * math.pi / 4)
 
-    def shifted_letter(kind, letter, z, tau, factor=1 + 0j):
-        kind, factor, z, tau = true_letter(kind, letter, z, tau, factor)
-        return kind, factor * eighth if letter.gen == gen else factor, z, tau
+    def shifted_letter(letter, z, tau, factor=1 + 0j):
+        factor, z, tau = true_letter(letter, z, tau, factor)
+        return factor * eighth if letter.gen == gen else factor, z, tau
 
     monkeypatch.setattr(transform, "apply_letter", shifted_letter)
     config = TrialConfig(seed=11, trials=25)
@@ -759,7 +790,7 @@ def test_nonfinite_points_are_domain_errors(part, bad):
 def test_apply_letter_rejects_an_s_letter_with_an_exponent(exp):
     # the S law is for S itself; S^2 = -I is not S
     with pytest.raises(DomainError, match=f"S\\^{exp}"):
-        apply_letter(K1, Letter("S", exp), 0.1, 0.2 + 1j)
+        apply_letter(Letter("S", exp), 0.1, 0.2 + 1j)
 
 
 @pytest.mark.parametrize("tol", [-1e-3, 0.0, float("nan"), float("inf")])

@@ -81,6 +81,15 @@ def test_config_validation():
     # an infinite tol would stop every series after about one term and pass
     with pytest.raises(DomainError, match="tol must be positive and finite"):
         TrialConfig(tol=float("inf"))
+    # each field is checked when the config is made, not later as a raw
+    # ZeroDivisionError (empty corpus), AttributeError (plain tuples) or
+    # TypeError (a float count of trials) inside write_report
+    for trials in (2.5, math.nan, True, 0.0):
+        with pytest.raises(DomainError, match="^trials must be an int >= 1"):
+            TrialConfig(trials=trials)
+    for corpus in ((), [(2, 1, 1, 1)], (Sl2Matrix(2, 1, 1, 1), (1, 0, 0, 1)), "S"):
+        with pytest.raises(DomainError, match="^corpus must be None or a non-empty"):
+            TrialConfig(corpus=corpus)
     assert main(["verify", "--suite", "eq2", "--trials", "3", "--tol", "inf"]) == 2
 
 
