@@ -16,11 +16,13 @@ reciprocity-based algorithm would prove nothing.  It has two forms of the
 one definition T(h, k) = sum_{r=1}^{k-1} r*(h*r mod k).  ``_direct_total``
 is an integer loop over one pair in O(1) memory; it serves the single
 pairs of :func:`reciprocity_defect`, which accept any k, and the tests'
-direct s(h, k).  ``_direct_row`` gives T(h, k) for every h at one k by
-strides over a per-k cycle of residues, so its loops run in C; the
-reciprocity suite of ``thetamod verify`` walks :func:`reciprocity_defects`,
-which tables those rows once per walk and never uses a derived symmetry of
-s(h, k) to fill the table.
+direct s(h, k).  ``_direct_row`` gives T(h, k) for every h at one k at
+once, in lanes of one int (SWAR, "SIMD within a register"): lane h carries
+h*r mod k as r steps from 1 to k-1, so each step is a few big-int
+operations, all in C, over k lanes of a width set by k.  The reciprocity
+suite of ``thetamod verify`` walks :func:`reciprocity_defects`, which tables
+those rows once per walk and never uses a derived symmetry of s(h, k) to
+fill the table.
 
 All arithmetic is exact; no floating point is used anywhere in this module.
 """
@@ -28,15 +30,17 @@ All arithmetic is exact; no floating point is used anywhere in this module.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterator
 
-from .errors import DomainError, int_text
+from .errors import DomainError, int_text, not_an_int
 
 
 def _require_coprime(h: int, k: int, op: str) -> None:
+    if type(h) is not int or type(k) is not int:  # no bool, no float
+        raise not_an_int(op, h=h, k=k)
     if k <= 0:
         raise DomainError(f"{op} needs k >= 1, got k={int_text(k)}")
     if math.gcd(h, k) != 1:
@@ -73,7 +77,10 @@ def _g(h: int, k: int) -> int:
 
 
 def dedekind_sum(h: int, k: int) -> Fraction:
-    """Exact s(h, k) = g(h, k)/(12k) for k >= 1 and gcd(h, k) = 1, O(log k) steps."""
+    """Exact s(h, k) = g(h, k)/(12k), in O(log k) steps.
+
+    For ints h and k >= 1 with gcd(h, k) = 1; anything else is a DomainError.
+    """
     _require_coprime(h, k, "dedekind_sum")
     return Fraction(_g(h, k), 12 * k)
 
@@ -96,21 +103,63 @@ def _direct_total(h: int, k: int) -> int:
     return total
 
 
+def _lane_bytes(k: int) -> int:
+    """The lane width of ``_direct_row(k)`` in bytes: the least power of two
+    whose lanes hold both T(1, k) = (k-1)k(2k-1)/6, the largest total of
+    the row, and 2^s with s = k.bit_length(), the flag of a stepping lane.
+    So 1, 2, 4, 8 and 16 bytes from k = 1, 10, 59, 2,345 and 3,810,779 on."""
+    most = max((k - 1) * k * (2 * k - 1) // 6, 1 << k.bit_length())
+    width = 1
+    while most >> 8 * width:
+        width *= 2
+    return width
+
+
+# array typecode by item size, for the lane widths an array can read
+_LANE_TYPECODES = {array(code).itemsize: code for code in "BHIQ"}
+
+
 def _direct_row(k: int) -> list[int]:
     """[T(h, k) for 0 <= h < k], with 0 where gcd(h, k) > 1: one row of the walk.
 
-    ``cycle[i] = i mod k`` for i < k^2, so the stride ``cycle[h*(k-1):0:-h]``
-    is m_{k-1}, ..., m_1 with m_r = h*r mod k, and summing its running sums
-    counts each m_r r times: sum(accumulate(...)) = sum_r r*m_r = T(h, k).
-    Exact integers, with every loop over elements in C; the cycle takes k^2
-    4-byte entries, so a row is for small k only (the walk's k <= bound).
+    All k values of h at once, lane h of one int holding m_r = h*r mod k,
+    offset by c = 2^s - k with s = k.bit_length() so that bit s of a lane
+    is set exactly when the lane has reached k: each step from r to r + 1
+    adds the lanes [0, 1, ..., k-1] and takes k off every lane whose bit s
+    is set.  A stepping lane stays under 2^s + k <= 2^(s+1), so no step
+    carries into the next lane.  The running total adds r times the lanes,
+    and the offset's share c*k*(k-1)/2 is taken off at the end, so it is
+    exactly sum_h T(h, k) 2^(8*width*h) whatever carries its lanes made on
+    the way; as each T(h, k) <= T(1, k) fits a lane (``_lane_bytes``), the
+    lanes read back are the totals.  Exact integers for every k >= 1, each
+    step a few big-int operations in C.
     """
-    cycle = array("I", range(k)) * k
+    s = k.bit_length()
+    width = _lane_bytes(k)
+    ones = int.from_bytes(b"\1".ljust(width, b"\0") * k, "little")
+    # lane h of ones^2, below lane k, counts the h + 1 pairs i + j = h
+    ramp = (ones * ones & (1 << 8 * width * k) - 1) - ones
+    offset = ones * ((1 << s) - k)
+    lanes = offset
+    total = 0
+    for r in range(1, k):
+        lanes += ramp
+        lanes -= (lanes >> s & ones) * k
+        total += r * lanes
+    total -= offset * (k * (k - 1) // 2)
+    raw = total.to_bytes(width * k, "little")
+    if width in _LANE_TYPECODES:
+        row = array(_LANE_TYPECODES[width])
+        row.frombytes(raw)
+        if sys.byteorder == "big":
+            row.byteswap()
+    else:  # lanes wider than 8 bytes, from k = 3,810,779 on
+        row = [
+            int.from_bytes(raw[i : i + width], "little")
+            for i in range(0, len(raw), width)
+        ]
     gcd = math.gcd
-    return [0] + [
-        sum(accumulate(cycle[h * (k - 1) : 0 : -h])) if gcd(h, k) == 1 else 0
-        for h in range(1, k)
-    ]
+    return [t if gcd(h, k) == 1 else 0 for h, t in enumerate(row)]
 
 
 _ZERO = Fraction(0)
@@ -146,6 +195,8 @@ def reciprocity_defect(h: int, k: int) -> Fraction:
     Both sums come from the O(k) definition, never from the
     reciprocity-based :func:`dedekind_sum`.
     """
+    if type(h) is not int or type(k) is not int:  # no bool, no float
+        raise not_an_int("reciprocity_defect", h=h, k=k)
     if h <= 0 or k <= 0:
         raise DomainError(
             f"reciprocity_defect needs h, k >= 1, got ({int_text(h)}, {int_text(k)})"

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, its one domain check, and
-the text of an integer inside an error message."""
+"""Exception types shared across the package, its one domain check, the
+refusal of an argument that is not an int, and the text of an integer
+inside an error message."""
 
 import cmath
 import math
@@ -52,3 +53,14 @@ def int_text(n) -> str:
             return f"<{type(n).__name__} too long to print>"
         digits = int(abs(n).bit_length() * _LOG10_2) + 1
         return f"{'-' if n < 0 else ''}<int of about {digits} digits>"
+
+
+def not_an_int(op: str, **args) -> DomainError:
+    """The DomainError naming the first of ``args`` whose type is not int.
+
+    An exact entry point checks ``type(x) is int`` inline and raises this on
+    a miss: a bool is refused (``True`` would read as 1), and so is a float,
+    even 2.0 (a NaN or an infinity would never end Euclid's loop).
+    """
+    name, value = next((n, v) for n, v in args.items() if type(v) is not int)
+    return DomainError(f"{op} needs an int {name}, got {int_text(value)}")

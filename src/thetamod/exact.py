@@ -17,14 +17,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, int_text
+from .errors import DomainError, int_text, not_an_int
 
 def jacobi_symbol(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd positive n.
+    """Jacobi symbol (a/n) for an int a and an odd positive int n.
 
     Computed by the quadratic-reciprocity recursion; equals the Legendre
     symbol for prime n, is 0 iff gcd(a, n) > 1, and (a/1) = 1.
     """
+    if type(a) is not int or type(n) is not int:  # no bool, no float
+        raise not_an_int("jacobi_symbol", a=a, n=n)
     if n <= 0 or n % 2 == 0:
         raise DomainError(f"jacobi_symbol needs odd positive n, got {int_text(n)}")
     a %= n

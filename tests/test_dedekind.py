@@ -171,7 +171,7 @@ def test_reciprocity_walk_matches_the_per_pair_oracle():
         # the report writer serializes the one shared zero once, by its id
         assert all(defect is _ZERO for _, _, defect in walked), bound
     # the table is one triangle of 8-byte entries, 200*201/2 * 8 B = 161 KB,
-    # built beside at most one row's cycle of residues, 200^2 * 4 B = 160 KB
+    # built beside one row: its lanes, 200 * 4 B = 800 B per int, and a list
     tracemalloc.start()
     try:
         for _ in reciprocity_defects(200):
@@ -179,20 +179,41 @@ def test_reciprocity_walk_matches_the_per_pair_oracle():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 400_000
+    assert peak < 250_000
+
+
+def _assert_row(k, hs):
+    row = _direct_row(k)
+    assert len(row) == k
+    for h in hs:
+        want = _direct_total(h, k) if math.gcd(h, k) == 1 else 0
+        assert row[h] == want, (h, k)
 
 
 def test_direct_row_matches_the_per_pair_loop():
-    # one row per k, by strides over its cycle of residues: T(h, k) on the
+    # one row per k, all h at once in the lanes of one int: T(h, k) on the
     # coprime pairs, as the O(1)-memory loop computes it, and 0 off them
     for k in range(1, 201):
-        row = _direct_row(k)
-        assert len(row) == k
-        for h, total in enumerate(row):
-            want = _direct_total(h, k) if math.gcd(h, k) == 1 else 0
-            assert total == want, (h, k)
+        _assert_row(k, range(k))
     assert _direct_row(1) == [0]
     assert _direct_row(7)[3] == sum(r * (3 * r % 7) for r in range(1, 7)) == 70
+
+
+@pytest.mark.parametrize("k", [1625, 2339, 2400, 3001])
+def test_direct_row_lanes_grow_with_k(k):
+    # T(1, k) is about k^3/3, past 4-byte lanes from k = 2,345 on: fixed
+    # 4-byte lanes give a wrong total at 2,400 and overflow at 3,001
+    assert thetamod.dedekind._lane_bytes(k) == (4 if k < 2345 else 8)
+    _assert_row(k, [0, 1, k - 1] + random.Random(k).sample(range(k), 60))
+
+
+@pytest.mark.parametrize("width", [8, 16, 32])
+def test_direct_row_is_the_same_in_wider_lanes(monkeypatch, width):
+    # lanes past 8 bytes (from k = 3,810,779 on) are read without an array;
+    # any lane at least as wide as the rule's gives the same row
+    rows = [_direct_row(k) for k in range(1, 80)]
+    monkeypatch.setattr(thetamod.dedekind, "_lane_bytes", lambda k: width)
+    assert [_direct_row(k) for k in range(1, 80)] == rows
 
 
 def test_domain_errors():
@@ -204,6 +225,24 @@ def test_domain_errors():
         dedekind_sum(2, 4)
     with pytest.raises(DomainError):
         reciprocity_defect(0, 3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: dedekind_sum(1.5, 3), "dedekind_sum needs an int h"),
+        (lambda: dedekind_sum(True, 3), "dedekind_sum needs an int h"),
+        (lambda: dedekind_sum(1, 3.0), "dedekind_sum needs an int k"),
+        (lambda: dedekind_sum(1, float("nan")), "dedekind_sum needs an int k"),
+        (lambda: reciprocity_defect(3, 7.0), "reciprocity_defect needs an int k"),
+        (lambda: reciprocity_defect(float("inf"), 7), "reciprocity_defect needs an int h"),
+        (lambda: reciprocity_defect(-1.5, 7), "reciprocity_defect needs an int h"),
+        (lambda: reciprocity_defect(False, 1), "reciprocity_defect needs an int h"),
+    ],
+)
+def test_a_non_int_argument_is_named(call, message):
+    with pytest.raises(DomainError, match=f"^{message}, got "):
+        call()
 
 
 def test_reciprocity_defect_names_itself():

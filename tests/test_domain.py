@@ -2,16 +2,23 @@
 returns a finite value of its kind or raises DomainError, never a raw error.
 
 The documented domain is any tau with Im tau > 0, any z, and any SL(2,Z)
-matrix; the strategies below draw c up to 10^30.
+matrix; the strategies below draw c up to 10^30.  The exact entry points
+``jacobi_symbol`` and ``dedekind_sum`` are swept over ints, floats (NaN and
+the infinities too) and bools: in their domain they return the exact
+value, checked against a test-local oracle, and off it they raise
+DomainError.
 """
 
 import cmath
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from thetamod.dedekind import _direct_total, dedekind_sum
 from thetamod.errors import DomainError, PrecisionUnreachableError
+from thetamod.exact import jacobi_symbol
 from thetamod.modgroup import Sl2Matrix, mobius, translation
 from thetamod.series import ThetaKind, theta1_sine_series, theta_series, truncation_bound
 from thetamod.transform import conditioning_factor, eval_fast, reduce_tau
@@ -111,3 +118,62 @@ def test_series_return_a_finite_value_or_a_named_error(name, kind, z, tau):
     except (DomainError, PrecisionUnreachableError):
         return
     assert cmath.isfinite(value), (name, kind, z, tau, value)
+
+
+# an argument of an exact entry point: a small int, which the O(n) oracles
+# below can check, any int, any float or a bool
+exact_args = st.one_of(st.integers(-50, 2000), st.integers(), st.floats(), st.booleans())
+SMALL = 2000
+
+
+def _legendre(a: int, p: int) -> int:
+    """(a/p) for an odd prime p, by Euler's criterion a^((p-1)/2) mod p."""
+    e = pow(a, (p - 1) // 2, p)
+    return -1 if e == p - 1 else e
+
+
+def _jacobi(a: int, n: int) -> int:
+    """(a/n) for odd n >= 1: the product of (a/p) over n's prime factors p."""
+    result, p = 1, 3
+    while n > 1:
+        if p * p > n:  # what is left of n is prime
+            p = n
+        while n % p == 0:
+            result *= _legendre(a, p)
+            n //= p
+        p += 2
+    return result
+
+
+@settings(max_examples=2000, deadline=None)
+@given(a=exact_args, n=exact_args)
+def test_jacobi_symbol_is_exact_or_a_domain_error(a, n):
+    in_domain = type(a) is int and type(n) is int and n > 0 and n % 2 == 1
+    try:
+        value = jacobi_symbol(a, n)
+    except DomainError:
+        assert not in_domain, (a, n)
+        return
+    assert in_domain, (a, n, value)
+    if n <= SMALL:
+        assert value == _jacobi(a, n), (a, n, value)
+    else:  # n too large to factor here
+        assert value in (-1, 0, 1) and (value == 0) == (math.gcd(a, n) > 1), (a, n)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(h=exact_args, k=exact_args)
+def test_dedekind_sum_is_exact_or_a_domain_error(h, k):
+    in_domain = type(h) is int and type(k) is int and k >= 1 and math.gcd(h, k) == 1
+    try:
+        s = dedekind_sum(h, k)
+    except DomainError:
+        assert not in_domain, (h, k)
+        return
+    assert in_domain, (h, k, s)
+    if k <= SMALL:  # s(h, k) = T(h mod k, k)/k^2 - (k-1)/4, by the O(k) loop
+        assert s == Fraction(_direct_total(h % k, k), k * k) - Fraction(k - 1, 4), (h, k)
+    else:  # 12hk*s(h, k) = h^2 + 1 mod k, and |s(h, k)| <= s(1, k)
+        v = 12 * h * k * s
+        assert v.denominator == 1 and (v.numerator - h * h - 1) % k == 0, (h, k)
+        assert abs(s) <= Fraction((k - 1) * (k - 2), 12 * k), (h, k)

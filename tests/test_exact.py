@@ -80,6 +80,23 @@ def test_jacobi_domain_errors():
         jacobi_symbol(3, -5)
 
 
+@pytest.mark.parametrize(
+    "a, n, name",
+    [
+        (float("nan"), 7, "a"),  # Euclid's loop never ends on a NaN or an inf
+        (2, float("inf"), "n"),
+        (1.5, 3, "a"),
+        (2.0, 7, "a"),
+        (True, 7, "a"),
+        (3, 7.0, "n"),
+        (3, None, "n"),
+    ],
+)
+def test_jacobi_refuses_a_non_int(a, n, name):
+    with pytest.raises(DomainError, match=rf"^jacobi_symbol needs an int {name}, got "):
+        jacobi_symbol(a, n)
+
+
 def test_phase_mul_examples():
     assert UnitPhase(Fraction(1, 2)) * UnitPhase(Fraction(3, 2)) == UnitPhase(0)
     assert UnitPhase(Fraction(3, 4)) * UnitPhase(Fraction(3, 4)) == UnitPhase(
