@@ -169,8 +169,16 @@ def truncation_index(
     require_upper_half(tau, z)
     if max_index < 1:
         raise DomainError(f"max_index must be >= 1, got {max_index}")
-    target = tol / 2.0
     y, beta = complex(tau).imag, abs(complex(z).imag)
+    return _truncation_index(kind, y, beta, tol, max_index)
+
+
+def _truncation_index(
+    kind: ThetaKind, y: float, beta: float, tol: float, max_index: int
+) -> int:
+    """truncation_index for validated y = Im tau > 0, beta = |Im z|, tol and
+    max_index >= 1: the checks are its callers', made once."""
+    target = tol / 2.0
     N = _start_index(kind, y, beta, tol, max_index)
     bound = _tail_bound(kind, y, beta, N)
     if bound < target:
@@ -318,7 +326,13 @@ def theta_series_report(
     beyond the float range (a term's modulus or phase overflows, or the sum
     is not finite) is a DomainError, raised outside any handler.
     """
-    N = truncation_index(kind, z, tau, tol, max_index)
+    if not 0 < tol < math.inf:  # truncation_index's checks, inlined: no extra call
+        raise DomainError(f"tol must be positive and finite, got {tol}")
+    require_upper_half(tau, z)
+    if max_index < 1:
+        raise DomainError(f"max_index must be >= 1, got {max_index}")
+    y, beta = complex(tau).imag, abs(complex(z).imag)
+    N = _truncation_index(kind, y, beta, tol, max_index)
     w, t = _real_periods(z, tau)
     try:  # the largest term's exp, the only one that can overflow
         value = _partial_sum(kind, w, t, N)

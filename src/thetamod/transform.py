@@ -26,6 +26,9 @@ of terms wherever z lies.  The reduction loop carries only the
 reducing matrix beside tau.  The law is then applied once on that matrix,
 its exponent folded into the exponent of the series' largest term together
 with the z shift's, so only a value beyond the float range fails.
+eval_fast and eval_fast_report share one kernel, :func:`_eval_fast`: it
+checks the caller's arguments once, hands the point it reduced straight to
+series' truncation core, and eval_fast builds no record from its pieces.
 :func:`apply_letter` holds theta1's two generator laws alone, the paper's
 eq1 and eq2, off both paths: it is the independent chained oracle that
 :func:`predict_theta1_chained` walks (the eq1, eq2 and chain-vs-direct
@@ -54,9 +57,9 @@ from .series import (
     ThetaKind,
     _char_law,
     _partial_sum,
+    _truncation_index,
     term_count,
     theta_series,
-    truncation_index,
 )
 
 _INF = complex(math.inf, math.inf)
@@ -265,38 +268,12 @@ def _law(
     return exponent, z_c, a / c - 1 / (c * j), kind_c
 
 
-def eval_fast_report(
-    kind: ThetaKind,
-    z: complex,
-    tau: complex,
-    tol: float = DEFAULT_TOL,
-    max_index: int = MAX_INDEX,
-) -> FastEvaluation:
-    """Argument-reduced evaluation with term-count telemetry.
-
-    A z with |Re z| > 1/2 is first moved by the nearest integer n to z - n,
-    exact in floats: the value is that at z - n times (-1)^{alpha n} (see
-    ThetaKind).  It reduces tau with the integer matrix A and applies the law
-    of A once, :func:`_law`, which names the kind' it leads to.  Then
-    z_c = z/(c tau+d) is reduced by quasi-periodicity (DLMF 20.2(ii)): with m = round(Im z_c / Im tau_c),
-    w = z_c - m tau_c,
-
-        theta_kind'(z_c, tau_c)
-            = s^m e^{-i pi (m^2 tau_c + 2 m w)} theta_kind'(w, tau_c)
-
-    with s = (-1)^beta of kind'.  The series is summed once, at (w, tau_c),
-    where |Im w| <= Im tau_c / 2 puts its peak at index 0 or +-1/2 and it
-    converges in a handful of terms.  The law's exponent, the z shift's and
-    i pi where s^m = -1 make one shift, folded into the exponent of the
-    largest term: each may overflow or underflow alone while the value is a
-    float.  The truncation target is tol / |e^shift|, so the value's absolute
-    error stays within tol.  A reduced point outside the floats, a value
-    beyond the float range, and a scale e^shift at which that target
-    underflows (even the rounding of the sum is beyond the floats there) are
-    DomainErrors naming the caller's z and tau, the last two also Re shift,
-    the log-scale.  They are raised outside any handler: they chain no inner
-    exception, and their tracebacks hold only the frames they passed through.
-    """
+def _eval_fast(
+    kind: ThetaKind, z: complex, tau: complex, tol: float, max_index: int
+) -> tuple[complex, int, complex, ThetaKind, list[int], tuple[int, int, int, int]]:
+    """The kernel of eval_fast and eval_fast_report: their raw pieces
+    (value, N, tau_c, kind_c, letters, entries), with the caller's arguments
+    checked once and the reduced point, which it builds, not again."""
     if not 0 < tol < math.inf:  # NaN too; names the caller's tol, not inner_tol
         raise DomainError(f"tol must be positive and finite, got {tol}")
     require_upper_half(tau, z)
@@ -316,7 +293,9 @@ def eval_fast_report(
     inner_tol = tol if shift.real <= 0 else tol * math.exp(-shift.real)  # NaN stays NaN
     value = _INF
     if inner_tol / 2 > 0 and cmath.isfinite(shift):  # else the value's scale overflows
-        N = truncation_index(kind_c, w, tau_c, inner_tol, max_index)
+        if max_index < 1:  # only where a series is summed: reduction errors come first
+            raise DomainError(f"max_index must be >= 1, got {max_index}")
+        N = _truncation_index(kind_c, tau_c.imag, abs(w.imag), inner_tol, max_index)
         try:  # the largest term's exp overflows, or a ratio's phase (a huge Re w)
             value = _partial_sum(kind_c, w, tau_c, N, shift)
         except (OverflowError, ValueError):
@@ -328,6 +307,45 @@ def eval_fast_report(
         )
     if n % 2 and kind.alpha:
         value = -value
+    return value, N, tau_c, kind_c, letters, entries
+
+
+def eval_fast_report(
+    kind: ThetaKind,
+    z: complex,
+    tau: complex,
+    tol: float = DEFAULT_TOL,
+    max_index: int = MAX_INDEX,
+) -> FastEvaluation:
+    """Argument-reduced evaluation with term-count telemetry.
+
+    A z with |Re z| > 1/2 is first moved by the nearest integer n to z - n,
+    exact in floats: the value is that at z - n times (-1)^{alpha n} (see
+    ThetaKind).  It reduces tau with the integer matrix A and applies the law
+    of A once, :func:`_law`, which names the kind' it leads to.  Then
+    z_c = z/(c tau+d) is reduced by quasi-periodicity (DLMF 20.2(ii)): with
+    m = round(Im z_c / Im tau_c) and w = z_c - m tau_c,
+
+        theta_kind'(z_c, tau_c)
+            = s^m e^{-i pi (m^2 tau_c + 2 m w)} theta_kind'(w, tau_c)
+
+    with s = (-1)^beta of kind'.  The series is summed once, at (w, tau_c),
+    where |Im w| <= Im tau_c / 2 puts its peak at index 0 or +-1/2 and it
+    converges in a handful of terms.  The law's exponent, the z shift's and
+    i pi where s^m = -1 make one shift, folded into the exponent of the
+    largest term: each may overflow or underflow alone while the value is a
+    float.  The truncation target is tol / |e^shift|, so the value's absolute
+    error stays within tol.  A reduced point outside the floats, a value
+    beyond the float range, and a scale e^shift at which that target
+    underflows (even the rounding of the sum is beyond the floats there) are
+    DomainErrors naming the caller's z and tau, the last two also Re shift,
+    the log-scale.  They are raised outside any handler: they chain no inner
+    exception, and their tracebacks hold only the frames they passed through.
+
+    It and eval_fast run one kernel, which checks tol, z and tau once; this
+    function only wraps the kernel's pieces in a FastEvaluation.
+    """
+    value, N, tau_c, kind_c, letters, entries = _eval_fast(kind, z, tau, tol, max_index)
     return FastEvaluation(
         value, term_count(kind_c, N), tau_c, kind_c, tuple(letters), entries
     )
@@ -342,5 +360,6 @@ def eval_fast(
 ) -> complex:
     """Theta value via fundamental-domain reduction; agrees with the direct
     series within tol * kappa wherever the direct series is feasible.  A
-    value beyond the float range is a DomainError."""
-    return eval_fast_report(kind, z, tau, tol, max_index).value
+    value beyond the float range is a DomainError.  It is eval_fast_report's
+    value from the same kernel, with no record built."""
+    return _eval_fast(kind, z, tau, tol, max_index)[0]

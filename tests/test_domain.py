@@ -6,7 +6,8 @@ matrix; the strategies below draw c up to 10^30.  The exact entry points
 ``jacobi_symbol`` and ``dedekind_sum`` are swept over ints, floats (NaN and
 the infinities too) and bools: in their domain they return the exact
 value, checked against a test-local oracle, and off it they raise
-DomainError.
+DomainError.  The six functions of a matrix alone are swept in one test,
+every drawn matrix going through all of them.
 """
 
 import cmath
@@ -18,8 +19,22 @@ from hypothesis import example, given, settings, strategies as st
 
 from thetamod.dedekind import _direct_total, dedekind_sum
 from thetamod.errors import DomainError, PrecisionUnreachableError
-from thetamod.exact import jacobi_symbol
-from thetamod.modgroup import Sl2Matrix, mobius, translation
+from thetamod.exact import UnitPhase, jacobi_symbol
+from thetamod.modgroup import (
+    GeneratorWord,
+    Sl2Matrix,
+    decompose_gamma,
+    decompose_gamma2,
+    mobius,
+    recompose,
+    translation,
+)
+from thetamod.multipliers import (
+    eta_epsilon,
+    gamma2_alpha,
+    theta1_epsilon,
+    theta1_epsilon_closed,
+)
 from thetamod.series import ThetaKind, theta1_sine_series, theta_series, truncation_bound
 from thetamod.transform import conditioning_factor, eval_fast, reduce_tau
 
@@ -98,6 +113,29 @@ def test_eval_fast_returns_a_finite_value_or_a_named_error(kind, z, tau):
     except (DomainError, PrecisionUnreachableError):
         return
     assert cmath.isfinite(value), (kind, z, tau, value)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(A=sl2_matrices(), kind=st.sampled_from(ThetaKind))
+def test_matrix_functions_return_their_type_or_a_domain_error(A, kind):
+    # every function that takes only a matrix, in one test: a draw costs more
+    # than the six calls on it
+    calls = [
+        (eta_epsilon, UnitPhase),
+        (theta1_epsilon, UnitPhase),
+        (theta1_epsilon_closed, UnitPhase),
+        (lambda M: gamma2_alpha(kind, M), UnitPhase),
+        (decompose_gamma, GeneratorWord),
+        (decompose_gamma2, GeneratorWord),
+    ]
+    for call, returns in calls:
+        try:
+            value = call(A)
+        except DomainError:
+            continue
+        assert type(value) is returns, (call, A, value)
+        if returns is GeneratorWord:
+            assert recompose(value) == A, (call, A, value)
 
 
 # the direct series, as f(kind, z, tau); theta1_sine_series has no kind to draw

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from thetamod.errors import DomainError, int_text
 from thetamod.modgroup import (
     IDENTITY,
+    MAX_WORD_LETTERS,
     S,
     S2,
     GeneratorWord,
@@ -478,6 +479,30 @@ def test_decompose_gamma2_matches_a_per_step_matrix_walk(huge_matrices):
         w = decompose_gamma2(A)
         assert w == _reference_decompose2(A), A
         assert recompose(w) == A
+
+
+def test_decompose_gamma2_takes_a_run_at_once_as_the_walk_would():
+    # near |c/a| = 1 the word is a long run of S2^e T^-2e; taken at once, it
+    # is the per-step walk's word, wherever the run starts and ends
+    rng = random.Random(47)
+    matrices = [Sl2Matrix(1 - n, 2 - n, -n, 1 - n) for n in range(2, 400, 2)]
+    for _ in range(300):
+        e = rng.choice((1, -1))
+        pair = (Letter("S2", e), Letter("T", -2 * e))
+        run = recompose(GeneratorWord(pair * rng.randint(1, 500)))
+        left, right = (_random_word_matrix(rng, gamma2=True) for _ in range(2))
+        matrices.append(left * run * right)
+    for A in matrices + [-A for A in matrices]:
+        assert decompose_gamma2(A) == _reference_decompose2(A), A
+
+
+def test_decompose_gamma2_refuses_a_word_past_the_letter_cap():
+    # Gamma(2) is free on T^2 and S2 up to sign: no shorter word exists
+    n = MAX_WORD_LETTERS  # the word of (1-n 2-n; -n 1-n) has n - 1 letters
+    assert len(decompose_gamma2(Sl2Matrix(1 - n, 2 - n, -n, 1 - n)).letters) == n - 1
+    for n in (MAX_WORD_LETTERS + 2, 10**30):
+        with pytest.raises(DomainError, match=f"more than {MAX_WORD_LETTERS} letters"):
+            decompose_gamma2(Sl2Matrix(1 - n, 2 - n, -n, 1 - n))
 
 
 # sha256 of every word's str and sorted-key JSON, one line each, over the

@@ -421,6 +421,36 @@ def test_truncation_index_steps_down_past_its_start():
     assert _check_first_good(K4, 34.5j, 10j, 1e161, 1000) == 2
 
 
+def test_truncation_core_is_truncation_index():
+    # the private core, handed Im tau and |Im z| as eval_fast hands it its
+    # reduced point, gives truncation_index's N, or its refusal field for field
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(3000):
+        kind = rng.choice(ALL_KINDS)
+        y = 10 ** rng.uniform(-6, 3)
+        z = complex(rng.uniform(-1, 1), rng.uniform(-4, 4) * y)
+        tol = rng.choice(  # down to subnormal, and the least float
+            (10 ** rng.uniform(-15, -2), 10 ** -rng.uniform(300, 323), 5e-324)
+        )
+        max_index = rng.choice((1, 2, 40, 400, MAX_INDEX))
+        core = (kind, y, abs(z.imag), tol, max_index)
+        if series._start_index(kind, y, abs(z.imag), tol, max_index) == max_index:
+            seen.add("clamped start")
+        try:
+            N = truncation_index(kind, z, complex(0.3, y), tol, max_index)
+        except PrecisionUnreachableError as e:
+            with pytest.raises(PrecisionUnreachableError) as exc:
+                series._truncation_index(*core)
+            got = exc.value.requested, exc.value.achievable, exc.value.cap
+            assert got == (e.requested, e.achievable, e.cap), core
+            seen.add("unreachable")
+        else:
+            assert series._truncation_index(*core) == N, core
+            seen.add("reached")
+    assert seen == {"clamped start", "unreachable", "reached"}
+
+
 def test_a_huge_im_tau_takes_one_bound_call(monkeypatch):
     # y L / pi once overflowed past Im tau ~ 7.3e306: the start clamped to
     # MAX_INDEX, and N stepped down to 1 one bound call at a time

@@ -1,6 +1,7 @@
 """Assembled transformation laws, reduction, and fast evaluation."""
 
 import cmath
+import itertools
 import math
 import random
 import re
@@ -11,7 +12,7 @@ import pytest
 
 from thetamod import multipliers, series, transform
 from thetamod.cli import main
-from thetamod.errors import DomainError, PrecisionUnreachableError
+from thetamod.errors import DomainError, PrecisionUnreachableError, require_upper_half
 from thetamod.modgroup import (
     IDENTITY,
     S,
@@ -527,6 +528,78 @@ def test_eval_path_does_not_walk_apply_letter(monkeypatch):
     before = [eval_fast(kind, z, tau) for kind in (K1, K2, K3, K4) for z, tau in points]
     monkeypatch.setattr(transform, "apply_letter", refuse)
     assert [eval_fast(kind, z, tau) for kind in (K1, K2, K3, K4) for z, tau in points] == before
+
+
+def _outcome(call, *args):
+    """repr of call(*args), or the type and message of what it raised."""
+    try:
+        return repr(call(*args))
+    except Exception as e:
+        return type(e), str(e)
+
+
+def test_eval_fast_is_the_reports_value():
+    # one kernel: eval_fast gives the report's value bit for bit, or raises
+    # the same error with the same message, max_index below 1 included
+    def report_value(*args):
+        return eval_fast_report(*args).value
+
+    rng = random.Random(41)
+    args = []
+    for _ in range(1000):
+        z = complex(rng.uniform(-3, 3), rng.uniform(-2, 2))
+        tau = complex(rng.uniform(-2, 2), 10 ** rng.uniform(-6, 1))
+        kind, max_index = rng.choice((K1, K2, K3, K4)), rng.choice((1000, 1))
+        args.append((kind, z, tau, 1e-10, max_index))
+    args += itertools.product(
+        ThetaKind,
+        (0, 0.3 + 0.2j, 5e-324j, 1e17 + 3j, 1e300 - 1e300j, complex("nan")),
+        (1j, 0.5 + 1e-14j, 0.5 + 1e-320j, 0.3 + 1e-300j, 1e308j, -1e300 + 1j),
+        (1e-10, 5e-324, 1e300),
+        (0, 1, 1000),  # max_index
+    )
+    raised = 0
+    for arg in args:
+        expected = _outcome(report_value, *arg)
+        assert _outcome(eval_fast, *arg) == expected, arg
+        raised += isinstance(expected, tuple)
+    assert 0 < raised < len(args) - 500  # both outcomes, many values among them
+
+
+def test_eval_fast_checks_max_index_only_where_it_sums():
+    # a reduction or float-range error comes before a max_index below 1
+    with pytest.raises(DomainError, match="^reducing tau = .* leaves the float range"):
+        eval_fast(K3, 0.1, 0.5 + 1e-320j, max_index=0)
+    with pytest.raises(DomainError, match=r"is beyond the float range \(log-scale"):
+        eval_fast(K1, 50j, 0.1 + 1j, max_index=0)
+    with pytest.raises(DomainError, match="^max_index must be >= 1, got 0$"):
+        eval_fast(K3, 0.1, 0.3 + 0.02j, max_index=0)
+
+
+def test_eval_fast_checks_once_and_builds_no_record(monkeypatch):
+    # the kernel checks the caller's point once and hands the reduced point
+    # to the truncation core, not to the checked truncation_index
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checked or record-building path on eval_fast")
+
+    checks = []
+
+    def counting(*args):
+        checks.append(args)
+        return require_upper_half(*args)
+
+    points = [(0.3 + 0.2j, 0.1 + 0.01j), (2.7 - 0.4j, -3.2 + 0.5j), (0.1, 1j)]
+    cases = [(kind, z, tau) for kind in ThetaKind for z, tau in points]
+    before = [eval_fast_report(*case).value for case in cases]
+    monkeypatch.setattr(transform, "require_upper_half", counting)
+    monkeypatch.setattr(series, "require_upper_half", counting)
+    monkeypatch.setattr(series, "truncation_index", refuse)
+    monkeypatch.setattr(transform, "truncation_index", refuse, raising=False)
+    monkeypatch.setattr(transform, "FastEvaluation", refuse)
+    for (kind, z, tau), value in zip(cases, before):
+        checks.clear()
+        assert eval_fast(kind, z, tau) == value
+        assert checks == [(tau, z)]
 
 
 def test_reduction_matrix_is_the_left_product_of_the_letters():
