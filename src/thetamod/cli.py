@@ -9,8 +9,9 @@ Subcommands:
     reduce      fundamental-domain reduction of tau
     verify      run verification suites, write a JSON-Lines report
 
-Exit codes: 0 all selected suites pass, 1 suite failures, 2 malformed input,
-usage errors, or an eval whose value overflowed.
+Exit codes: 0 all selected suites pass, 1 suite failures or a decomposed word
+that does not recompose to its matrix, 2 malformed input, usage errors, or an
+eval whose value overflowed.
 
 verify writes each record as soon as its trial is decided and the summary
 line last.  A run that stops with exit code 2 once the report is open (a
@@ -123,9 +124,11 @@ def _cmd_multiplier(args) -> int:
 def _cmd_decompose(args) -> int:
     A = _parse_matrix(args.matrix)
     word = decompose_gamma2(A) if args.gamma2 else decompose_gamma(A)
+    if recompose(word) != A:  # checked under python -O too, unlike an assert
+        print(f"error: the word found for {A} does not recompose to it", file=sys.stderr)
+        return FAIL_EXIT
     print(word)
     print(json.dumps(word.to_json(), sort_keys=True))
-    assert recompose(word) == A
     return 0
 
 

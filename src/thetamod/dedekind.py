@@ -18,11 +18,15 @@ is an integer loop over one pair in O(1) memory; it serves the single
 pairs of :func:`reciprocity_defect`, which accept any k, and the tests'
 direct s(h, k).  ``_direct_row`` gives T(h, k) for every h at one k at
 once, in lanes of one int (SWAR, "SIMD within a register"): lane h carries
-h*r mod k as r steps from 1 to k-1, so each step is a few big-int
-operations, all in C, over k lanes of a width set by k.  The reciprocity
-suite of ``thetamod verify`` walks :func:`reciprocity_defects`, which tables
-those rows once per walk and never uses a derived symmetry of s(h, k) to
-fill the table.
+h*r mod k, so each step is a few big-int operations, all in C, over k
+lanes of a width set by k.  It folds the sum onto half its steps, r from 1
+to (k-1)//2, by pairing r with k - r (m_(k-r) = k - m_r for coprime h, k):
+a pairing of the summation index, not reciprocity and not a symmetry of
+s(h, k), so the oracle stays independent.  The reciprocity suite of
+``thetamod verify`` walks ``_defect_rows``, which tables those rows once
+per walk and yields, a row of h at a time, the k coprime to h and each
+pair's integer defect numerator; :func:`reciprocity_defects` flattens that
+walk to one (h, k, defect) per pair.
 
 All arithmetic is exact; no floating point is used anywhere in this module.
 """
@@ -33,6 +37,7 @@ import math
 import sys
 from array import array
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator
 
 from .errors import DomainError, int_text, not_an_int
@@ -106,7 +111,8 @@ def _direct_total(h: int, k: int) -> int:
 def _lane_bytes(k: int) -> int:
     """The lane width of ``_direct_row(k)`` in bytes: the least power of two
     whose lanes hold both T(1, k) = (k-1)k(2k-1)/6, the largest total of
-    the row, and 2^s with s = k.bit_length(), the flag of a stepping lane.
+    the row and above its every folded sum U, and 2^s with s =
+    k.bit_length(), the flag of a stepping lane.
     So 1, 2, 4, 8 and 16 bytes from k = 1, 10, 59, 2,345 and 3,810,779 on."""
     most = max((k - 1) * k * (2 * k - 1) // 6, 1 << k.bit_length())
     width = 1
@@ -122,17 +128,29 @@ _LANE_TYPECODES = {array(code).itemsize: code for code in "BHIQ"}
 def _direct_row(k: int) -> list[int]:
     """[T(h, k) for 0 <= h < k], with 0 where gcd(h, k) > 1: one row of the walk.
 
-    All k values of h at once, lane h of one int holding m_r = h*r mod k,
+    Folded onto half the steps.  For coprime h, k and 0 < r < k, k does not
+    divide h*r, so m_(k-r) = k - m_r with m_r = h*r mod k; pairing the
+    summation index r with k - r (and the middle r = k/2 of an even k, where
+    m_r = k/2) gives T(h, k) = C(k) - U with
+
+        U = sum_{r=1}^{half} (k - 2r) m_r,   half = (k - 1) // 2,
+        C(k) = half*k^2 - k*half*(half + 1)/2 + [k even] k^2/4.
+
+    This pairs the index of the one definition; it uses no reciprocity and
+    no symmetry of s(h, k) in its arguments, so the oracle stays independent
+    of what it checks.  U is nonnegative and below T(1, k) on every lane, as
+    m_r < k, so it fits the lanes of ``_lane_bytes``.
+
+    U is summed for all k values of h at once, lane h of one int holding m_r,
     offset by c = 2^s - k with s = k.bit_length() so that bit s of a lane
     is set exactly when the lane has reached k: each step from r to r + 1
     adds the lanes [0, 1, ..., k-1] and takes k off every lane whose bit s
     is set.  A stepping lane stays under 2^s + k <= 2^(s+1), so no step
-    carries into the next lane.  The running total adds r times the lanes,
-    and the offset's share c*k*(k-1)/2 is taken off at the end, so it is
-    exactly sum_h T(h, k) 2^(8*width*h) whatever carries its lanes made on
-    the way; as each T(h, k) <= T(1, k) fits a lane (``_lane_bytes``), the
-    lanes read back are the totals.  Exact integers for every k >= 1, each
-    step a few big-int operations in C.
+    carries into the next lane.  The running total adds (k - 2r) times the
+    lanes, and the offset's share c*half*(k - half - 1) is taken off at the
+    end, so it is exactly sum_h U_h 2^(8*width*h) whatever carries its lanes
+    made on the way, and the lanes read back are the U_h.  Exact integers
+    for every k >= 1, each step a few big-int operations in C.
     """
     s = k.bit_length()
     width = _lane_bytes(k)
@@ -140,13 +158,14 @@ def _direct_row(k: int) -> list[int]:
     # lane h of ones^2, below lane k, counts the h + 1 pairs i + j = h
     ramp = (ones * ones & (1 << 8 * width * k) - 1) - ones
     offset = ones * ((1 << s) - k)
+    half = (k - 1) // 2
     lanes = offset
     total = 0
-    for r in range(1, k):
+    for r in range(1, half + 1):
         lanes += ramp
         lanes -= (lanes >> s & ones) * k
-        total += r * lanes
-    total -= offset * (k * (k - 1) // 2)
+        total += (k - 2 * r) * lanes
+    total -= offset * (half * (k - half - 1))
     raw = total.to_bytes(width * k, "little")
     if width in _LANE_TYPECODES:
         row = array(_LANE_TYPECODES[width])
@@ -158,15 +177,17 @@ def _direct_row(k: int) -> list[int]:
             int.from_bytes(raw[i : i + width], "little")
             for i in range(0, len(raw), width)
         ]
+    c_k = half * k * k - k * half * (half + 1) // 2 + (0 if k % 2 else k * k // 4)
     gcd = math.gcd
-    return [t if gcd(h, k) == 1 else 0 for h, t in enumerate(row)]
+    return [c_k - u if gcd(h, k) == 1 else 0 for h, u in enumerate(row)]
 
 
 _ZERO = Fraction(0)
 
 
-def _defect(h: int, k: int, t_hk: int, t_kh: int) -> Fraction:
-    """The reciprocity defect of coprime h, k >= 1 from two direct totals.
+def _scaled_defect(h: int, k: int, t_hk: int, t_kh: int) -> int:
+    """12h^2k^2 times the reciprocity defect of coprime h, k >= 1, from two
+    direct totals.
 
     With t_hk = T(h mod k, k) and t_kh = T(k mod h, h), s(h, k) =
     t_hk/k^2 - (k-1)/4 (as ((hr/k)) = (hr mod k)/k - 1/2 for 0 < r < k) and
@@ -175,18 +196,16 @@ def _defect(h: int, k: int, t_hk: int, t_kh: int) -> Fraction:
 
         12h^2k^2 * defect = 12h^2*t_hk + 12k^2*t_kh
                             - 3h^2k^2(h + k - 3) - hk(h^2 + k^2 + 1).
-
-    A zero defect is the one shared ``Fraction(0)``; a Fraction is built
-    only for a nonzero one.
     """
     hk = h * k
-    scaled = (
-        12 * h * h * t_hk
-        + 12 * k * k * t_kh
-        - 3 * hk * hk * (h + k - 3)
-        - hk * (h * h + k * k + 1)
-    )
-    return Fraction(scaled, 12 * hk * hk) if scaled else _ZERO
+    sums = 12 * (h * h * t_hk + k * k * t_kh)
+    return sums - hk * (3 * hk * (h + k - 3) + h * h + k * k + 1)
+
+
+def _defect(h: int, k: int, scaled: int) -> Fraction:
+    """The defect of (h, k) from its ``_scaled_defect``: the one shared
+    ``Fraction(0)`` when it is zero, a Fraction built only for a nonzero one."""
+    return Fraction(scaled, 12 * (h * k) ** 2) if scaled else _ZERO
 
 
 def reciprocity_defect(h: int, k: int) -> Fraction:
@@ -202,11 +221,13 @@ def reciprocity_defect(h: int, k: int) -> Fraction:
             f"reciprocity_defect needs h, k >= 1, got ({int_text(h)}, {int_text(k)})"
         )
     _require_coprime(h, k, "reciprocity_defect")
-    return _defect(h, k, _direct_total(h % k, k), _direct_total(k % h, h))
+    scaled = _scaled_defect(h, k, _direct_total(h % k, k), _direct_total(k % h, h))
+    return _defect(h, k, scaled)
 
 
-def reciprocity_defects(bound: int) -> Iterator[tuple[int, int, Fraction]]:
-    """(h, k, reciprocity_defect(h, k)) for every coprime 1 <= h, k <= bound, h-major.
+def _defect_rows(bound: int) -> Iterator[tuple[int, list[int], list[int]]]:
+    """(h, ks, scaled) for each 1 <= h <= bound: the k <= bound coprime to h,
+    in order, and each pair's ``_scaled_defect``, 0 exactly when it holds.
 
     The walk behind the reciprocity suite.  It first tables T(h, k) for every
     0 <= h < k <= bound, one ``_direct_row`` per k, in one local triangle of
@@ -216,12 +237,22 @@ def reciprocity_defects(bound: int) -> Iterator[tuple[int, int, Fraction]]:
     gcd(h, k) > 1, and every k = 1 is coprime, so the table decides which
     pairs are walked.  Nothing is cached between calls.
     """
-    totals = array("q")
-    for k in range(1, bound + 1):
-        totals.extend(_direct_row(k))
-    for h in range(1, bound + 1):
-        row_h = h * (h - 1) // 2
-        for k in range(1, bound + 1):
-            t_hk = totals[k * (k - 1) // 2 + h % k]
-            if t_hk or k == 1:
-                yield h, k, _defect(h, k, t_hk, totals[row_h + k % h])
+    ks = range(1, bound + 1)
+    totals = array("q", chain.from_iterable(map(_direct_row, ks)))
+    starts = [k * (k - 1) // 2 for k in range(bound + 1)]  # row k of the triangle
+    for h in ks:
+        coprime = [k for k in ks if k == 1 or totals[starts[k] + h % k]]
+        yield h, coprime, [
+            _scaled_defect(h, k, totals[starts[k] + h % k], totals[starts[h] + k % h])
+            for k in coprime
+        ]
+
+
+def reciprocity_defects(bound: int) -> Iterator[tuple[int, int, Fraction]]:
+    """(h, k, reciprocity_defect(h, k)) for every coprime 1 <= h, k <= bound, h-major.
+
+    One ``_defect_rows`` walk, flattened a pair at a time.
+    """
+    for h, coprime, scaled in _defect_rows(bound):
+        for k, n in zip(coprime, scaled):
+            yield h, k, _defect(h, k, n)

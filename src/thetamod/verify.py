@@ -51,8 +51,9 @@ leaves the lines written so far and no summary line.  Complex numbers
 serialize as [re, im], rationals as "p/q", matrices as [[a, b], [c, d]],
 non-finite floats as "inf", "-inf" or "nan".  Every line is the JSON
 encoder's text of a record's ``to_json_dict()``; :func:`_write_reciprocity`
-writes a passing reciprocity pair's line from one template of that text,
-with no record, and a test pins it to the encoder.
+walks ``dedekind._defect_rows`` a row of h at a time, writes a passing
+pair's line from one template of that text, with no record, and each row's
+lines in one write; a test pins the lines to the encoder.
 """
 
 from __future__ import annotations
@@ -66,11 +67,10 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Iterator, TextIO
 
-from .dedekind import _ZERO, reciprocity_defects
+from .dedekind import _ZERO, _defect, _defect_rows, reciprocity_defects
 from .errors import DomainError, PrecisionUnreachableError
 from .exact import UnitPhase, rational_str
 from .modgroup import (
-    IDENTITY,
     Letter,
     S,
     Sl2Matrix,
@@ -228,24 +228,29 @@ def _draw_point(rng: random.Random, box) -> complex:
 
 
 def _word_matrix(rng: random.Random, max_entries: int, gamma2: bool) -> Sl2Matrix:
-    """Product of a random generator word, capped at max_entries growth."""
-    M = IDENTITY
-    last = None
+    """Product of a random generator word, capped at max_entries growth.
+
+    Multiplied out on the four entries (a b; c d), one letter at a time on
+    the right, with e the letter's step: T^e adds e times the first column
+    to the second, S2^exp adds e = 2 exp times the second column to the
+    first, and S swaps the columns, (b -a; d -c).  A level-2 word's T letter
+    is T^(2 exp), so at level 2 e is 2 exp for both generators.
+    """
+    a, b, c, d = 1, 0, 0, 1
+    last, other = None, "S2" if gamma2 else "S"
     for _ in range(rng.randint(1, 12)):
-        exp = rng.randint(1, ENTRY_BOUND) * rng.choice((-1, 1))
-        if gamma2:
-            use_shear = last != "S2" and (last == "T" or rng.random() < 0.5)
-            step = shear(exp) if use_shear else translation(2 * exp)
-            gen = "S2" if use_shear else "T"
+        e = rng.randint(1, ENTRY_BOUND) * rng.choice((-1, 1)) * (2 if gamma2 else 1)
+        gen = other if last != other and (last == "T" or rng.random() < 0.5) else "T"
+        if gen == "T":
+            cand = (a, b + e * a, c, d + e * c)
+        elif gen == "S2":
+            cand = (a + e * b, b, c + e * d, d)
         else:
-            use_s = last != "S" and (last == "T" or rng.random() < 0.5)
-            step = S if use_s else translation(exp)
-            gen = "S" if use_s else "T"
-        cand = M * step
-        if cand.max_entry() > max_entries:
+            cand = (b, -a, d, -c)
+        if max(map(abs, cand)) > max_entries:
             break
-        M, last = cand, gen
-    return normalize_sign(M)[0]
+        (a, b, c, d), last = cand, gen
+    return normalize_sign(Sl2Matrix(a, b, c, d))[0]
 
 
 def _random_matrix(
@@ -503,13 +508,14 @@ def _line(rec: VerificationRecord) -> str:
 
 
 def _write_reciprocity(config: TrialConfig, fp: TextIO) -> SuiteSummary:
-    """The reciprocity suite's lines, from one fresh walk of the defects.
+    """The reciprocity suite's lines, from one fresh walk of the defect rows.
 
     A zero defect passes, decided on the exact rational, with no record: its
     line is a template of (h, k, trial), the encoder's text of a passing
     record whose h, k and trial are marker strings, each replaced by %d (the
-    encoder sorts keys, so they come in that order).  A nonzero defect is
-    the record run_suite gives, through _record and the encoder.
+    encoder sorts keys, so they come in that order).  A nonzero defect's
+    line is the record run_suite gives, through _record and the encoder.
+    The walk decides a row of h at once, and its lines go out in one write.
     """
     name, tol = "reciprocity", config.tol
     marks = {"h": "<h>", "k": "<k>"}
@@ -517,16 +523,19 @@ def _write_reciprocity(config: TrialConfig, fp: TextIO) -> SuiteSummary:
     template = _line(proto)
     for mark in ("<h>", "<k>", "<t>"):
         template = template.replace(f'"{mark}"', "%d")
-    summary, write = SuiteSummary(name), fp.write
-    for t, (h, k, defect) in enumerate(reciprocity_defects(RECIPROCITY_BOUND)):
-        if defect:
-            rec = _record(name, t, *_reciprocity_trial(h, k, defect), tol)
-            write(_line(rec))
-            summary.add(rec, tol)
-        else:
-            write(template % (h, k, t))
-            summary.total += 1
-            summary.passed += 1
+    summary, t = SuiteSummary(name), 0
+    for h, coprime, scaled in _defect_rows(RECIPROCITY_BOUND):
+        lines = [template % (h, k, t + i) for i, k in enumerate(coprime)]
+        for i, n in enumerate(scaled):
+            if n:
+                trial = _reciprocity_trial(h, coprime[i], _defect(h, coprime[i], n))
+                rec = _record(name, t + i, *trial, tol)
+                lines[i] = _line(rec)
+                summary.add(rec, tol)
+        t += len(coprime)
+        fp.write("".join(lines))
+    summary.passed += t - summary.total  # the zero defects, each passing
+    summary.total = t
     return summary
 
 

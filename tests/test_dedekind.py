@@ -199,12 +199,15 @@ def test_direct_row_matches_the_per_pair_loop():
     assert _direct_row(7)[3] == sum(r * (3 * r % 7) for r in range(1, 7)) == 70
 
 
-@pytest.mark.parametrize("k", [1625, 2339, 2400, 3001])
+@pytest.mark.parametrize("k", [9, 10, 58, 59, 1625, 2339, 2344, 2345, 2400, 3001])
 def test_direct_row_lanes_grow_with_k(k):
-    # T(1, k) is about k^3/3, past 4-byte lanes from k = 2,345 on: fixed
-    # 4-byte lanes give a wrong total at 2,400 and overflow at 3,001
-    assert thetamod.dedekind._lane_bytes(k) == (4 if k < 2345 else 8)
-    _assert_row(k, [0, 1, k - 1] + random.Random(k).sample(range(k), 60))
+    # T(1, k) is about k^3/3, past 1-, 2- and 4-byte lanes from k = 10, 59
+    # and 2,345 on: fixed 4-byte lanes give a wrong total at 2,400 and
+    # overflow at 3,001.  Each width's last and first k, odd and even, as the
+    # folded row pairs r with k - r and adds an even k's middle r = k/2 apart
+    width = 1 if k < 10 else 2 if k < 59 else 4 if k < 2345 else 8
+    assert thetamod.dedekind._lane_bytes(k) == width
+    _assert_row(k, [0, 1, k // 2, k - 1] + random.Random(k).sample(range(k), min(k, 60)))
 
 
 @pytest.mark.parametrize("width", [8, 16, 32])

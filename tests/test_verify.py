@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -14,13 +15,21 @@ from pathlib import Path
 import pytest
 
 import thetamod
+import thetamod.cli
 import thetamod.dedekind
 import thetamod.multipliers
 import thetamod.verify
 from thetamod.cli import _build_parser, _parse_complex, main
 from thetamod.errors import DomainError
 from thetamod.exact import rational_str
-from thetamod.modgroup import Sl2Matrix
+from thetamod.modgroup import (
+    IDENTITY,
+    S,
+    Sl2Matrix,
+    normalize_sign,
+    shear,
+    translation,
+)
 from thetamod.series import DEFAULT_TOL
 from thetamod.verify import (
     SUITES,
@@ -330,6 +339,42 @@ def test_public_api_leaves_out_the_oracles():
     assert all(hasattr(thetamod, name) for name in thetamod.__all__)
 
 
+def _word_matrix_by_products(rng, max_entries, gamma2):
+    """The reference for verify._word_matrix: the same draws, one
+    Sl2Matrix product per letter."""
+    M = IDENTITY
+    last = None
+    for _ in range(rng.randint(1, 12)):
+        exp = rng.randint(1, thetamod.verify.ENTRY_BOUND) * rng.choice((-1, 1))
+        if gamma2:
+            use_shear = last != "S2" and (last == "T" or rng.random() < 0.5)
+            step = shear(exp) if use_shear else translation(2 * exp)
+            gen = "S2" if use_shear else "T"
+        else:
+            use_s = last != "S" and (last == "T" or rng.random() < 0.5)
+            step = S if use_s else translation(exp)
+            gen = "S" if use_s else "T"
+        cand = M * step
+        if cand.max_entry() > max_entries:
+            break
+        M, last = cand, gen
+    return normalize_sign(M)[0]
+
+
+@pytest.mark.parametrize("gamma2", [False, True])
+@pytest.mark.parametrize("max_entries", [20, 1500])
+def test_word_matrix_on_four_ints_is_the_product_walk(gamma2, max_entries):
+    # same matrix and the same draws, in the same order: the stream is left
+    # where the product walk leaves it, so every later draw is unchanged
+    for i in range(1500):
+        seed = f"{gamma2}:{max_entries}:{i}"
+        fast, slow = random.Random(seed), random.Random(seed)
+        A = thetamod.verify._word_matrix(fast, max_entries, gamma2)
+        assert type(A) is Sl2Matrix
+        assert A == _word_matrix_by_products(slow, max_entries, gamma2), seed
+        assert fast.getstate() == slow.getstate(), seed
+
+
 def test_lemma2_covers_both_branches():
     records = run_suite("lemma2", TrialConfig(seed=2, trials=10))
     branches = {r.inputs["branch"] for r in records}
@@ -511,6 +556,17 @@ def test_cli_decompose(capsys):
     out = capsys.readouterr().out
     assert "T^2 S T" in out
     assert main(["decompose", "--gamma2", "[[3,2],[4,3]]"]) == 0
+
+
+@pytest.mark.parametrize("argv", [["[[2,1],[1,1]]"], ["--gamma2", "[[3,2],[4,3]]"]])
+def test_cli_decompose_checks_its_word_without_assert(monkeypatch, capsys, argv):
+    # a word that does not recompose is a failure under python -O too: an
+    # error naming the matrix, exit 1, and no word printed
+    monkeypatch.setattr(thetamod.cli, "recompose", lambda word: Sl2Matrix(1, 1, 0, 1))
+    assert main(["decompose", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: the word found for {argv[-1]} does not recompose to it\n"
 
 
 def test_cli_reduce(capsys):
@@ -818,14 +874,17 @@ def test_each_failing_line_shows_its_own_defect(monkeypatch):
 
 
 def test_reciprocity_table_built_once_per_run(monkeypatch):
+    # every run builds its table in one walk of the defect rows: run_suite's
+    # through reciprocity_defects, the writer's by the name verify imports
     walks = []
-    walk = thetamod.verify.reciprocity_defects
+    walk = thetamod.dedekind._defect_rows
 
     def counting(bound):
         walks.append(bound)
         return walk(bound)
 
-    monkeypatch.setattr(thetamod.verify, "reciprocity_defects", counting)
+    monkeypatch.setattr(thetamod.dedekind, "_defect_rows", counting)
+    monkeypatch.setattr(thetamod.verify, "_defect_rows", counting)
     _reciprocity_failures()
     assert walks == [thetamod.verify.RECIPROCITY_BOUND]
     config = TrialConfig(seed=7, trials=2, suites=("lemma1", "reciprocity"))
