@@ -14,7 +14,9 @@ that does not recompose to its matrix, 2 malformed input, usage errors, or an
 eval whose value overflowed.
 
 verify writes each record as soon as its trial is decided and the summary
-line last.  A run that stops with exit code 2 once the report is open (a
+line last.  On 2 or more CPUs a forked child runs the suites from reciprocity
+on at the same time; their records follow the earlier suites' as on one CPU,
+byte for byte.  A run that stops with exit code 2 once the report is open (a
 corpus matrix outside a later suite's domain) leaves the records written so
 far and no summary line; the --out path is left in place, as it may be
 /dev/stdout or a FIFO.

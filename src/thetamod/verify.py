@@ -46,8 +46,11 @@ Report format: JSON Lines, one record per trial, then one summary line.
 :func:`write_report` makes it in one pass: each record's line is written as
 soon as its trial is decided, the record is folded into its suite's
 :class:`SuiteSummary` and dropped, and the summary line comes last, so the
-memory of a run does not grow with ``config.trials``.  A suite that raises
-leaves the lines written so far and no summary line.  Complex numbers
+memory of a run does not grow with ``config.trials``.  On 2 or more CPUs a
+forked child writes the suites from reciprocity on, beside the ones before
+it, to an unlinked spool that reaches ``fp`` after their lines: the same bytes,
+and neither process holds the records.  A suite that raises leaves the lines
+written so far and no summary line.  Complex numbers
 serialize as [re, im], rationals as "p/q", matrices as [[a, b], [c, d]],
 non-finite floats as "inf", "-inf" or "nan".  Every line is the JSON
 encoder's text of a record's ``to_json_dict()``; :func:`_write_reciprocity`
@@ -60,12 +63,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import shutil
+import tempfile
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, NoReturn, TextIO
 
 from .dedekind import _ZERO, _defect, _defect_rows, reciprocity_defects
 from .errors import DomainError, PrecisionUnreachableError
@@ -550,15 +557,84 @@ def _write_suite(name: str, config: TrialConfig, fp: TextIO) -> SuiteSummary:
     return summary
 
 
+def _fork_tail() -> bool:
+    """True where os.fork exists, this process may run on 2 or more CPUs and
+    it has no other thread (a forked child would hold a copy of this one only)."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
+    return hasattr(os, "fork") and threading.active_count() == 1 and cpus >= 2
+
+
+def _write_tail(tail: list[str], config: TrialConfig, spool: TextIO, sink) -> NoReturn:
+    """The forked child: write tail's suites to spool, send through sink the
+    pickle of their summaries, or of the exception that stopped them, and
+    leave by os._exit, with status 0 once it is sent.  Never touches fp."""
+    import pickle  # loaded by _write_split already
+
+    try:
+        try:
+            with spool:  # closing flushes the lines of a suite that raised too
+                result = [_write_suite(name, config, spool) for name in tail]
+        except BaseException as err:  # the parent raises it after its head
+            result = err
+        sink.write(pickle.dumps(result))
+        sink.close()
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _write_split(
+    head: list[str], tail: list[str], config: TrialConfig, fp: TextIO
+) -> list[SuiteSummary]:
+    """Write head's suites to fp while a forked child writes tail's to an
+    unlinked spool; then copy the spool to fp in 64 KiB chunks and return the
+    summaries in suite order, or raise what stopped the child.  An error in
+    the head kills and reaps the child before it propagates."""
+    import pickle  # here, not at the top: every subcommand imports this module
+    import signal
+
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+        rfd, wfd = os.pipe()
+        with open(rfd, "rb") as pipe, open(wfd, "wb") as sink:
+            pid = os.fork()
+            if pid == 0:
+                _write_tail(tail, config, spool, sink)
+            sink.close()
+            try:
+                summaries = [_write_suite(name, config, fp) for name in head]
+                data, status = pipe.read(), os.waitpid(pid, 0)[1]
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                raise
+        spool.seek(0)
+        shutil.copyfileobj(spool, fp, 1 << 16)
+    result = pickle.loads(data) if status == 0 and data else None
+    if isinstance(result, BaseException):
+        raise result
+    if not isinstance(result, list) or [s.name for s in result] != tail:
+        raise RuntimeError(f"the child writing {tail} stopped early, status {status}")
+    return summaries + result
+
+
 def write_report(fp: TextIO, config: TrialConfig) -> list[SuiteSummary]:
     """Run the configured suites (all of them by default) in order and write
     their JSON Lines report: one record per trial, written as soon as it is
     decided and then dropped, and one trailing summary line.
 
+    Where :func:`_fork_tail` allows, a forked child writes the suites from
+    reciprocity on (:func:`_write_split`); the bytes are those of a run in place.
+
     A suite that raises (a DomainError from a corpus matrix out of its
     domain) stops the report there, with no summary line.
     """
-    summaries = [_write_suite(name, config, fp) for name in config.suites or SUITES]
+    names = list(config.suites or SUITES)
+    cut = names.index("reciprocity") if "reciprocity" in names else len(names)
+    if 0 < cut < len(names) and _fork_tail():
+        summaries = _write_split(names[:cut], names[cut:], config, fp)
+    else:
+        summaries = [_write_suite(name, config, fp) for name in names]
     summary = {
         "summary": {
             s.name: {k: _encode(v) for k, v in vars(s).items() if k != "name"}

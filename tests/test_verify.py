@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -185,6 +186,10 @@ def test_report_lines_equal_the_encoder(monkeypatch):
         return to_json_dict(rec)
 
     monkeypatch.setattr(thetamod.verify.VerificationRecord, "to_json_dict", spy)
+    # the spy sees this process only, so the reciprocity suite runs here, not
+    # in a forked child; test_forked_report_is_the_in_place_report pins the
+    # forked report's bytes to these
+    monkeypatch.setattr(thetamod.verify, "_fork_tail", lambda: False)
     lines = []
     for run in (config, stuck):
         lines += _render(run).splitlines(keepends=True)[:-1]
@@ -750,8 +755,13 @@ def test_cli_verify_stopped_midway_leaves_no_summary(tmp_path, capsys):
     [
         ["--suite", "reciprocity"],
         ["--suite", "lemma1", "--suite", "parity-mod4", "--trials", "4000"],
+        # forks: the parent writes lemma1 and copies the child's spool
+        [
+            "--suite", "lemma1", "--suite", "reciprocity", "--suite", "parity-mod4",
+            "--trials", "4000",
+        ],
     ],
-    ids=["reciprocity", "lemma1-parity-4000"],
+    ids=["reciprocity", "lemma1-parity-4000", "lemma1-reciprocity-parity-4000"],
 )
 def test_cli_verify_memory_does_not_hold_the_records(tmp_path, capsys, argv):
     # each record is written and dropped: the peak stays far below the
@@ -873,23 +883,30 @@ def test_each_failing_line_shows_its_own_defect(monkeypatch):
         assert line["observed"] == rational_str(defect), pair
 
 
-def test_reciprocity_table_built_once_per_run(monkeypatch):
+def test_reciprocity_table_built_once_per_run(monkeypatch, tmp_path):
     # every run builds its table in one walk of the defect rows: run_suite's
-    # through reciprocity_defects, the writer's by the name verify imports
-    walks = []
+    # through reciprocity_defects, the writer's by the name verify imports.
+    # Each walk appends a line to a file, so a walk in write_report's forked
+    # child is counted too.
+    log = tmp_path / "walks"
+    log.touch()
     walk = thetamod.dedekind._defect_rows
 
     def counting(bound):
-        walks.append(bound)
+        with open(log, "a") as fh:
+            fh.write(f"{bound}\n")
         return walk(bound)
+
+    def walks():
+        return [int(line) for line in log.read_text().split()]
 
     monkeypatch.setattr(thetamod.dedekind, "_defect_rows", counting)
     monkeypatch.setattr(thetamod.verify, "_defect_rows", counting)
     _reciprocity_failures()
-    assert walks == [thetamod.verify.RECIPROCITY_BOUND]
+    assert walks() == [thetamod.verify.RECIPROCITY_BOUND]
     config = TrialConfig(seed=7, trials=2, suites=("lemma1", "reciprocity"))
     write_report(io.StringIO(), config)
-    assert len(walks) == 2
+    assert len(walks()) == 2
 
 
 def test_reciprocity_table_not_built_at_import():
@@ -985,6 +1002,185 @@ def test_cli_path_that_argparse_reads_as_an_option_keeps_its_error(capsys, optio
         main(["verify", option, "-1e3"])
     assert exit_info.value.code == 2
     assert "expected one argument" in capsys.readouterr().err
+
+
+# --- the report's tail, written by a forked child ---------------------------
+
+# Counted here, not read from _fork_tail: on 2 or more CPUs a report that
+# should fork and does not fails these tests.
+if hasattr(os, "sched_getaffinity"):
+    TWO_CPUS = len(os.sched_getaffinity(0)) >= 2
+else:
+    TWO_CPUS = (os.cpu_count() or 1) >= 2
+
+
+def _spy_forks(monkeypatch) -> list:
+    """Count os.fork calls; the forked child runs as it would unobserved."""
+    forks, fork = [], os.fork
+
+    def spy():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", spy)
+    return forks
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _open_fds() -> set[str]:
+    return set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else set()
+
+
+def _cli_report(monkeypatch, capsys, tmp_path, argv, in_place):
+    """(exit code, report bytes, stderr, fork count) of one verify run."""
+    with monkeypatch.context() as patch:
+        if in_place:
+            patch.setattr(thetamod.verify, "_fork_tail", lambda: False)
+        forks = _spy_forks(patch)
+        fds = _open_fds()
+        out = tmp_path / f"r-{in_place}.jsonl"
+        code = main(["verify", *argv, "--out", str(out)])
+        assert _open_fds() == fds  # no pipe or spool left open
+    _assert_no_children()
+    return code, out.read_bytes(), capsys.readouterr().err, len(forks)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "7"],
+        ["--suite", "lemma1", "--suite", "reciprocity", "--trials", "5"],
+        ["--suite", "reciprocity", "--suite", "lemma1", "--trials", "5"],
+        ["--suite", "lemma2", "--suite", "parity-mod4", "--suite", "eq1", "--trials", "9"],
+        [
+            "--suite", "lemma1", "--suite", "lemma2", "--suite", "reciprocity",
+            "--suite", "closed-form-epsilon", "--suite", "chain-vs-direct", "--corpus",
+        ],
+    ],
+    ids=["all-seed7", "lemma1-reciprocity", "reciprocity-first", "no-reciprocity", "corpus"],
+)
+def test_forked_report_is_the_in_place_report(monkeypatch, capsys, tmp_path, argv):
+    if argv[-1] == "--corpus":
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("[[2,1],[1,1]]\n[[3,2],[1,1]]\n[[5,-3],[7,-4]]\n")
+        argv = [*argv, str(corpus)]
+    forked = _cli_report(monkeypatch, capsys, tmp_path, argv, in_place=False)
+    in_place = _cli_report(monkeypatch, capsys, tmp_path, argv, in_place=True)
+    assert forked[:3] == in_place[:3]
+    assert forked[0] == 0 and in_place[3] == 0
+    suites = argv[1::2] if argv[0] == "--suite" else list(SUITES)
+    splits = "reciprocity" in suites[1:]
+    assert forked[3] == (1 if splits and TWO_CPUS else 0)
+
+
+@pytest.mark.parametrize(
+    "matrix, suites, error, last_suite",
+    [
+        # lemma5 and reciprocity take no corpus matrix; closed-form-epsilon
+        # refuses c = 0 in the tail, after both have written their lines
+        (
+            "[[1,4],[0,1]]",
+            ("lemma5", "reciprocity", "closed-form-epsilon"),
+            "corpus matrix [[1,4],[0,1]] is out of domain for closed-form-epsilon",
+            "reciprocity",
+        ),
+        # lemma3 refuses a matrix that is not level 2 in the head
+        (
+            "[[2,1],[1,1]]",
+            ("lemma1", "lemma3", "reciprocity"),
+            "corpus matrix [[2,1],[1,1]] is not congruent to the identity mod 2"
+            " (required by suite lemma3)",
+            "lemma1",
+        ),
+    ],
+    ids=["tail", "head"],
+)
+def test_domain_error_is_the_in_place_error(
+    monkeypatch, capsys, tmp_path, matrix, suites, error, last_suite
+):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text(matrix + "\n")
+    argv = [arg for name in suites for arg in ("--suite", name)]
+    argv += ["--corpus", str(corpus)]
+    forked = _cli_report(monkeypatch, capsys, tmp_path, argv, in_place=False)
+    in_place = _cli_report(monkeypatch, capsys, tmp_path, argv, in_place=True)
+    assert forked[:3] == in_place[:3]
+    assert forked[3] == (1 if TWO_CPUS else 0)
+    assert in_place[0] == 2 and in_place[2] == f"error: {error}\n"
+    *_, last = map(json.loads, in_place[1].splitlines())
+    assert last["suite"] == last_suite
+
+
+class _StopsWriting(io.StringIO):
+    """A report file whose first write raises error."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize("error", [BrokenPipeError(32, "Broken pipe"), KeyboardInterrupt()])
+def test_head_error_kills_and_reaps_the_child(monkeypatch, error):
+    monkeypatch.setattr(thetamod.verify, "_fork_tail", lambda: True)
+    forks = _spy_forks(monkeypatch)
+    fds = _open_fds()
+    config = TrialConfig(seed=7, trials=3, suites=("lemma1", "reciprocity"))
+    with pytest.raises(type(error)):
+        write_report(_StopsWriting(error), config)
+    assert len(forks) == 1
+    assert _open_fds() == fds
+    _assert_no_children()
+
+
+def _exits(code):
+    def suite(name, config):
+        os._exit(code)
+        yield  # a generator, like every suite
+
+    return suite
+
+
+def _kills_itself(name, config):
+    os.kill(os.getpid(), signal.SIGKILL)
+    yield
+
+
+def _divides_by_zero(name, config):
+    yield {"x": 1 / 0}, None, 1.0
+
+
+@pytest.mark.parametrize(
+    "suite, error, match",
+    [
+        (_divides_by_zero, ZeroDivisionError, "division by zero"),
+        (_exits(0), RuntimeError, r"'parity-mod4'\] stopped early, status 0$"),
+        (_exits(3), RuntimeError, "stopped early, status 768$"),  # exit code 3
+        (_kills_itself, RuntimeError, "stopped early, status 9$"),  # SIGKILL
+    ],
+    ids=["raises", "exits-0-unsent", "exits-3", "killed"],
+)
+def test_tail_failure_is_never_a_report(monkeypatch, tmp_path, suite, error, match):
+    # the parity-mod4 suite raises, or stops its process before the
+    # summaries are sent: write_report raises, and leaves no summary line
+    monkeypatch.setattr(thetamod.verify, "_fork_tail", lambda: True)
+    monkeypatch.setitem(SUITES, "parity-mod4", suite)
+    forks = _spy_forks(monkeypatch)
+    fds = _open_fds()
+    config = TrialConfig(seed=7, trials=3, suites=("lemma1", "reciprocity", "parity-mod4"))
+    buf = io.StringIO()
+    with pytest.raises(error, match=match):
+        write_report(buf, config)
+    assert len(forks) == 1
+    assert _open_fds() == fds
+    _assert_no_children()
+    assert all("summary" not in json.loads(line) for line in buf.getvalue().splitlines())
 
 
 # --- perfbench's hooks -------------------------------------------------------
