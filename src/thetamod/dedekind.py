@@ -185,9 +185,9 @@ def _direct_row(k: int) -> list[int]:
 _ZERO = Fraction(0)
 
 
-def _scaled_defect(h: int, k: int, t_hk: int, t_kh: int) -> int:
-    """12h^2k^2 times the reciprocity defect of coprime h, k >= 1, from two
-    direct totals.
+def _scaled_defects(h: int, pairs) -> list[int]:
+    """12h^2k^2 times the reciprocity defect of h and k for each (k, t_hk,
+    t_kh) of pairs, h and k coprime and >= 1: one row of h.
 
     With t_hk = T(h mod k, k) and t_kh = T(k mod h, h), s(h, k) =
     t_hk/k^2 - (k-1)/4 (as ((hr/k)) = (hr mod k)/k - 1/2 for 0 < r < k) and
@@ -195,15 +195,18 @@ def _scaled_defect(h: int, k: int, t_hk: int, t_kh: int) -> int:
     integers:
 
         12h^2k^2 * defect = 12h^2*t_hk + 12k^2*t_kh
-                            - 3h^2k^2(h + k - 3) - hk(h^2 + k^2 + 1).
+                            - 3h^2k^2(h + k - 3) - hk(h^2 + k^2 + 1),
+
+    a cubic in k over the row, taken in Horner's form:
+    12h^2*t_hk - k(h^3 + h + k(3h^2(h - 3) - 12t_kh + k(3h^2 + h))).
     """
-    hk = h * k
-    sums = 12 * (h * h * t_hk + k * k * t_kh)
-    return sums - hk * (3 * hk * (h + k - 3) + h * h + k * k + 1)
+    hh = h * h
+    c0, c1, c2, c3 = 12 * hh, hh * h + h, 3 * hh * (h - 3), 3 * hh + h
+    return [c0 * a - k * (c1 + k * (c2 - 12 * b + k * c3)) for k, a, b in pairs]
 
 
 def _defect(h: int, k: int, scaled: int) -> Fraction:
-    """The defect of (h, k) from its ``_scaled_defect``: the one shared
+    """The defect of (h, k) from its ``_scaled_defects`` entry: the one shared
     ``Fraction(0)`` when it is zero, a Fraction built only for a nonzero one."""
     return Fraction(scaled, 12 * (h * k) ** 2) if scaled else _ZERO
 
@@ -221,31 +224,33 @@ def reciprocity_defect(h: int, k: int) -> Fraction:
             f"reciprocity_defect needs h, k >= 1, got ({int_text(h)}, {int_text(k)})"
         )
     _require_coprime(h, k, "reciprocity_defect")
-    scaled = _scaled_defect(h, k, _direct_total(h % k, k), _direct_total(k % h, h))
-    return _defect(h, k, scaled)
+    pair = (k, _direct_total(h % k, k), _direct_total(k % h, h))
+    return _defect(h, k, _scaled_defects(h, [pair])[0])
 
 
 def _defect_rows(bound: int) -> Iterator[tuple[int, list[int], list[int]]]:
     """(h, ks, scaled) for each 1 <= h <= bound: the k <= bound coprime to h,
-    in order, and each pair's ``_scaled_defect``, 0 exactly when it holds.
+    in order, and each pair's ``_scaled_defects`` entry, 0 exactly when it holds.
 
     The walk behind the reciprocity suite.  It first tables T(h, k) for every
     0 <= h < k <= bound, one ``_direct_row`` per k, in one local triangle of
     bound*(bound + 1)/2 8-byte integers, T(h, k) at k*(k - 1)/2 + h and 0 off
     the coprime pairs; then it reads each defect from two entries, as s(h, k)
     only depends on h mod k.  For k >= 2, T(h mod k, k) is 0 exactly when
-    gcd(h, k) > 1, and every k = 1 is coprime, so the table decides which
-    pairs are walked.  Nothing is cached between calls.
+    gcd(h, k) > 1, and every k = 1 is coprime, so the table decides, once
+    per pair, which pairs are walked.  Nothing is cached between calls.
     """
     ks = range(1, bound + 1)
     totals = array("q", chain.from_iterable(map(_direct_row, ks)))
     starts = [k * (k - 1) // 2 for k in range(bound + 1)]  # row k of the triangle
     for h in ks:
-        coprime = [k for k in ks if k == 1 or totals[starts[k] + h % k]]
-        yield h, coprime, [
-            _scaled_defect(h, k, totals[starts[k] + h % k], totals[starts[h] + k % h])
-            for k in coprime
+        row_h = totals[starts[h] : starts[h] + h].tolist()
+        pairs = [  # (k, T(h mod k, k), T(k mod h, h)), T(h mod k, k) read once
+            (k, t, row_h[k % h])
+            for k in ks
+            if (t := totals[starts[k] + h % k]) or k == 1
         ]
+        yield h, [k for k, _, _ in pairs], _scaled_defects(h, pairs)
 
 
 def reciprocity_defects(bound: int) -> Iterator[tuple[int, int, Fraction]]:

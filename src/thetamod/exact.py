@@ -55,6 +55,7 @@ class UnitPhase:
     ``UnitPhase(t)`` takes a rational t in (1/12)Z and refuses any other;
     ``UnitPhase._of(k)`` is e^{i*pi*k/12} for an integer k.  Multiplication
     adds residues mod 24, ``** -1`` inverts, ``UnitPhase(0)`` is the identity.
+    ``str`` is ``rational_str`` of the phase, from a table of the 24 texts.
     """
 
     residue: int
@@ -85,4 +86,7 @@ class UnitPhase:
         return cmath.exp(1j * math.pi * (self.residue / 12))
 
     def __str__(self) -> str:
-        return rational_str(self.phase)
+        return _PHASE_TEXTS[self.residue]
+
+
+_PHASE_TEXTS = tuple(rational_str(Fraction(k, 12)) for k in range(24))

@@ -52,11 +52,11 @@ it, to an unlinked spool that reaches ``fp`` after their lines: the same bytes,
 and neither process holds the records.  A suite that raises leaves the lines
 written so far and no summary line.  Complex numbers
 serialize as [re, im], rationals as "p/q", matrices as [[a, b], [c, d]],
-non-finite floats as "inf", "-inf" or "nan".  Every line is the JSON
-encoder's text of a record's ``to_json_dict()``; :func:`_write_reciprocity`
-walks ``dedekind._defect_rows`` a row of h at a time, writes a passing
-pair's line from one template of that text, with no record, and each row's
-lines in one write; a test pins the lines to the encoder.
+non-finite floats as "inf", "-inf" or "nan".  :func:`_line` writes each
+record's line itself as the JSON encoder's text of its ``to_json_dict()``,
+which a test pins, and the encoder writes the summary line;
+:func:`_write_reciprocity` walks ``dedekind._defect_rows`` a row of h at a
+time and writes a row of passing pairs with one % of a template, no record.
 """
 
 from __future__ import annotations
@@ -72,6 +72,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from numbers import Real
 from typing import Callable, Iterable, Iterator, NoReturn, TextIO
 
 from .dedekind import _ZERO, _defect, _defect_rows, reciprocity_defects
@@ -123,10 +126,13 @@ class TrialConfig:
         # each suite runs once, at its first position: a repeat would write
         # its records twice under one summary entry
         object.__setattr__(self, "suites", tuple(dict.fromkeys(self.suites)))
+        if type(self.seed) is not int:  # no bool, no str, no None
+            raise DomainError(f"seed must be an int, not {self.seed!r}")
         if type(self.trials) is not int or self.trials < 1:  # no bool, no float
             raise DomainError(f"trials must be an int >= 1, not {self.trials!r}")
-        if not 0 < self.tol < math.inf:
-            raise DomainError(f"tol must be positive and finite, got {self.tol}")
+        tol = self.tol  # a real number: no bool, no str, no None
+        if type(tol) is bool or not isinstance(tol, Real) or not 0 < tol < math.inf:
+            raise DomainError(f"tol must be positive and finite, got {tol!r}")
         unknown = set(self.suites) - set(SUITES)
         if unknown:
             raise DomainError(f"unknown suites: {sorted(unknown)}")
@@ -509,38 +515,70 @@ def overall_pass(summaries: list[SuiteSummary]) -> bool:
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
+# _text's table, keyed by exact type: the JSON text of each type a record
+# holds.  rational_str is looked up at call time, so a hook on it sees calls.
+_TEXTS = {
+    str: encode_basestring_ascii,
+    int: repr,
+    float: lambda v: repr(v) if math.isfinite(v) else f'"{v!r}"',
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+    complex: lambda v: f"[{_text(v.real)}, {_text(v.imag)}]",
+    Fraction: lambda v: f'"{rational_str(v)}"',
+    UnitPhase: lambda v: f'"{v}"',
+    Sl2Matrix: "[[%d, %d], [%d, %d]]".__mod__,
+    list: lambda v: f"[{', '.join(map(_text, v))}]",
+}
+
+
+def _text(v) -> str:
+    return _TEXTS[type(v)](v)  # a KeyError names a type no record holds
+
+
 def _line(rec: VerificationRecord) -> str:
-    """rec's report line, newline included: the encoder's text of to_json_dict()."""
-    return _RECORD_ENCODER.encode(rec.to_json_dict()) + "\n"
+    """rec's report line, newline included, written directly: the
+    encoder's text of rec.to_json_dict(), keys sorted at every level."""
+    t, inputs = _text, rec.inputs
+    items = ", ".join([f"{t(k)}: {t(inputs[k])}" for k in sorted(inputs)])
+    flag = '"inconclusive": true, ' if rec.inconclusive else ""
+    return (
+        f'{{"expected": {t(rec.expected)}, {flag}"inputs": {{{items}}}, '
+        f'"kappa": {t(rec.kappa)}, "observed": {t(rec.observed)}, '
+        f'"pass": {t(rec.passed)}, "residual": {t(rec.residual)}, '
+        f'"suite": {t(rec.suite)}, "trial": {t(rec.trial)}}}\n'
+    )
 
 
 def _write_reciprocity(config: TrialConfig, fp: TextIO) -> SuiteSummary:
     """The reciprocity suite's lines, from one fresh walk of the defect rows.
 
     A zero defect passes, decided on the exact rational, with no record: its
-    line is a template of (h, k, trial), the encoder's text of a passing
-    record whose h, k and trial are marker strings, each replaced by %d (the
-    encoder sorts keys, so they come in that order).  A nonzero defect's
-    line is the record run_suite gives, through _record and the encoder.
-    The walk decides a row of h at once, and its lines go out in one write.
+    line is a template of (k, trial) with h filled in per row, the _line of
+    a passing record whose h, k and trial are marker strings, each replaced
+    by %d (keys are sorted, so they come in that order).  A row is one % of
+    that template repeated, and one write; a nonzero defect's line is then
+    replaced by its record's, through _record and _line, as run_suite gives.
     """
     name, tol = "reciprocity", config.tol
     marks = {"h": "<h>", "k": "<k>"}
     proto = VerificationRecord(name, "<t>", marks, _ZERO, _ZERO, "exact", True)
-    template = _line(proto)
-    for mark in ("<h>", "<k>", "<t>"):
-        template = template.replace(f'"{mark}"', "%d")
+    line = _line(proto).replace('"<h>"', "%d")
+    template = line.replace('"<k>"', "%%d").replace('"<t>"', "%%d")
     summary, t = SuiteSummary(name), 0
     for h, coprime, scaled in _defect_rows(RECIPROCITY_BOUND):
-        lines = [template % (h, k, t + i) for i, k in enumerate(coprime)]
-        for i, n in enumerate(scaled):
-            if n:
-                trial = _reciprocity_trial(h, coprime[i], _defect(h, coprime[i], n))
-                rec = _record(name, t + i, *trial, tol)
-                lines[i] = _line(rec)
-                summary.add(rec, tol)
-        t += len(coprime)
-        fp.write("".join(lines))
+        n = len(coprime)
+        text = (template % h) * n % tuple(chain(*zip(coprime, range(t, t + n))))
+        if any(scaled):
+            lines = text.splitlines(keepends=True)
+            for i, d in enumerate(scaled):
+                if d:
+                    trial = _reciprocity_trial(h, coprime[i], _defect(h, coprime[i], d))
+                    rec = _record(name, t + i, *trial, tol)
+                    lines[i] = _line(rec)
+                    summary.add(rec, tol)
+            text = "".join(lines)
+        fp.write(text)
+        t += n
     summary.passed += t - summary.total  # the zero defects, each passing
     summary.total = t
     return summary

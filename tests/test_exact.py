@@ -168,6 +168,9 @@ def test_phase_residue_round_trip_is_bit_identical():
         p = UnitPhase(Fraction(k, 12))
         assert p.phase == t and str(p) == rational_str(t)
         assert p.to_complex() == cmath.exp(1j * math.pi * float(t))
+    # str reads a table of the 24 texts; each is rational_str's text
+    for k in range(-48, 49):
+        assert str(UnitPhase._of(k)) == rational_str(Fraction(k % 24, 12))
 
 
 def test_rational_serialization():

@@ -22,7 +22,7 @@ import thetamod.multipliers
 import thetamod.verify
 from thetamod.cli import _build_parser, _parse_complex, main
 from thetamod.errors import DomainError
-from thetamod.exact import rational_str
+from thetamod.exact import UnitPhase, rational_str
 from thetamod.modgroup import (
     IDENTITY,
     S,
@@ -35,6 +35,7 @@ from thetamod.series import DEFAULT_TOL
 from thetamod.verify import (
     SUITES,
     TrialConfig,
+    VerificationRecord,
     load_corpus,
     overall_pass,
     run_suite,
@@ -100,6 +101,15 @@ def test_config_validation():
     for corpus in ((), [(2, 1, 1, 1)], (Sl2Matrix(2, 1, 1, 1), (1, 0, 0, 1)), "S"):
         with pytest.raises(DomainError, match="^corpus must be None or a non-empty"):
             TrialConfig(corpus=corpus)
+    # a tol that is no number was a raw TypeError from the comparison, and
+    # True passed as 1; a seed "7" wrote the report of seed 7
+    for tol in ("1e-9", None, True, 1e-9j):
+        with pytest.raises(DomainError, match="^tol must be positive and finite"):
+            TrialConfig(tol=tol)
+    for seed in (None, "7", True, 7.0):
+        with pytest.raises(DomainError, match="^seed must be an int"):
+            TrialConfig(seed=seed)
+    assert TrialConfig(seed=-7, tol=1).tol == 1
     assert main(["verify", "--suite", "eq2", "--trials", "3", "--tol", "inf"]) == 2
 
 
@@ -161,9 +171,45 @@ def _corrupt_direct_total(monkeypatch, h=3, k=7):
     return {(j, k) for j in range(h, 201, k)} | {(k, j) for j in range(h, 201, k)}
 
 
+def _hand_built_records():
+    """Records no seeded run makes, for the line writer's edge cases."""
+    inf, nan = math.inf, math.nan
+    n = 2**70
+    huge = Sl2Matrix(-n, n + 1, n - 1, -n)
+    message = 'series "out of reach" at C:\\tmp\nnext line, \u03c4 = \u221e'
+    sides = [
+        (complex(nan, inf), complex(-inf, 0.5)),
+        (complex(1.5, inf), complex(-0.0, 5e-324)),
+        (Fraction(-7, 12), Fraction(0)),
+        ([0, 1], [2**64, -(2**65)]),
+        (None, None),
+    ]
+    sides += [(UnitPhase._of(k), UnitPhase._of(-k)) for k in range(24)]
+    residuals = [nan, inf, -inf, -0.0, 5e-324, 2.5e-308, "exact", 0.0]
+    inputs = {"matrix": huge, "z": complex(-0.0, nan), "m": -(2**80), "word": "S T^-2"}
+    records = [
+        VerificationRecord(
+            "hand",
+            t,
+            inputs,
+            expected,
+            observed,
+            residuals[t % len(residuals)],
+            t % 2 == 0,
+            kappa=[1.0, inf, 5e-324, -0.0][t % 4],
+        )
+        for t, (expected, observed) in enumerate(sides)
+    ]
+    inputs = {"matrix": IDENTITY, "error": message}
+    args = ("hand", len(sides), inputs, None, None, inf, False)
+    records.append(VerificationRecord(*args, inconclusive=True))
+    return records
+
+
 def test_report_lines_equal_the_encoder(monkeypatch):
-    # write_report writes passing reciprocity records from a template; every
-    # line must be the encoder's text of the record run_suite gives
+    # write_report writes every line itself, and passing reciprocity records
+    # from a row template; every line must be the encoder's text of the
+    # record run_suite gives
     corpus = (Sl2Matrix(1, 0, 10**6, 1),)  # out of the series' reach
     stuck = TrialConfig(trials=1, corpus=corpus, suites=("theorem1",))
     inconclusive = run_suite("theorem1", stuck)
@@ -177,8 +223,12 @@ def test_report_lines_equal_the_encoder(monkeypatch):
     records += inconclusive + failing
     encode = thetamod.verify._RECORD_ENCODER.encode
     want = [encode(r.to_json_dict()) + "\n" for r in records]
+    hand = _hand_built_records()
+    for rec in hand:
+        assert thetamod.verify._line(rec) == encode(rec.to_json_dict()) + "\n"
+    assert '"inconclusive": true' in thetamod.verify._line(hand[-1])
 
-    encoded = []  # the records that took the encoder's path
+    encoded = []  # the records that took the encoder's path: none
     to_json_dict = thetamod.verify.VerificationRecord.to_json_dict
 
     def spy(rec):
@@ -193,17 +243,14 @@ def test_report_lines_equal_the_encoder(monkeypatch):
     lines = []
     for run in (config, stuck):
         lines += _render(run).splitlines(keepends=True)[:-1]
-    # the template builder encodes a marker record, whose trial is not an int
-    slow = [r for r in encoded if type(r.trial) is int]
     with monkeypatch.context() as patch:
         _corrupt_direct_total(patch)
         report = _render(TrialConfig(seed=7, trials=8, suites=("reciprocity",)))
     *report, _ = report.splitlines(keepends=True)
     lines += [line for line in report if '"pass": false' in line]
     assert lines == want
-    assert not [r for r in slow if r.suite == "reciprocity"]
+    assert not encoded
     assert sum(r.suite == "reciprocity" for r in records) == 24463 + 58
-    assert inconclusive[0] in slow
 
 
 def test_reciprocity_builds_a_record_only_for_a_nonzero_defect(monkeypatch):
