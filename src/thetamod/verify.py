@@ -4,59 +4,47 @@ Every suite is one callable
 
     suite(name, config) -> iterable of (inputs, sides, kappa)
 
-that yields its trials in order; one generator, :func:`_records`, numbers
-them and builds each record, which :func:`run_suite` lists and
-:func:`write_report` streams.  ``inputs`` is the record's input dict, fixed
-before any series is summed; ``sides()`` returns the pair
-``(expected, observed)``; ``kappa`` scales the numeric tolerance.
-:func:`_each` makes a suite of ``config.trials`` runs of a per-trial
-function ``trial(name, config, t)``; lemma5 yields its exact anchor, then
-``config.trials`` numeric trials; the reciprocity suite yields every
-coprime pair of the walk ``dedekind.reciprocity_defects`` whatever
-``config.trials`` is.
+that yields its trials in order: ``inputs`` is the record's input dict, fixed
+before any series is summed; ``sides()`` returns ``(expected, observed)``;
+``kappa`` scales the numeric tolerance.  :func:`_each` makes a suite of
+``config.trials`` runs of ``trial(name, config, t)``; lemma5 yields its
+exact anchor, then ``config.trials`` numeric trials; the reciprocity suite
+yields every coprime pair of ``dedekind.reciprocity_defects``.
 
 eq1, eq2, lemma5, theorem1 and theorem2-* share one law check,
-:func:`_law_check`: the direct series at (z/(c tau+d), A tau), summed first
-(so when both sides are out of reach the error reported is the left-hand
-side's), against ``predictor(A, z, tau, tol)``, with kappa from
-``conditioning_factor`` (lemma5 keeps kappa 1).  eq1 (A = T^m) and eq2
-(A = S) are one trial, :func:`_eq`, through ``predict_theta1_chained``,
-which walks ``apply_letter``, the chained oracle of theta1's T and S laws;
+:func:`_law_check`: the direct series at (z/(c tau+d), A tau), summed first,
+against ``predictor(A, z, tau, tol)``, kappa from ``conditioning_factor``
+(lemma5 keeps kappa 1).  eq1 (A = T^m) and eq2 (A = S) predict through
+``predict_theta1_chained``, the chained oracle of theta1's T and S laws;
 lemma5 (theta3, A = S2) and the theorems through ``predict_theta1`` and
-``predict_theta_gamma2``, which apply ``transform._law`` as ``eval_fast`` does.
+``predict_theta_gamma2``, as ``eval_fast`` applies them.
 
-:func:`_record` decides a trial's verdict.  When ``expected`` is not complex
-(a unit phase, a rational, an integer list) the identity is exact: the
-record says ``"residual": "exact"`` and passes iff the two sides are equal,
-so floating point never adjudicates it.  Otherwise the trial passes when
+:func:`_decide` gives a trial's verdict.  When ``expected`` is not complex
+the identity is exact: the record says ``"residual": "exact"`` and passes
+iff the two sides are equal, so floating point never adjudicates it.
+Otherwise the trial passes when
 
     |observed - expected| / max(1, |expected|)  <  tol * kappa.
 
 A ``PrecisionUnreachableError`` from ``sides()`` makes the trial
 inconclusive: a failed record carrying the inputs and the error message.
 
-Each trial draws from an index-derived substream of the configured seed, so
-trials are independent and the records (and the serialized report) are
-byte-identical across runs with the same config.  Random matrices are
-built from random generator words -- membership in the group (or its level-2
-subgroup) is guaranteed by construction and the word-building caps entry
-growth instead of rejection sampling.
+Each trial draws from its own substream of the seed, so the records, and
+the report, are byte-identical across runs of one config.  Random matrices
+are products of random generator words, in the group (or its level-2
+subgroup) by construction, with entry growth capped as the word is built.
 
-Report format: JSON Lines, one record per trial, then one summary line.
-:func:`write_report` makes it in one pass: each record's line is written as
-soon as its trial is decided, the record is folded into its suite's
-:class:`SuiteSummary` and dropped, and the summary line comes last, so the
-memory of a run does not grow with ``config.trials``.  On 2 or more CPUs a
-forked child writes the suites from reciprocity on, beside the ones before
-it, to an unlinked spool that reaches ``fp`` after their lines: the same bytes,
-and neither process holds the records.  A suite that raises leaves the lines
-written so far and no summary line.  Complex numbers
-serialize as [re, im], rationals as "p/q", matrices as [[a, b], [c, d]],
-non-finite floats as "inf", "-inf" or "nan".  :func:`_line` writes each
-record's line itself as the JSON encoder's text of its ``to_json_dict()``,
-which a test pins, and the encoder writes the summary line;
-:func:`_write_reciprocity` walks ``dedekind._defect_rows`` a row of h at a
-time and writes a row of passing pairs with one % of a template, no record.
+Report format: JSON Lines, one record per trial, then one summary line, keys
+sorted; complex numbers as [re, im], rationals as "p/q", matrices as
+[[a, b], [c, d]], non-finite floats as "inf", "-inf" or "nan".
+:func:`write_report` writes each line as soon as its trial is decided and
+folds it into its suite's :class:`SuiteSummary`, so its memory does not grow
+with ``config.trials``; on 2 or more CPUs a forked child writes the suites
+from reciprocity on, to a spool copied to ``fp`` after the others' lines.  A
+suite that raises leaves the lines so far and no summary line.  The text is
+:func:`_text`'s alone: :func:`_line` writes a record with it, and a line is
+one % of the template of its record's shape, compiled from the _line of a
+marker record, with no record built (a non-finite float goes to _line).
 """
 
 from __future__ import annotations
@@ -75,6 +63,7 @@ from functools import partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from numbers import Real
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NoReturn, TextIO
 
 from .dedekind import _ZERO, _defect, _defect_rows, reciprocity_defects
@@ -123,9 +112,14 @@ class TrialConfig:
     corpus: tuple[Sl2Matrix, ...] | None = None
 
     def __post_init__(self):
+        names = self.suites  # a str is no sequence of names, nor is a set
+        if isinstance(names, str) or not isinstance(names, Sequence) or not all(
+            type(n) is str for n in names
+        ):
+            raise DomainError(f"suites must be a sequence of suite names, not {names!r}")
         # each suite runs once, at its first position: a repeat would write
         # its records twice under one summary entry
-        object.__setattr__(self, "suites", tuple(dict.fromkeys(self.suites)))
+        object.__setattr__(self, "suites", tuple(dict.fromkeys(names)))
         if type(self.seed) is not int:  # no bool, no str, no None
             raise DomainError(f"seed must be an int, not {self.seed!r}")
         if type(self.trials) is not int or self.trials < 1:  # no bool, no float
@@ -159,41 +153,6 @@ class VerificationRecord:
     kappa: float = 1.0
     inconclusive: bool = False
 
-    def to_json_dict(self) -> dict:
-        rec = {
-            "suite": self.suite,
-            "trial": self.trial,
-            "inputs": {k: _encode(v) for k, v in self.inputs.items()},
-            "expected": _encode(self.expected),
-            "observed": _encode(self.observed),
-            "residual": _encode(self.residual),
-            "pass": self.passed,
-            "kappa": _encode(self.kappa),
-        }
-        if self.inconclusive:
-            rec["inconclusive"] = True
-        return rec
-
-
-def _encode_float(v: float):
-    return v if math.isfinite(v) else str(v)
-
-
-# _encode's table, keyed by exact type; a value of any other type is already
-# JSON.  rational_str is looked up at call time, so a hook on it sees calls.
-_ENCODERS = {
-    float: _encode_float,
-    complex: lambda v: [_encode_float(v.real), _encode_float(v.imag)],
-    Fraction: lambda v: rational_str(v),
-    UnitPhase: str,
-    Sl2Matrix: Sl2Matrix.to_lists,
-}
-
-
-def _encode(v):
-    encoder = _ENCODERS.get(type(v))
-    return v if encoder is None else encoder(v)
-
 
 Sides = Callable[[], tuple[object, object]]
 TrialOutput = tuple[dict, Sides, float]
@@ -201,25 +160,24 @@ Trial = Callable[[str, TrialConfig, int], TrialOutput]
 Suite = Callable[[str, TrialConfig], Iterable[TrialOutput]]
 
 
-def _record(
-    suite: str, trial: int, inputs: dict, sides: Sides, kappa: float, tol: float
-) -> VerificationRecord:
-    """A trial's verdict: exact equality, or a residual below tol * kappa."""
+def _decide(inputs: dict, sides: Sides, kappa: float, tol: float) -> tuple:
+    """A trial's verdict, exact equality or a residual below tol * kappa, as
+    its record's fields from inputs on: (inputs, expected, observed,
+    residual, passed, kappa, inconclusive)."""
     try:
         expected, observed = sides()
     except PrecisionUnreachableError as err:
-        inputs = dict(inputs, error=str(err))
-        return VerificationRecord(
-            suite, trial, inputs, None, None, math.inf, False, inconclusive=True
-        )
+        return dict(inputs, error=str(err)), None, None, math.inf, False, 1.0, True
     if isinstance(expected, complex):
         residual = abs(observed - expected) / max(1.0, abs(expected))
-        passed = residual < tol * kappa
-    else:
-        residual, passed = "exact", expected == observed
-    return VerificationRecord(
-        suite, trial, inputs, expected, observed, residual, passed, kappa
-    )
+        return inputs, expected, observed, residual, residual < tol * kappa, kappa, False
+    return inputs, expected, observed, "exact", expected == observed, kappa, False
+
+
+def _record(
+    suite: str, trial: int, inputs: dict, sides: Sides, kappa: float, tol: float
+) -> VerificationRecord:
+    return VerificationRecord(suite, trial, *_decide(inputs, sides, kappa, tol))
 
 
 def _each(trial: Trial) -> Suite:
@@ -241,28 +199,36 @@ def _draw_point(rng: random.Random, box) -> complex:
 
 
 def _word_matrix(rng: random.Random, max_entries: int, gamma2: bool) -> Sl2Matrix:
-    """Product of a random generator word, capped at max_entries growth.
+    """Product of a random generator word, capped at max_entries >= 1 growth.
 
-    Multiplied out on the four entries (a b; c d), one letter at a time on
-    the right, with e the letter's step: T^e adds e times the first column
-    to the second, S2^exp adds e = 2 exp times the second column to the
-    first, and S swaps the columns, (b -a; d -c).  A level-2 word's T letter
-    is T^(2 exp), so at level 2 e is 2 exp for both generators.
+    Multiplied out on (a b; c d), one letter at a time on the right, with e
+    the letter's step: T^e adds e times the first column to the second,
+    S2^exp adds e = 2 exp times the second column to the first (a level-2
+    word's T is T^(2 exp), so at level 2 e is 2 exp for both), and S swaps
+    the columns, (b -a; d -c).  The length is randint(1, 12) and each exp
+    randint(1, ENTRY_BOUND) * choice((-1, 1)), each drawn by its rejection
+    loop on getrandbits, so the stream moves as those calls move it.
     """
+    bits, k = rng.getrandbits, ENTRY_BOUND.bit_length()
     a, b, c, d = 1, 0, 0, 1
     last, other = None, "S2" if gamma2 else "S"
-    for _ in range(rng.randint(1, 12)):
-        e = rng.randint(1, ENTRY_BOUND) * rng.choice((-1, 1)) * (2 if gamma2 else 1)
+    while (n := bits(4)) >= 12:  # each loop draws until a value is below its bound
+        pass
+    for _ in range(n + 1):
+        while (e := bits(k)) >= ENTRY_BOUND:
+            pass
+        while (sign := bits(2)) >= 2:
+            pass
+        e = (e + 1 if sign else ~e) * (2 if gamma2 else 1)  # ~e is -(e + 1)
         gen = other if last != other and (last == "T" or rng.random() < 0.5) else "T"
-        if gen == "T":
-            cand = (a, b + e * a, c, d + e * c)
-        elif gen == "S2":
-            cand = (a + e * b, b, c + e * d, d)
+        if gen == "S":
+            a, b, c, d = b, -a, d, -c
         else:
-            cand = (b, -a, d, -c)
-        if max(map(abs, cand)) > max_entries:
-            break
-        (a, b, c, d), last = cand, gen
+            p, q = (b + e * a, d + e * c) if gen == "T" else (a + e * b, c + e * d)
+            if abs(p) > max_entries or abs(q) > max_entries:
+                break
+            a, b, c, d = (a, p, c, q) if gen == "T" else (p, b, q, d)
+        last = gen
     return normalize_sign(Sl2Matrix(a, b, c, d))[0]
 
 
@@ -493,18 +459,18 @@ class SuiteSummary:
     def ok(self) -> bool:
         return self.passed == self.total
 
-    def add(self, r: VerificationRecord, tol: float) -> None:
-        """Count r into the totals, the inconclusive count or the margin."""
+    def add(self, tol: float, trial: int, residual, passed, kappa, inconclusive) -> None:
+        """Count a record's fields into the totals, inconclusives or margin."""
         self.total += 1
-        self.passed += r.passed
-        if r.inconclusive:
+        self.passed += passed
+        if inconclusive:
             self.inconclusive += 1
-        elif isinstance(r.residual, float):
-            limit = tol * r.kappa  # 0 only if it underflowed; the trial failed
-            ratio = r.residual / limit if limit else math.inf
+        elif isinstance(residual, float):
+            limit = tol * kappa  # 0 only if it underflowed; the trial failed
+            ratio = residual / limit if limit else math.inf
             worst = self.worst_ratio
             if worst is None or ratio > worst or math.isnan(ratio):
-                self.worst_ratio, self.worst_trial = ratio, r.trial
+                self.worst_ratio, self.worst_trial = ratio, trial
 
 
 def overall_pass(summaries: list[SuiteSummary]) -> bool:
@@ -512,10 +478,7 @@ def overall_pass(summaries: list[SuiteSummary]) -> bool:
     return all(s.ok for s in summaries)
 
 
-_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
-
-
-# _text's table, keyed by exact type: the JSON text of each type a record
+# _text's table, keyed by exact type: the JSON text of each type a report
 # holds.  rational_str is looked up at call time, so a hook on it sees calls.
 _TEXTS = {
     str: encode_basestring_ascii,
@@ -528,6 +491,7 @@ _TEXTS = {
     UnitPhase: lambda v: f'"{v}"',
     Sl2Matrix: "[[%d, %d], [%d, %d]]".__mod__,
     list: lambda v: f"[{', '.join(map(_text, v))}]",
+    dict: lambda v: "{%s}" % ", ".join(f"{_text(k)}: {_text(v[k])}" for k in sorted(v)),
 }
 
 
@@ -536,28 +500,73 @@ def _text(v) -> str:
 
 
 def _line(rec: VerificationRecord) -> str:
-    """rec's report line, newline included, written directly: the
-    encoder's text of rec.to_json_dict(), keys sorted at every level."""
-    t, inputs = _text, rec.inputs
-    items = ", ".join([f"{t(k)}: {t(inputs[k])}" for k in sorted(inputs)])
+    """rec's report line, newline included, keys sorted at every level: the
+    JSON encoder's text of the record, the "inconclusive" key only if true."""
+    t = _text
     flag = '"inconclusive": true, ' if rec.inconclusive else ""
     return (
-        f'{{"expected": {t(rec.expected)}, {flag}"inputs": {{{items}}}, '
+        f'{{"expected": {t(rec.expected)}, {flag}"inputs": {t(rec.inputs)}, '
         f'"kappa": {t(rec.kappa)}, "observed": {t(rec.observed)}, '
         f'"pass": {t(rec.passed)}, "residual": {t(rec.residual)}, '
         f'"suite": {t(rec.suite)}, "trial": {t(rec.trial)}}}\n'
     )
 
 
+# A value's slot in a compiled line: the %-format of its parts where they are
+# numbers, else one %s of its _text.  A float's %r is its text while finite.
+_SLOTS = {int: "%d", float: "%r", complex: "[%r, %r]", Sl2Matrix: "[[%d, %d], [%d, %d]]"}
+
+
+def _template(name: str, t: int, fields: tuple) -> tuple[str, Callable]:
+    """The %-template of the shape of VerificationRecord(name, t, *fields), the
+    _line of that record with each value a marker then replaced by its slot;
+    and the getter that puts (t, expected, observed, residual, kappa,
+    *inputs.values()) in the order of their slots."""
+    inputs, expected, observed, residual, passed, kappa, _ = fields
+    values = (t, expected, observed, residual, kappa, *inputs.values())
+    marks = [f"<{i}>" for i in range(len(values))]
+    proto = VerificationRecord(
+        name, marks[0], dict(zip(inputs, marks[5:])), *marks[1:4], passed, marks[4]
+    )
+    line = _line(proto).replace("%", "%%")
+    order = sorted(range(len(values)), key=lambda i: line.index(f'"{marks[i]}"'))
+    for i in order:
+        line = line.replace(f'"{marks[i]}"', _SLOTS.get(type(values[i]), "%s"))
+    return line, itemgetter(*order)
+
+
+def _compiled_line(name: str, t: int, fields: tuple, shapes: dict) -> str:
+    """_line(VerificationRecord(name, t, *fields)) without the record: one %
+    of its shape's template, compiled into shapes when first seen.  An
+    inconclusive record, and a line that shows inf or nan (a non-finite
+    float's %r), go back to _line."""
+    inputs, expected, observed, residual, passed, kappa, inconclusive = fields
+    if not inconclusive:
+        values = (t, expected, observed, residual, kappa, *inputs.values())
+        key = (passed, *inputs, *map(type, values))
+        shape = shapes.get(key) or shapes.setdefault(key, _template(name, t, fields))
+        parts = []
+        for v in shape[1](values):  # each value's parts, as _SLOTS takes them
+            kind = type(v)
+            if kind is complex:
+                parts += v.real, v.imag
+            elif kind is Sl2Matrix:
+                parts += v
+            else:
+                parts.append(v if kind is int or kind is float else _text(v))
+        line = shape[0] % tuple(parts)
+        if "inf" not in line and "nan" not in line:
+            return line
+    return _line(VerificationRecord(name, t, *fields))
+
+
 def _write_reciprocity(config: TrialConfig, fp: TextIO) -> SuiteSummary:
     """The reciprocity suite's lines, from one fresh walk of the defect rows.
 
-    A zero defect passes, decided on the exact rational, with no record: its
-    line is a template of (k, trial) with h filled in per row, the _line of
-    a passing record whose h, k and trial are marker strings, each replaced
-    by %d (keys are sorted, so they come in that order).  A row is one % of
-    that template repeated, and one write; a nonzero defect's line is then
-    replaced by its record's, through _record and _line, as run_suite gives.
+    A zero defect passes, decided on the exact rational, with no record: a
+    row of them is one % of a template of (k, trial), h filled in per row,
+    repeated, and one write.  A nonzero defect's line is then replaced by
+    its record's, through _record and _line, as run_suite gives it.
     """
     name, tol = "reciprocity", config.tol
     marks = {"h": "<h>", "k": "<k>"}
@@ -575,7 +584,7 @@ def _write_reciprocity(config: TrialConfig, fp: TextIO) -> SuiteSummary:
                     trial = _reciprocity_trial(h, coprime[i], _defect(h, coprime[i], d))
                     rec = _record(name, t + i, *trial, tol)
                     lines[i] = _line(rec)
-                    summary.add(rec, tol)
+                    summary.add(tol, t + i, rec.residual, rec.passed, rec.kappa, False)
             text = "".join(lines)
         fp.write(text)
         t += n
@@ -588,10 +597,11 @@ def _write_suite(name: str, config: TrialConfig, fp: TextIO) -> SuiteSummary:
     """Write one suite's lines as its trials are decided; return its summary."""
     if name == "reciprocity":
         return _write_reciprocity(config, fp)
-    summary = SuiteSummary(name)
-    for rec in _records(name, config):
-        fp.write(_line(rec))
-        summary.add(rec, config.tol)
+    summary, shapes, tol = SuiteSummary(name), {}, config.tol
+    for t, trial in enumerate(SUITES[name](name, config)):
+        fields = _decide(*trial, tol)
+        fp.write(_compiled_line(name, t, fields, shapes))
+        summary.add(tol, t, *fields[3:])
     return summary
 
 
@@ -658,12 +668,9 @@ def _write_split(
 
 def write_report(fp: TextIO, config: TrialConfig) -> list[SuiteSummary]:
     """Run the configured suites (all of them by default) in order and write
-    their JSON Lines report: one record per trial, written as soon as it is
-    decided and then dropped, and one trailing summary line.
-
-    Where :func:`_fork_tail` allows, a forked child writes the suites from
-    reciprocity on (:func:`_write_split`); the bytes are those of a run in place.
-
+    their JSON Lines report, a line per trial and a summary line.  Where
+    :func:`_fork_tail` allows, a forked child writes the suites from
+    reciprocity on (:func:`_write_split`), with the bytes of a run in place.
     A suite that raises (a DomainError from a corpus matrix out of its
     domain) stops the report there, with no summary line.
     """
@@ -673,15 +680,8 @@ def write_report(fp: TextIO, config: TrialConfig) -> list[SuiteSummary]:
         summaries = _write_split(names[:cut], names[cut:], config, fp)
     else:
         summaries = [_write_suite(name, config, fp) for name in names]
-    summary = {
-        "summary": {
-            s.name: {k: _encode(v) for k, v in vars(s).items() if k != "name"}
-            for s in summaries
-        },
-        "pass": overall_pass(summaries),
-    }
-    fp.write(_RECORD_ENCODER.encode(summary))
-    fp.write("\n")
+    counts = {s.name: {k: v for k, v in vars(s).items() if k != "name"} for s in summaries}
+    fp.write(_text({"summary": counts, "pass": overall_pass(summaries)}) + "\n")
     return summaries
 
 

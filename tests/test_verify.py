@@ -67,6 +67,50 @@ def _render(config):
     write_report(buf, config)
     return buf.getvalue()
 
+
+# The reference encoder: a record as the dict the json module encodes, keys
+# sorted, each value by its type.  verify writes its lines without it.
+def _encode_float(v: float):
+    return v if math.isfinite(v) else str(v)
+
+
+_ENCODERS = {
+    float: _encode_float,
+    complex: lambda v: [_encode_float(v.real), _encode_float(v.imag)],
+    Fraction: rational_str,
+    UnitPhase: str,
+    Sl2Matrix: Sl2Matrix.to_lists,
+}
+
+
+def _encode(v):
+    encoder = _ENCODERS.get(type(v))
+    return v if encoder is None else encoder(v)
+
+
+def to_json_dict(rec: VerificationRecord) -> dict:
+    out = {
+        "suite": rec.suite,
+        "trial": rec.trial,
+        "inputs": {k: _encode(v) for k, v in rec.inputs.items()},
+        "expected": _encode(rec.expected),
+        "observed": _encode(rec.observed),
+        "residual": _encode(rec.residual),
+        "pass": rec.passed,
+        "kappa": _encode(rec.kappa),
+    }
+    if rec.inconclusive:
+        out["inconclusive"] = True
+    return out
+
+
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
+def _reference_line(rec: VerificationRecord) -> str:
+    return _RECORD_ENCODER.encode(to_json_dict(rec)) + "\n"
+
+
 def test_determinism_byte_identical():
     a = _render(TrialConfig(seed=7, trials=5, suites=("lemma1", "eq2", "theorem1")))
     b = _render(TrialConfig(seed=7, trials=5, suites=("lemma1", "eq2", "theorem1")))
@@ -109,6 +153,12 @@ def test_config_validation():
     for seed in (None, "7", True, 7.0):
         with pytest.raises(DomainError, match="^seed must be an int"):
             TrialConfig(seed=seed)
+    # None and 7 were a raw TypeError, a list in the list was unhashable, and
+    # a bare str was split into letters, each refused as an unknown suite
+    for suites in (None, 7, [["lemma1"]], "lemma1"):
+        with pytest.raises(DomainError, match="^suites must be a sequence of suite names"):
+            TrialConfig(suites=suites)
+    assert TrialConfig(suites=["lemma1", "eq2", "lemma1"]).suites == ("lemma1", "eq2")
     assert TrialConfig(seed=-7, tol=1).tol == 1
     assert main(["verify", "--suite", "eq2", "--trials", "3", "--tol", "inf"]) == 2
 
@@ -123,7 +173,7 @@ def test_each_suite_passes_small(name):
 
 def test_record_schema():
     records = run_suite("theorem1", TrialConfig(seed=1, trials=3))
-    rec = records[0].to_json_dict()
+    rec = to_json_dict(records[0])
     assert set(rec) >= {
         "suite",
         "trial",
@@ -144,7 +194,7 @@ def test_record_schema():
 
 def test_exact_records_say_exact():
     records = run_suite("lemma1", TrialConfig(seed=1, trials=3))
-    assert all(r.to_json_dict()["residual"] == "exact" for r in records)
+    assert all(to_json_dict(r)["residual"] == "exact" for r in records)
 
 
 def test_exact_records_pinned_seed7():
@@ -221,24 +271,15 @@ def test_report_lines_equal_the_encoder(monkeypatch):
     config = TrialConfig(seed=7, trials=8)
     records = [r for name in SUITES for r in run_suite(name, config)]
     records += inconclusive + failing
-    encode = thetamod.verify._RECORD_ENCODER.encode
-    want = [encode(r.to_json_dict()) + "\n" for r in records]
+    encode = _RECORD_ENCODER.encode
+    want = [encode(to_json_dict(r)) + "\n" for r in records]
     hand = _hand_built_records()
     for rec in hand:
-        assert thetamod.verify._line(rec) == encode(rec.to_json_dict()) + "\n"
+        assert thetamod.verify._line(rec) == encode(to_json_dict(rec)) + "\n"
     assert '"inconclusive": true' in thetamod.verify._line(hand[-1])
 
-    encoded = []  # the records that took the encoder's path: none
-    to_json_dict = thetamod.verify.VerificationRecord.to_json_dict
-
-    def spy(rec):
-        encoded.append(rec)
-        return to_json_dict(rec)
-
-    monkeypatch.setattr(thetamod.verify.VerificationRecord, "to_json_dict", spy)
-    # the spy sees this process only, so the reciprocity suite runs here, not
-    # in a forked child; test_forked_report_is_the_in_place_report pins the
-    # forked report's bytes to these
+    # in place, not in a forked child; test_forked_report_is_the_in_place_report
+    # pins the forked report's bytes to these
     monkeypatch.setattr(thetamod.verify, "_fork_tail", lambda: False)
     lines = []
     for run in (config, stuck):
@@ -249,8 +290,94 @@ def test_report_lines_equal_the_encoder(monkeypatch):
     *report, _ = report.splitlines(keepends=True)
     lines += [line for line in report if '"pass": false' in line]
     assert lines == want
-    assert not encoded
     assert sum(r.suite == "reciprocity" for r in records) == 24463 + 58
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_every_suites_lines_are_the_reference_encoders(seed):
+    config = TrialConfig(seed=seed)
+    *lines, _ = _render(config).splitlines(keepends=True)
+    records = [r for name in SUITES for r in run_suite(name, config)]
+    assert lines == [_reference_line(r) for r in records]
+
+
+def _finite_hand_built_records():
+    """Records of finite values only, in shapes no seeded run makes, each
+    shape passing and failing."""
+    n = 2**70
+    huge = Sl2Matrix(-n, n + 1, n - 1, -n)
+    sides = [
+        (complex(-0.0, 5e-324), complex(1e308, -2.5e-308)),
+        (Fraction(-7, 12), Fraction(2**80, 3)),
+        ([0, 1], [2**64, -(2**65)]),
+        (UnitPhase._of(5), UnitPhase._of(-5)),
+    ]
+    inputs = {
+        "matrix": huge,
+        "z": complex(-0.0, 5e-324),
+        "m": -(2**80),
+        "word": 'S T^-2 "100%" \\ \u03c4',
+        "50%": True,
+    }
+    residuals, kappas = [-0.0, 5e-324, "exact"], [5e-324, -0.0, 1e308]
+    return [
+        VerificationRecord(
+            "hand %d",
+            t,
+            inputs,
+            expected,
+            observed,
+            residuals[t % 3],
+            passed,
+            kappa=kappas[t % 3],
+        )
+        for t, (expected, observed) in enumerate(sides)
+        for passed in (True, False)
+    ]
+
+
+def _compiled(rec, shapes):
+    """rec's line from verify's compiled writer, given rec's fields."""
+    fields = tuple(vars(rec).values())[2:]  # inputs, expected, ..., inconclusive
+    return thetamod.verify._compiled_line(rec.suite, rec.trial, fields, shapes)
+
+
+def test_compiled_lines_of_hand_built_records(monkeypatch):
+    # a record holding a non-finite float, and an inconclusive one, go back to
+    # _line; a finite one is one % of its shape's template, -0.0, a subnormal,
+    # entries beyond 2^64 and a % in a key, a value or the suite name included
+    written = []
+    line = thetamod.verify._line
+    monkeypatch.setattr(thetamod.verify, "_line", lambda r: written.append(r) or line(r))
+    for rec in _hand_built_records():  # each holds a NaN, or is inconclusive
+        assert _compiled(rec, {}) == _reference_line(rec)
+        assert written[-1] == rec
+    shapes, written[:] = {}, []
+    for rec in _finite_hand_built_records() * 2:
+        assert _compiled(rec, shapes) == _reference_line(rec)
+    assert len(shapes) == len(written) == 8
+    assert all(isinstance(r.trial, str) for r in written)  # marker records only
+    # a str showing "inf" sends a finite record back to _line, at a cost in time only
+    rec = _finite_hand_built_records()[0]
+    rec.inputs["word"] = "infinite"
+    assert _compiled(rec, shapes) == _reference_line(rec)
+    assert written[-1] == rec
+
+
+def test_finite_records_take_the_template_path(monkeypatch):
+    # _line writes one marker record per shape (and the reciprocity row
+    # template's), never a seeded record of the report
+    written, compiled = [], []
+    line, template = thetamod.verify._line, thetamod.verify._template
+    monkeypatch.setattr(thetamod.verify, "_line", lambda r: written.append(r) or line(r))
+    monkeypatch.setattr(
+        thetamod.verify, "_template", lambda *args: compiled.append(args) or template(*args)
+    )
+    monkeypatch.setattr(thetamod.verify, "_fork_tail", lambda: False)  # one process
+    report = _render(TrialConfig(seed=7))
+    assert report.count("\n") == 25865
+    assert len(written) == len(compiled) + 1 <= 20
+    assert all(isinstance(r.trial, str) for r in written)  # marker records only
 
 
 def test_reciprocity_builds_a_record_only_for_a_nonzero_defect(monkeypatch):
@@ -418,7 +545,7 @@ def _word_matrix_by_products(rng, max_entries, gamma2):
 def test_word_matrix_on_four_ints_is_the_product_walk(gamma2, max_entries):
     # same matrix and the same draws, in the same order: the stream is left
     # where the product walk leaves it, so every later draw is unchanged
-    for i in range(1500):
+    for i in range(5000):
         seed = f"{gamma2}:{max_entries}:{i}"
         fast, slow = random.Random(seed), random.Random(seed)
         A = thetamod.verify._word_matrix(fast, max_entries, gamma2)
