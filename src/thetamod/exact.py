@@ -53,8 +53,8 @@ class UnitPhase:
     """A 24th root of unity e^{i*pi*phase}, phase = residue/12 in [0, 2).
 
     ``UnitPhase(t)`` takes a rational t in (1/12)Z and refuses any other;
-    ``UnitPhase._of(k)`` is e^{i*pi*k/12} for an integer k.  Multiplication
-    adds residues mod 24, ``** -1`` inverts, ``UnitPhase(0)`` is the identity.
+    ``UnitPhase._of(k)`` is e^{i*pi*k/12}, k an int, one of 24 shared instances.
+    ``*`` adds residues mod 24, ``** n`` takes an int n, ``UnitPhase(0)`` is 1.
     ``str`` is ``rational_str`` of the phase, from a table of the 24 texts.
     """
 
@@ -63,6 +63,8 @@ class UnitPhase:
 
     def __init__(self, phase: Fraction | int | str):
         try:
+            if type(phase) is bool:  # True would read as the phase 1, that is -1
+                raise TypeError
             k = Fraction(phase) * 12
         except (ArithmeticError, TypeError, ValueError):  # 1/0, inf, nan, "abc", None
             raise DomainError(f"UnitPhase needs a rational, got {phase!r}") from None
@@ -70,17 +72,19 @@ class UnitPhase:
             raise DomainError(f"UnitPhase needs a phase in (1/12)Z, got {phase}")
         object.__setattr__(self, "residue", k.numerator % 24)
 
-    @classmethod
-    def _of(cls, k: int) -> "UnitPhase":
-        p = object.__new__(cls)
-        object.__setattr__(p, "residue", k % 24)
-        return p
+    @staticmethod
+    def _of(k: int) -> "UnitPhase":
+        return _PHASES[k % 24]
 
     def __mul__(self, other: "UnitPhase") -> "UnitPhase":
-        return UnitPhase._of(self.residue + other.residue)
+        if type(other) is not UnitPhase:
+            return NotImplemented
+        return _PHASES[(self.residue + other.residue) % 24]
 
     def __pow__(self, n: int) -> "UnitPhase":
-        return UnitPhase._of(self.residue * n)
+        if type(n) is not int:  # no bool, no float: k * 2.5 is no residue
+            raise DomainError(f"a UnitPhase's exponent is an int, not {n!r}")
+        return _PHASES[self.residue * n % 24]
 
     def to_complex(self) -> complex:  # k/12 rounds as float(Fraction(k, 12)) does
         return cmath.exp(1j * math.pi * (self.residue / 12))
@@ -90,3 +94,4 @@ class UnitPhase:
 
 
 _PHASE_TEXTS = tuple(rational_str(Fraction(k, 12)) for k in range(24))
+_PHASES = tuple(UnitPhase(Fraction(k, 12)) for k in range(24))

@@ -204,12 +204,8 @@ def recompose(word: GeneratorWord) -> Sl2Matrix:
 
 
 def _round_half_down(p: int, q: int) -> int:
-    """Nearest integer to p/q, exact .5 ties toward the floor."""
-    if q < 0:
-        p, q = -p, -q
-    f = p // q
-    r = p - f * q
-    return f + 1 if 2 * r > q else f
+    """Nearest integer to p/q, exact .5 ties toward the floor: ceil(p/q - 1/2)."""
+    return -((q - 2 * p) // (2 * q))
 
 
 def _close_word(letters: list[Letter], a: int, b: int) -> GeneratorWord:
@@ -231,7 +227,7 @@ def decompose_gamma(A: Sl2Matrix) -> GeneratorWord:
     letters: list[Letter] = []
     a, b, c, d = A
     while c != 0:
-        m = _round_half_down(a, c)
+        m = -((c - 2 * a) // (2 * c))  # _round_half_down(a, c), inline
         if m != 0:
             letters.append(_tuple_new(Letter, ("T", m)))
         letters.append(_S_LETTER)

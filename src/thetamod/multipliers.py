@@ -32,7 +32,7 @@ negative; then epsilon1(N) = epsilon1(A) e^{i*pi*delta/12} with
 Dedekind reciprocity).  This table, _RIGHT_PHASE, is the one home of these
 phases, and :func:`_right` of the products N, on four ints: :func:`right_step`
 wraps it, :func:`lemma_sides` checks it against Dedekind sums, and
-:func:`theta1_epsilon_induction` walks it along the word from epsilon1(S) = -i.
+:func:`theta1_epsilon_induction` inlines its S and T steps along the word.
 
 The level-2 laws for theta2/theta3/theta4 have the same shape, with unit
 factor alpha(kind, A) * epsilon1(A), alpha from the law of the
@@ -45,7 +45,7 @@ from __future__ import annotations
 from .dedekind import _g
 from .errors import DomainError, int_text
 from .exact import UnitPhase, jacobi_symbol
-from .modgroup import S, Letter, Sl2Matrix, _tuple_new, decompose_gamma, is_gamma2
+from .modgroup import Letter, Sl2Matrix, _tuple_new, decompose_gamma, is_gamma2
 from .series import ThetaKind, _char_law
 
 # The right-multiplication laws in units of pi/12, keyed by (generator,
@@ -134,8 +134,11 @@ def gamma2_alpha(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
 def gamma2_prefactor(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
     """alpha * epsilon1 * e^{-i*pi/4}, a level-2 law's unit factor against the
     plain (c*tau+d)^{1/2} (for c > 0 the two principal roots differ by exactly
-    e^{-i*pi/4}).  Exact sanity anchor: gamma2_prefactor(THETA3, S2) = 1."""
-    return UnitPhase._of(gamma2_alpha(kind, A).residue + theta1_epsilon(A).residue - 3)
+    e^{-i*pi/4}), as one sum of residues, refused as gamma2_alpha and then
+    theta1_epsilon refuse.  Exact anchor: gamma2_prefactor(THETA3, S2) = 1."""
+    _require_gamma2(kind, A)
+    _require_positive_c(A, "theta1_epsilon")
+    return UnitPhase._of(_theta1_q(A.a, A.c, A.d) - _char_law(kind, *A)[1] - 3)
 
 
 def _right(a: int, b: int, c: int, d: int, gen: str, exp: int) -> tuple:
@@ -195,22 +198,27 @@ def theta1_epsilon_induction(A: Sl2Matrix) -> UnitPhase:
     (j -1; 1 0) has c = 1, where epsilon1 depends only on a + d, so it
     shares the value -i e^{i*pi*j/4} with S T^j, one right step from the
     base value epsilon1(S) = -i.  Every later letter is one :func:`_right`
-    step on four ints, never to c = 0 (each later S follows a T^m, |m| >= 2),
-    so the induction uses no Dedekind sum and no phase law of its own.
+    step, never to c = 0 (each later S follows a T^m, |m| >= 2), inline on
+    the lower row (c, d) alone, all a step needs: its delta, read from
+    _RIGHT_PHASE once per call, depends only on the sign of the new c.  The
+    induction uses no Dedekind sum and no phase law of its own.
 
     This is the computational content of the induction that extends the
     theta1 law from S to the whole group; agreement with
     :func:`theta1_epsilon` on every matrix is a tested invariant.
     """
-    letters = decompose_gamma(A).letters
-    j = 0
-    if letters and letters[0].gen == "T":
-        j, letters = letters[0].exp, letters[1:]
-    if not letters:
+    if A.c == 0:  # the word has no S
         raise DomainError("translation matrices carry no inversion multiplier")
-    k = _right(*S, "T", j)[4] - 6  # epsilon1(S) = -i
-    a, b, c, d = j, -1, 1, 0  # T^j S
-    for gen, exp in letters[1:]:
-        a, b, c, d, delta = _right(a, b, c, d, gen, exp)
-        k += delta
+    letters = decompose_gamma(A).letters
+    j = letters[0].exp if letters[0].gen == "T" else 0
+    t = _RIGHT_PHASE["T", False]
+    s, s_flipped = _RIGHT_PHASE["S", False], _RIGHT_PHASE["S", True]
+    k, c, d = t * j - 6, 1, 0  # epsilon1(S) = -i, then T^j; T^j S's lower row
+    for gen, exp in letters[2 if j else 1:]:
+        if gen == "T":
+            d, k = d + exp * c, k + t * exp
+        elif d > 0:
+            c, d, k = d, -c, k + s
+        else:
+            c, d, k = -d, c, k + s_flipped
     return UnitPhase._of(k)

@@ -512,9 +512,10 @@ def _line(rec: VerificationRecord) -> str:
     )
 
 
-# A value's slot in a compiled line: the %-format of its parts where they are
-# numbers, else one %s of its _text.  A float's %r is its text while finite.
-_SLOTS = {int: "%d", float: "%r", complex: "[%r, %r]", Sl2Matrix: "[[%d, %d], [%d, %d]]"}
+# A value's slot in a compiled line: the %-format of its parts (numbers, a
+# UnitPhase's str), else a %s of its _text.  A float's %r is its text while finite.
+_SLOTS = {int: "%d", float: "%r", UnitPhase: '"%s"', complex: "[%r, %r]",
+          Sl2Matrix: "[[%d, %d], [%d, %d]]"}
 
 
 def _template(name: str, t: int, fields: tuple) -> tuple[str, Callable]:
@@ -553,7 +554,7 @@ def _compiled_line(name: str, t: int, fields: tuple, shapes: dict) -> str:
             elif kind is Sl2Matrix:
                 parts += v
             else:
-                parts.append(v if kind is int or kind is float else _text(v))
+                parts.append(v if kind in _SLOTS else _text(v))
         line = shape[0] % tuple(parts)
         if "inf" not in line and "nan" not in line:
             return line

@@ -32,8 +32,10 @@ from thetamod.modgroup import (
 from thetamod.multipliers import (
     eta_epsilon,
     gamma2_alpha,
+    gamma2_prefactor,
     theta1_epsilon,
     theta1_epsilon_closed,
+    theta1_epsilon_induction,
 )
 from thetamod.series import ThetaKind, theta1_sine_series, theta_series, truncation_bound
 from thetamod.transform import conditioning_factor, eval_fast, reduce_tau
@@ -119,12 +121,14 @@ def test_eval_fast_returns_a_finite_value_or_a_named_error(kind, z, tau):
 @given(A=sl2_matrices(), kind=st.sampled_from(ThetaKind))
 def test_matrix_functions_return_their_type_or_a_domain_error(A, kind):
     # every function that takes only a matrix, in one test: a draw costs more
-    # than the six calls on it
+    # than the eight calls on it
     calls = [
         (eta_epsilon, UnitPhase),
         (theta1_epsilon, UnitPhase),
         (theta1_epsilon_closed, UnitPhase),
+        (theta1_epsilon_induction, UnitPhase),
         (lambda M: gamma2_alpha(kind, M), UnitPhase),
+        (lambda M: gamma2_prefactor(kind, M), UnitPhase),
         (decompose_gamma, GeneratorWord),
         (decompose_gamma2, GeneratorWord),
     ]

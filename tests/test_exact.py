@@ -154,10 +154,39 @@ def test_phase_outside_twelfths_is_refused():
     assert UnitPhase("-1/12") == UnitPhase._of(-1) == UnitPhase(Fraction(23, 12))
 
 
-@pytest.mark.parametrize("phase", ["1/0", math.inf, "abc", math.nan, None], ids=repr)
+@pytest.mark.parametrize(
+    "phase", ["1/0", math.inf, "abc", math.nan, None, True, False], ids=repr
+)
 def test_phase_that_is_not_rational_is_refused(phase):
+    # a bool too: True would read as the phase 1, that is -1
     with pytest.raises(DomainError, match="^UnitPhase needs a rational"):
         UnitPhase(phase)
+
+
+def test_phases_are_24_shared_instances():
+    for k in range(-48, 49):
+        p = UnitPhase._of(k)
+        built = UnitPhase(Fraction(k, 12))
+        assert p is UnitPhase._of(k + 24) and type(p) is UnitPhase, k
+        assert p == built and hash(p) == hash(built) and p.residue == k % 24, k
+        assert p * UnitPhase._of(5) is UnitPhase._of(k + 5), k
+        assert built * built is p**2 is UnitPhase._of(2 * k), k
+        assert p**-1 is UnitPhase._of(-k), k
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, Fraction(2), None], ids=repr)
+def test_phase_power_needs_an_int(n):
+    with pytest.raises(DomainError, match="^a UnitPhase's exponent is an int, not "):
+        UnitPhase("1/12") ** n
+
+
+@pytest.mark.parametrize("other", [3, 1.0, Fraction(1, 12), "1/12", None], ids=repr)
+def test_phase_times_a_non_phase_is_a_type_error(other):
+    p = UnitPhase("1/12")
+    with pytest.raises(TypeError, match="unsupported operand|can't multiply"):
+        p * other
+    with pytest.raises(TypeError, match="unsupported operand|can't multiply"):
+        other * p
 
 
 def test_phase_residue_round_trip_is_bit_identical():

@@ -20,6 +20,7 @@ from thetamod.modgroup import (
     GeneratorWord,
     Letter,
     Sl2Matrix,
+    _round_half_down,
     decompose_gamma,
     decompose_gamma2,
     is_gamma2,
@@ -117,6 +118,20 @@ def test_decompose_examples():
     A = Sl2Matrix(2, 1, 1, 1)
     w = decompose_gamma(A)
     assert recompose(w) == A
+
+
+def test_decompose_gamma_rounds_an_exact_tie_toward_the_floor():
+    # c = +-2 puts every odd a at a/c = n + 1/2 exactly: the first T exponent
+    # is the floor n, as _round_half_down gives it, and the word recomposes
+    for c in (2, -2):
+        for a in range(-11, 12, 2):
+            A = Sl2Matrix(a, (a - 1) // c, c, 1)
+            m = a // c
+            assert _round_half_down(a, c) == m, A
+            word = decompose_gamma(A)
+            assert word.letters[0] == (Letter("T", m) if m else Letter("S")), A
+            assert recompose(word) == A
+    assert [_round_half_down(p, 4) for p in (-3, -2, -1, 1, 2, 3)] == [-1, -1, 0, 0, 0, 1]
 
 
 def _random_word_matrix(rng, length=8, bound=9, gamma2=False):

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -264,7 +265,8 @@ def test_right_step_refuses_an_exponent_that_is_not_an_int(letter):
     ],
 )
 def test_phase_table_is_the_one_home(monkeypatch, entry, suite):
-    """A wrong table entry breaks its lemma suite and the induction."""
+    """A wrong table entry breaks its lemma suite and the induction, which
+    still takes every step's phase from the table, as _right does."""
     config = TrialConfig(seed=3, trials=20)
     assert all(r.passed for r in run_suite(suite, config))
     wrong = multipliers._RIGHT_PHASE[entry] + 3  # e^{i pi/4}, in units of pi/12
@@ -273,6 +275,8 @@ def test_phase_table_is_the_one_home(monkeypatch, entry, suite):
     if entry[0] != "S2":  # full-group words have no S2 letters
         draws = [A for A, _ in _draws(30, 50)]
         assert any(theta1_epsilon_induction(A) != theta1_epsilon(A) for A in draws)
+        for A in draws:
+            assert theta1_epsilon_induction(A) == _induction_by_right(A, Counter()), A
 
 
 def test_right_step_is_the_signed_matrix_product():
@@ -332,6 +336,44 @@ def test_the_induction_builds_no_matrix_per_letter(monkeypatch):
         totals.append(sum(made.values()))
         assert induced == theta1_epsilon(A), A
     assert totals[0] == totals[1] <= 2, totals
+
+
+def _induction_by_right(A, steps):
+    """theta1_epsilon_induction's walk, one multipliers._right step per letter
+    on four ints: the reference its inline lower-row steps are pinned to.
+    Counts each step's (generator, delta) in steps."""
+    letters = decompose_gamma(A).letters
+    j = letters[0].exp if letters[0].gen == "T" else 0
+    k = multipliers._right(*S, "T", j)[4] - 6  # epsilon1(S) = -i
+    a, b, c, d = j, -1, 1, 0  # T^j S
+    for gen, exp in letters[2 if j else 1:]:
+        a, b, c, d, delta = multipliers._right(a, b, c, d, gen, exp)
+        assert c > 0, (A, gen, exp)
+        steps[gen, delta if gen == "S" else 3] += 1
+        k += delta
+    return UnitPhase._of(k)
+
+
+def test_the_induction_is_the_walk_by_right():
+    """5,000 seeded matrices, c log-uniform from 1 to 10^18, each and its
+    negation, and each against the Dedekind-sum value."""
+    rng = random.Random(43)
+    steps = Counter()
+    matrices = []
+    while len(matrices) < 5000:
+        c = int(10 ** rng.uniform(0, 18))
+        d = rng.randint(-4 * c, 4 * c)
+        if math.gcd(c, d) != 1:
+            continue
+        a = pow(d, -1, c) + c * rng.randint(-3, 3)
+        matrices.append(Sl2Matrix(a, (a * d - 1) // c, c, d))
+    for A in matrices:
+        induced = theta1_epsilon_induction(A)
+        assert induced == _induction_by_right(A, steps) == theta1_epsilon(A), A
+        assert theta1_epsilon_induction(-A) == induced, A
+    # T steps, and S steps both plain (-9) and flipped (+9), thousands each
+    assert sorted(steps) == [("S", -9), ("S", 9), ("T", 3)], steps
+    assert min(steps.values()) > 5000, steps
 
 
 def test_epsilon1_eighth_root_of_unity():
@@ -452,6 +494,50 @@ def test_law_phase_rejects_non_level2(kind, A):
 def test_gamma2_prefactor_still_requires_positive_c():
     with pytest.raises(DomainError):
         gamma2_prefactor(K3, translation(2))
+
+
+def _level2_matrices(n, seed):
+    """n seeded level-2 matrices, c even and log-uniform from 2 to 10^12."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        c = 2 * int(10 ** rng.uniform(0, 12))
+        d = rng.randint(-4 * c, 4 * c) | 1
+        if math.gcd(c, d) != 1:
+            continue
+        a = pow(d, -1, c) + c * rng.randint(-3, 3)
+        b = (a * d - 1) // c
+        if b % 2:
+            a, b = a + c, b + d  # d is odd, so b turns even
+        out.append(Sl2Matrix(a, b, c, d))
+    return out
+
+
+def test_gamma2_prefactor_is_alpha_times_epsilon1_times_e_minus_i_pi_4():
+    minus_pi_4 = UnitPhase._of(-3)
+    for A in _level2_matrices(2000, 47):
+        eps1 = theta1_epsilon(A)
+        for kind in (K2, K3, K4):
+            expected = gamma2_alpha(kind, A) * eps1 * minus_pi_4
+            assert gamma2_prefactor(kind, A) is expected, (kind, A)
+
+
+@pytest.mark.parametrize(
+    "kind, A, message",
+    [
+        (K1, S2, "gamma2_alpha applies to theta2/3/4, not theta1"),
+        (K1, -S, "gamma2_alpha applies to theta2/3/4, not theta1"),
+        (K3, S, "[[0,-1],[1,0]] is not congruent to the identity mod 2"),
+        (K2, -S, "[[0,1],[-1,0]] is not congruent to the identity mod 2"),
+        (K4, -S2, "theta1_epsilon needs c > 0 (normalize first), got c = -2"),
+        (K3, translation(2), "theta1_epsilon needs c > 0 (normalize first), got c = 0"),
+    ],
+    ids=["theta1", "theta1-first", "not-level-2", "not-level-2-first", "c<0", "c=0"],
+)
+def test_gamma2_prefactor_refuses_in_the_old_order(kind, A, message):
+    # the kind, then the congruence (gamma2_alpha's), then c > 0 (theta1_epsilon's)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        gamma2_prefactor(kind, A)
 
 
 def _eta(tau):
