@@ -25,8 +25,7 @@ a pairing of the summation index, not reciprocity and not a symmetry of
 s(h, k), so the oracle stays independent.  The reciprocity suite of
 ``thetamod verify`` walks ``_defect_rows``, which tables those rows once
 per walk and yields, a row of h at a time, the k coprime to h and each
-pair's integer defect numerator; :func:`reciprocity_defects` flattens that
-walk to one (h, k, defect) per pair.
+pair's integer defect numerator.
 
 All arithmetic is exact; no floating point is used anywhere in this module.
 """
@@ -126,7 +125,8 @@ _LANE_TYPECODES = {array(code).itemsize: code for code in "BHIQ"}
 
 
 def _direct_row(k: int) -> list[int]:
-    """[T(h, k) for 0 <= h < k], with 0 where gcd(h, k) > 1: one row of the walk.
+    """[T(h, k) for 0 <= h < k], with 0 where gcd(h, k) > 1: one row of the walk,
+    for 1 <= k < 3,810,779, where a lane fits in 8 bytes.
 
     Folded onto half the steps.  For coprime h, k and 0 < r < k, k does not
     divide h*r, so m_(k-r) = k - m_r with m_r = h*r mod k; pairing the
@@ -149,8 +149,8 @@ def _direct_row(k: int) -> list[int]:
     carries into the next lane.  The running total adds (k - 2r) times the
     lanes, and the offset's share c*half*(k - half - 1) is taken off at the
     end, so it is exactly sum_h U_h 2^(8*width*h) whatever carries its lanes
-    made on the way, and the lanes read back are the U_h.  Exact integers
-    for every k >= 1, each step a few big-int operations in C.
+    made on the way, and the lanes read back are the U_h.  Exact integers,
+    each step a few big-int operations in C.
     """
     s = k.bit_length()
     width = _lane_bytes(k)
@@ -166,23 +166,13 @@ def _direct_row(k: int) -> list[int]:
         lanes -= (lanes >> s & ones) * k
         total += (k - 2 * r) * lanes
     total -= offset * (half * (k - half - 1))
-    raw = total.to_bytes(width * k, "little")
-    if width in _LANE_TYPECODES:
-        row = array(_LANE_TYPECODES[width])
-        row.frombytes(raw)
-        if sys.byteorder == "big":
-            row.byteswap()
-    else:  # lanes wider than 8 bytes, from k = 3,810,779 on
-        row = [
-            int.from_bytes(raw[i : i + width], "little")
-            for i in range(0, len(raw), width)
-        ]
+    row = array(_LANE_TYPECODES[width])
+    row.frombytes(total.to_bytes(width * k, "little"))
+    if sys.byteorder == "big":
+        row.byteswap()
     c_k = half * k * k - k * half * (half + 1) // 2 + (0 if k % 2 else k * k // 4)
     gcd = math.gcd
     return [c_k - u if gcd(h, k) == 1 else 0 for h, u in enumerate(row)]
-
-
-_ZERO = Fraction(0)
 
 
 def _scaled_defects(h: int, pairs) -> list[int]:
@@ -206,9 +196,8 @@ def _scaled_defects(h: int, pairs) -> list[int]:
 
 
 def _defect(h: int, k: int, scaled: int) -> Fraction:
-    """The defect of (h, k) from its ``_scaled_defects`` entry: the one shared
-    ``Fraction(0)`` when it is zero, a Fraction built only for a nonzero one."""
-    return Fraction(scaled, 12 * (h * k) ** 2) if scaled else _ZERO
+    """The defect of (h, k) from its ``_scaled_defects`` entry."""
+    return Fraction(scaled, 12 * (h * k) ** 2)
 
 
 def reciprocity_defect(h: int, k: int) -> Fraction:
@@ -251,13 +240,3 @@ def _defect_rows(bound: int) -> Iterator[tuple[int, list[int], list[int]]]:
             if (t := totals[starts[k] + h % k]) or k == 1
         ]
         yield h, [k for k, _, _ in pairs], _scaled_defects(h, pairs)
-
-
-def reciprocity_defects(bound: int) -> Iterator[tuple[int, int, Fraction]]:
-    """(h, k, reciprocity_defect(h, k)) for every coprime 1 <= h, k <= bound, h-major.
-
-    One ``_defect_rows`` walk, flattened a pair at a time.
-    """
-    for h, coprime, scaled in _defect_rows(bound):
-        for k, n in zip(coprime, scaled):
-            yield h, k, _defect(h, k, n)

@@ -1,15 +1,15 @@
 """Deterministic verification suites over the exact and numeric claims.
 
-Every suite is one callable
-
-    suite(name, config) -> iterable of (inputs, sides, kappa)
-
-that yields its trials in order: ``inputs`` is the record's input dict, fixed
+Every suite is one writer, ``SUITES[name](name, config, fp) ->
+SuiteSummary``, that writes its report lines to ``fp`` in trial order;
+:func:`run_suite` reads them back as records.  :func:`_trials` makes the
+writer of a callable ``suite(name, config)`` that yields its trials in order,
+each ``(inputs, sides, kappa)``: ``inputs`` is the record's input dict, fixed
 before any series is summed; ``sides()`` returns ``(expected, observed)``;
-``kappa`` scales the numeric tolerance.  :func:`_each` makes a suite of
+``kappa`` scales the numeric tolerance.  :func:`_each` makes the writer of
 ``config.trials`` runs of ``trial(name, config, t)``; lemma5 yields its
-exact anchor, then ``config.trials`` numeric trials; the reciprocity suite
-yields every coprime pair of ``dedekind.reciprocity_defects``.
+exact anchor, then ``config.trials`` numeric trials; the reciprocity writer
+walks every coprime pair of ``dedekind._defect_rows``.
 
 eq1, eq2, lemma5, theorem1 and theorem2-* share one law check,
 :func:`_law_check`: the direct series at (z/(c tau+d), A tau), summed first,
@@ -49,6 +49,7 @@ marker record, with no record built (a non-finite float goes to _line).
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -64,9 +65,9 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from numbers import Real
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NoReturn, TextIO
+from typing import Callable, Iterable, NoReturn, TextIO
 
-from .dedekind import _ZERO, _defect, _defect_rows, reciprocity_defects
+from .dedekind import _defect, _defect_rows
 from .errors import DomainError, PrecisionUnreachableError
 from .exact import UnitPhase, rational_str
 from .modgroup import (
@@ -127,6 +128,8 @@ class TrialConfig:
         tol = self.tol  # a real number: no bool, no str, no None
         if type(tol) is bool or not isinstance(tol, Real) or not 0 < tol < math.inf:
             raise DomainError(f"tol must be positive and finite, got {tol!r}")
+        if not _inner_tol(self):  # the numeric suites' series tolerance underflowed
+            raise DomainError(f"tol {tol!r} is too small: the suites' tolerance is 0")
         unknown = set(self.suites) - set(SUITES)
         if unknown:
             raise DomainError(f"unknown suites: {sorted(unknown)}")
@@ -141,7 +144,8 @@ class TrialConfig:
 
 @dataclass
 class VerificationRecord:
-    """One trial: inputs, predicted vs observed, residual, verdict."""
+    """One trial: inputs, predicted vs observed, residual, verdict.  _line
+    writes one of a trial's values; run_suite reads one back from its line."""
 
     suite: str
     trial: int
@@ -150,7 +154,7 @@ class VerificationRecord:
     observed: object
     residual: float | str
     passed: bool
-    kappa: float = 1.0
+    kappa: float | str = 1.0
     inconclusive: bool = False
 
 
@@ -158,6 +162,7 @@ Sides = Callable[[], tuple[object, object]]
 TrialOutput = tuple[dict, Sides, float]
 Trial = Callable[[str, TrialConfig, int], TrialOutput]
 Suite = Callable[[str, TrialConfig], Iterable[TrialOutput]]
+Writer = Callable[[str, TrialConfig, TextIO], "SuiteSummary"]
 
 
 def _decide(inputs: dict, sides: Sides, kappa: float, tol: float) -> tuple:
@@ -174,19 +179,28 @@ def _decide(inputs: dict, sides: Sides, kappa: float, tol: float) -> tuple:
     return inputs, expected, observed, "exact", expected == observed, kappa, False
 
 
-def _record(
-    suite: str, trial: int, inputs: dict, sides: Sides, kappa: float, tol: float
-) -> VerificationRecord:
-    return VerificationRecord(suite, trial, *_decide(inputs, sides, kappa, tol))
+def _trials(suite: Suite) -> Writer:
+    """The writer of a suite of trials: each trial's line written as it is
+    decided, one % of its shape's template, and folded into the summary."""
+
+    def write(name: str, config: TrialConfig, fp: TextIO) -> SuiteSummary:
+        summary, shapes, tol = SuiteSummary(name), {}, config.tol
+        for t, trial in enumerate(suite(name, config)):
+            fields = _decide(*trial, tol)
+            fp.write(_compiled_line(name, t, fields, shapes))
+            summary.add(tol, t, *fields[3:])
+        return summary
+
+    return write
 
 
-def _each(trial: Trial) -> Suite:
-    """The suite of trial(name, config, t) for t < config.trials."""
+def _each(trial: Trial) -> Writer:
+    """The writer of trial(name, config, t) for t < config.trials."""
 
     def suite(name: str, config: TrialConfig) -> Iterable[TrialOutput]:
         return (trial(name, config, t) for t in range(config.trials))
 
-    return suite
+    return _trials(suite)
 
 
 def _rng(config: TrialConfig, suite: str, trial: int) -> random.Random:
@@ -302,15 +316,38 @@ def _branch_lemma(
     return inputs, partial(lemma_sides, A, letter), 1.0
 
 
-def _reciprocity_trial(h: int, k: int, defect: Fraction) -> TrialOutput:
-    return {"h": h, "k": k}, lambda: (_ZERO, defect), 1.0
-
-
-def _reciprocity(name: str, config: TrialConfig) -> Iterable[TrialOutput]:
+def _write_reciprocity(name: str, config: TrialConfig, fp: TextIO) -> SuiteSummary:
     """Every coprime pair 1 <= h, k <= RECIPROCITY_BOUND, h-major: its defect
-    is exactly zero.  Each run walks its own table: never at import, never kept."""
-    for row in reciprocity_defects(RECIPROCITY_BOUND):
-        yield _reciprocity_trial(*row)
+    is exactly zero.  Each run walks its own table: never at import, never kept.
+
+    A zero defect passes, decided on the exact rational, with no record: a
+    row of them is one % of a template of (k, trial), h filled in per row,
+    repeated, and one write.  A nonzero defect's line is then replaced by
+    the _line of its record, decided by _decide.
+    """
+    tol, zero = config.tol, Fraction(0)
+    marks = {"h": "<h>", "k": "<k>"}
+    proto = VerificationRecord(name, "<t>", marks, zero, zero, "exact", True)
+    line = _line(proto).replace('"<h>"', "%d")
+    template = line.replace('"<k>"', "%%d").replace('"<t>"', "%%d")
+    summary, t = SuiteSummary(name), 0
+    for h, coprime, scaled in _defect_rows(RECIPROCITY_BOUND):
+        n = len(coprime)
+        text = (template % h) * n % tuple(chain(*zip(coprime, range(t, t + n))))
+        if any(scaled):
+            lines = text.splitlines(keepends=True)
+            for i, d in enumerate(scaled):
+                if d:
+                    sides = (zero, _defect(h, coprime[i], d))
+                    fields = _decide({"h": h, "k": coprime[i]}, lambda: sides, 1.0, tol)
+                    lines[i] = _line(VerificationRecord(name, t + i, *fields))
+                    summary.add(tol, t + i, *fields[3:])
+            text = "".join(lines)
+        fp.write(text)
+        t += n
+    summary.passed += t - summary.total  # the zero defects, each passing
+    summary.total = t
+    return summary
 
 
 def _parity_mod4(name: str, config: TrialConfig, t: int) -> TrialOutput:
@@ -410,37 +447,23 @@ def _chain_vs_direct(name: str, config: TrialConfig, t: int) -> TrialOutput:
 
 
 # Suites in report order.
-SUITES: dict[str, Suite] = {
+SUITES: dict[str, Writer] = {
     "lemma1": _each(partial(_translation_lemma, False)),
     "lemma2": _each(partial(_branch_lemma, Letter("S"), ("d>0", "d<0"))),
     "lemma3": _each(partial(_translation_lemma, True)),
     "lemma4": _each(partial(_branch_lemma, Letter("S2"), ("c+2d>0", "c+2d<0"))),
-    "lemma5": _lemma5,
+    "lemma5": _trials(_lemma5),
     "eq1": _each(partial(_eq, True)),
     "eq2": _each(partial(_eq, False)),
     "theorem1": _each(partial(_law, ThetaKind.THETA1)),
     "theorem2-theta2": _each(partial(_law, ThetaKind.THETA2)),
     "theorem2-theta3": _each(partial(_law, ThetaKind.THETA3)),
     "theorem2-theta4": _each(partial(_law, ThetaKind.THETA4)),
-    "reciprocity": _reciprocity,
+    "reciprocity": _write_reciprocity,
     "closed-form-epsilon": _each(_closed_form),
     "chain-vs-direct": _each(_chain_vs_direct),
     "parity-mod4": _each(_parity_mod4),
 }
-
-
-def _records(name: str, config: TrialConfig) -> Iterator[VerificationRecord]:
-    """One suite's records in trial order, each built as its trial runs."""
-    if name not in SUITES:
-        raise DomainError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    for t, trial in enumerate(SUITES[name](name, config)):
-        yield _record(name, t, *trial, config.tol)
-
-
-def run_suite(name: str, config: TrialConfig) -> list[VerificationRecord]:
-    """Run one suite, a record per trial in trial order; deterministic given
-    the config (seed included)."""
-    return list(_records(name, config))
 
 
 @dataclass
@@ -561,49 +584,26 @@ def _compiled_line(name: str, t: int, fields: tuple, shapes: dict) -> str:
     return _line(VerificationRecord(name, t, *fields))
 
 
-def _write_reciprocity(config: TrialConfig, fp: TextIO) -> SuiteSummary:
-    """The reciprocity suite's lines, from one fresh walk of the defect rows.
-
-    A zero defect passes, decided on the exact rational, with no record: a
-    row of them is one % of a template of (k, trial), h filled in per row,
-    repeated, and one write.  A nonzero defect's line is then replaced by
-    its record's, through _record and _line, as run_suite gives it.
-    """
-    name, tol = "reciprocity", config.tol
-    marks = {"h": "<h>", "k": "<k>"}
-    proto = VerificationRecord(name, "<t>", marks, _ZERO, _ZERO, "exact", True)
-    line = _line(proto).replace('"<h>"', "%d")
-    template = line.replace('"<k>"', "%%d").replace('"<t>"', "%%d")
-    summary, t = SuiteSummary(name), 0
-    for h, coprime, scaled in _defect_rows(RECIPROCITY_BOUND):
-        n = len(coprime)
-        text = (template % h) * n % tuple(chain(*zip(coprime, range(t, t + n))))
-        if any(scaled):
-            lines = text.splitlines(keepends=True)
-            for i, d in enumerate(scaled):
-                if d:
-                    trial = _reciprocity_trial(h, coprime[i], _defect(h, coprime[i], d))
-                    rec = _record(name, t + i, *trial, tol)
-                    lines[i] = _line(rec)
-                    summary.add(tol, t + i, rec.residual, rec.passed, rec.kappa, False)
-            text = "".join(lines)
-        fp.write(text)
-        t += n
-    summary.passed += t - summary.total  # the zero defects, each passing
-    summary.total = t
-    return summary
-
-
 def _write_suite(name: str, config: TrialConfig, fp: TextIO) -> SuiteSummary:
     """Write one suite's lines as its trials are decided; return its summary."""
-    if name == "reciprocity":
-        return _write_reciprocity(config, fp)
-    summary, shapes, tol = SuiteSummary(name), {}, config.tol
-    for t, trial in enumerate(SUITES[name](name, config)):
-        fields = _decide(*trial, tol)
-        fp.write(_compiled_line(name, t, fields, shapes))
-        summary.add(tol, t, *fields[3:])
-    return summary
+    return SUITES[name](name, config, fp)
+
+
+def run_suite(name: str, config: TrialConfig) -> list[VerificationRecord]:
+    """Run one suite's writer and read its lines back: a record per trial in
+    trial order, holding the report's values ([re, im], "p/q", [[a, b],
+    [c, d]], "inf"); deterministic given the config (seed included)."""
+    if name not in SUITES:
+        raise DomainError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
+    buf = io.StringIO()
+    _write_suite(name, config, buf)
+    fields = itemgetter(
+        "suite", "trial", "inputs", "expected", "observed", "residual", "pass", "kappa"
+    )
+    return [
+        VerificationRecord(*fields(r), r.get("inconclusive", False))
+        for r in map(json.loads, buf.getvalue().splitlines())
+    ]
 
 
 def _fork_tail() -> bool:

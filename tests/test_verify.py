@@ -21,6 +21,7 @@ import thetamod.dedekind
 import thetamod.multipliers
 import thetamod.verify
 from thetamod.cli import _build_parser, _parse_complex, main
+from thetamod.dedekind import reciprocity_defect
 from thetamod.errors import DomainError
 from thetamod.exact import UnitPhase, rational_str
 from thetamod.modgroup import (
@@ -33,6 +34,7 @@ from thetamod.modgroup import (
 )
 from thetamod.series import DEFAULT_TOL
 from thetamod.verify import (
+    RECIPROCITY_BOUND,
     SUITES,
     TrialConfig,
     VerificationRecord,
@@ -257,48 +259,37 @@ def _hand_built_records():
 
 
 def test_report_lines_equal_the_encoder(monkeypatch):
-    # write_report writes every line itself, and passing reciprocity records
-    # from a row template; every line must be the encoder's text of the
-    # record run_suite gives
-    corpus = (Sl2Matrix(1, 0, 10**6, 1),)  # out of the series' reach
-    stuck = TrialConfig(trials=1, corpus=corpus, suites=("theorem1",))
-    inconclusive = run_suite("theorem1", stuck)
-    assert inconclusive[0].inconclusive
-    with monkeypatch.context() as patch:
-        _corrupt_direct_total(patch)
-        failing = [r for r in run_suite("reciprocity", SMALL) if not r.passed]
-    assert len(failing) == 58
-    config = TrialConfig(seed=7, trials=8)
-    records = [r for name in SUITES for r in run_suite(name, config)]
-    records += inconclusive + failing
-    encode = _RECORD_ENCODER.encode
-    want = [encode(to_json_dict(r)) + "\n" for r in records]
+    # _line writes every hand-built record as the reference encoder does, and
+    # the report lines it writes, an inconclusive trial's and a nonzero
+    # reciprocity defect's, are the reference encoder's text of their records
     hand = _hand_built_records()
     for rec in hand:
-        assert thetamod.verify._line(rec) == encode(to_json_dict(rec)) + "\n"
+        assert thetamod.verify._line(rec) == _reference_line(rec)
     assert '"inconclusive": true' in thetamod.verify._line(hand[-1])
-
-    # in place, not in a forked child; test_forked_report_is_the_in_place_report
-    # pins the forked report's bytes to these
-    monkeypatch.setattr(thetamod.verify, "_fork_tail", lambda: False)
-    lines = []
-    for run in (config, stuck):
-        lines += _render(run).splitlines(keepends=True)[:-1]
-    with monkeypatch.context() as patch:
-        _corrupt_direct_total(patch)
-        report = _render(TrialConfig(seed=7, trials=8, suites=("reciprocity",)))
-    *report, _ = report.splitlines(keepends=True)
-    lines += [line for line in report if '"pass": false' in line]
-    assert lines == want
-    assert sum(r.suite == "reciprocity" for r in records) == 24463 + 58
+    corpus = (Sl2Matrix(1, 0, 10**6, 1),)  # out of the series' reach
+    stuck = TrialConfig(trials=1, corpus=corpus, suites=("theorem1",))
+    line, _ = _render(stuck).splitlines(keepends=True)
+    rec = json.loads(line)
+    args = ("theorem1", 0, rec["inputs"], None, None, math.inf, False)
+    assert line == _reference_line(VerificationRecord(*args, inconclusive=True))
+    _corrupt_direct_total(monkeypatch)
+    *lines, _ = _render(TrialConfig(suites=("reciprocity",))).splitlines(keepends=True)
+    failing = [line for line in lines if '"pass": false' in line]
+    assert len(failing) == 58
+    for line in failing:
+        rec = json.loads(line)
+        args = ("reciprocity", rec["trial"], rec["inputs"], Fraction(0), Fraction(1, 49))
+        assert line == _reference_line(VerificationRecord(*args, "exact", False))
 
 
 @pytest.mark.parametrize("seed", [1, 7])
 def test_every_suites_lines_are_the_reference_encoders(seed):
-    config = TrialConfig(seed=seed)
-    *lines, _ = _render(config).splitlines(keepends=True)
-    records = [r for name in SUITES for r in run_suite(name, config)]
-    assert lines == [_reference_line(r) for r in records]
+    # every line of the report, the summary's too, is the json module's text
+    # of its parse
+    lines = _render(TrialConfig(seed=seed)).splitlines()
+    assert len(lines) == 25865
+    for line in lines:
+        assert line == _RECORD_ENCODER.encode(json.loads(line))
 
 
 def _finite_hand_built_records():
@@ -381,20 +372,18 @@ def test_finite_records_take_the_template_path(monkeypatch):
 
 
 def test_reciprocity_builds_a_record_only_for_a_nonzero_defect(monkeypatch):
+    # _line writes the row template's marker record, then one record per
+    # nonzero defect
     built = []
-    record = thetamod.verify._record
-
-    def spy(suite, *args):
-        built.append(suite)
-        return record(suite, *args)
-
-    monkeypatch.setattr(thetamod.verify, "_record", spy)
+    line = thetamod.verify._line
+    monkeypatch.setattr(thetamod.verify, "_line", lambda r: built.append(r.trial) or line(r))
     config = TrialConfig(seed=7, suites=("reciprocity",))
     write_report(io.StringIO(), config)
-    assert built.count("reciprocity") == 0
+    assert built == ["<t>"]
     _corrupt_direct_total(monkeypatch)
     write_report(io.StringIO(), config)
-    assert built.count("reciprocity") == 58
+    assert built[1] == "<t>" and len(built) == 2 + 58
+    assert all(type(t) is int for t in built[2:])
 
 
 def test_inconclusive_record_is_strict_json(tmp_path):
@@ -593,7 +582,7 @@ def test_corpus_roundtrip(tmp_path):
     assert corpus == (Sl2Matrix(2, 1, 1, 1), Sl2Matrix(1, 0, 1, 1))
     config = TrialConfig(seed=1, trials=2, suites=("lemma1",), corpus=corpus)
     records = run_suite("lemma1", config)
-    assert [r.inputs["matrix"] for r in records] == list(corpus)
+    assert [r.inputs["matrix"] for r in records] == [M.to_lists() for M in corpus]
     assert all(r.passed for r in records)
 
 
@@ -1005,6 +994,20 @@ def test_cli_verify_failing_suite_exits_1(tmp_path, capsys):
     assert summary["pass"] is False
 
 
+def test_cli_verify_refuses_a_tol_whose_inner_tol_underflows(tmp_path, capsys):
+    # the numeric suites sum their series to tol * 1e-3, which is 0.0 below
+    # about 2.47e-321: refused with the tol given, before any line
+    out = tmp_path / "r.jsonl"
+    argv = ["verify", "--tol", "1e-321", "--suite", "lemma1", "--suite", "eq1"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(argv) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.count("tol 1e-321 is too small") == 2
+    assert TrialConfig(tol=1e-320).tol == 1e-320
+
+
 # --- the reciprocity suite's direct-sum table ------------------------------
 
 
@@ -1058,10 +1061,9 @@ def test_each_failing_line_shows_its_own_defect(monkeypatch):
 
 
 def test_reciprocity_table_built_once_per_run(monkeypatch, tmp_path):
-    # every run builds its table in one walk of the defect rows: run_suite's
-    # through reciprocity_defects, the writer's by the name verify imports.
-    # Each walk appends a line to a file, so a walk in write_report's forked
-    # child is counted too.
+    # every run of the reciprocity writer builds its table in one walk of the
+    # defect rows, run_suite's and write_report's alike.  Each walk appends a
+    # line to a file, so a walk in write_report's forked child is counted too.
     log = tmp_path / "walks"
     log.touch()
     walk = thetamod.dedekind._defect_rows
@@ -1074,10 +1076,9 @@ def test_reciprocity_table_built_once_per_run(monkeypatch, tmp_path):
     def walks():
         return [int(line) for line in log.read_text().split()]
 
-    monkeypatch.setattr(thetamod.dedekind, "_defect_rows", counting)
     monkeypatch.setattr(thetamod.verify, "_defect_rows", counting)
     _reciprocity_failures()
-    assert walks() == [thetamod.verify.RECIPROCITY_BOUND]
+    assert walks() == [RECIPROCITY_BOUND]
     config = TrialConfig(seed=7, trials=2, suites=("lemma1", "reciprocity"))
     write_report(io.StringIO(), config)
     assert len(walks()) == 2
@@ -1097,7 +1098,7 @@ def test_reciprocity_table_not_built_at_import():
         "sys.setprofile(count)\n"
         "import thetamod, thetamod.cli, thetamod.verify\n"
         "print(len(calls))\n"
-        "list(thetamod.dedekind.reciprocity_defects(3))\n"
+        "list(thetamod.dedekind._defect_rows(3))\n"
         "sys.setprofile(None)\n"
         "print(len(calls))\n"
     )
@@ -1131,10 +1132,14 @@ def test_suite_record_counts(trials):
 
 
 def test_reciprocity_pairs_are_coprime_and_h_major():
-    bound = range(1, thetamod.verify.RECIPROCITY_BOUND + 1)
+    # each line's defect is the one the O(k) single-pair loop gives, which
+    # shares no table and no lane with the row walk the suite reads
+    bound = range(1, RECIPROCITY_BOUND + 1)
     pairs = [(h, k) for h in bound for k in bound if math.gcd(h, k) == 1]
     records = run_suite("reciprocity", SMALL)
     assert [(r.inputs["h"], r.inputs["k"]) for r in records] == pairs
+    for r, pair in zip(records, pairs):
+        assert r.observed == rational_str(reciprocity_defect(*pair)), pair
 
 
 # --- values that start with "-" ----------------------------------------------
@@ -1314,20 +1319,18 @@ def test_head_error_kills_and_reaps_the_child(monkeypatch, error):
 
 
 def _exits(code):
-    def suite(name, config):
+    def write(name, config, fp):
         os._exit(code)
-        yield  # a generator, like every suite
 
-    return suite
+    return write
 
 
-def _kills_itself(name, config):
+def _kills_itself(name, config, fp):
     os.kill(os.getpid(), signal.SIGKILL)
-    yield
 
 
-def _divides_by_zero(name, config):
-    yield {"x": 1 / 0}, None, 1.0
+def _divides_by_zero(name, config, fp):
+    return 1 / 0
 
 
 @pytest.mark.parametrize(
@@ -1341,7 +1344,7 @@ def _divides_by_zero(name, config):
     ids=["raises", "exits-0-unsent", "exits-3", "killed"],
 )
 def test_tail_failure_is_never_a_report(monkeypatch, tmp_path, suite, error, match):
-    # the parity-mod4 suite raises, or stops its process before the
+    # the parity-mod4 suite's writer raises, or stops its process before the
     # summaries are sent: write_report raises, and leaves no summary line
     monkeypatch.setattr(thetamod.verify, "_fork_tail", lambda: True)
     monkeypatch.setitem(SUITES, "parity-mod4", suite)
