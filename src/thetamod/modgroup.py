@@ -216,23 +216,33 @@ def _close_word(letters: list[Letter], a: int, b: int) -> GeneratorWord:
     return GeneratorWord(tuple(letters), sign)
 
 
+def _euclid(a: int, b: int, c: int, d: int) -> tuple[list[int], int, int]:
+    """(ms, a, b) with (a b; c d) = T^{m1} S T^{m2} S ... T^{mr} S (a b; 0 a).
+
+    Euclid's reduction on four ints: while c != 0, peel T^{round(a/c)} then
+    S from the left; |c| at least halves each round.  Only m1 can be 0.
+    """
+    ms = []
+    while c != 0:
+        m = -((c - 2 * a) // (2 * c))  # _round_half_down(a, c), inline
+        ms.append(m)
+        a, b, c, d = c, d, m * c - a, m * d - b  # M = T^m S M' => M' = S^-1 T^-m M
+    return ms, a, b
+
+
 def decompose_gamma(A: Sl2Matrix) -> GeneratorWord:
     """Express A as sign * T^{m1} S T^{m2} S ... T^{mr} (letters S, T^m).
 
-    Euclidean reduction: while c != 0, peel T^{round(a/c)} then S from the
-    left; |c| at least halves each round, so the word length is
-    O(log max-entry).  Zero T-exponents are dropped, so no two adjacent
-    letters are powers of the same generator.
+    The rounds of :func:`_euclid`, each T^m (dropped if m = 0) then S, and
+    its remainder's T^j: O(log max-entry) letters, no two adjacent ones
+    powers of the same generator.
     """
+    ms, a, b = _euclid(*A)
     letters: list[Letter] = []
-    a, b, c, d = A
-    while c != 0:
-        m = -((c - 2 * a) // (2 * c))  # _round_half_down(a, c), inline
+    for m in ms:
         if m != 0:
             letters.append(_tuple_new(Letter, ("T", m)))
         letters.append(_S_LETTER)
-        # peel: M = T^m S M'  =>  M' = S^{-1} T^{-m} M
-        a, b, c, d = c, d, m * c - a, m * d - b
     return _close_word(letters, a, b)
 
 

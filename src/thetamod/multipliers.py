@@ -32,7 +32,8 @@ negative; then epsilon1(N) = epsilon1(A) e^{i*pi*delta/12} with
 Dedekind reciprocity).  This table, _RIGHT_PHASE, is the one home of these
 phases, and :func:`_right` of the products N, on four ints: :func:`right_step`
 wraps it, :func:`lemma_sides` checks it against Dedekind sums, and
-:func:`theta1_epsilon_induction` inlines its S and T steps along the word.
+:func:`theta1_epsilon_induction` inlines its S and T steps on the word's
+rounds from ``modgroup._euclid``, building no word.
 
 The level-2 laws for theta2/theta3/theta4 have the same shape, with unit
 factor alpha(kind, A) * epsilon1(A), alpha from the law of the
@@ -45,7 +46,7 @@ from __future__ import annotations
 from .dedekind import _g
 from .errors import DomainError, int_text
 from .exact import UnitPhase, jacobi_symbol
-from .modgroup import Letter, Sl2Matrix, _tuple_new, decompose_gamma, is_gamma2
+from .modgroup import Letter, Sl2Matrix, _euclid, _tuple_new, is_gamma2
 from .series import ThetaKind, _char_law
 
 # The right-multiplication laws in units of pi/12, keyed by (generator,
@@ -194,14 +195,14 @@ def lemma_sides(A: Sl2Matrix, letter: Letter) -> tuple[UnitPhase, UnitPhase]:
 def theta1_epsilon_induction(A: Sl2Matrix) -> UnitPhase:
     """epsilon1 rebuilt by structural induction along the generator word.
 
-    The word is T^j S L_1 L_2 ... (T^j possibly empty).  Its prefix T^j S =
-    (j -1; 1 0) has c = 1, where epsilon1 depends only on a + d, so it
-    shares the value -i e^{i*pi*j/4} with S T^j, one right step from the
-    base value epsilon1(S) = -i.  Every later letter is one :func:`_right`
-    step, never to c = 0 (each later S follows a T^m, |m| >= 2), inline on
-    the lower row (c, d) alone, all a step needs: its delta, read from
-    _RIGHT_PHASE once per call, depends only on the sign of the new c.  The
-    induction uses no Dedekind sum and no phase law of its own.
+    The word T^{m1} S T^{m2} S ... T^{mr} S T^{+-b} is read off the rounds
+    and remainder of ``modgroup._euclid``, with no letter or word built.  Its
+    prefix T^{m1} S = (m1 -1; 1 0) has c = 1, where epsilon1 depends only on
+    a + d: it shares -i e^{i*pi*m1/4} with S T^{m1}, one right step from the
+    base epsilon1(S) = -i.  Every later T^m and S is one :func:`_right` step,
+    never to c = 0 (|m| >= 2), inline on the lower row (c, d), all a step
+    needs: its delta, read from _RIGHT_PHASE once per call, depends only on
+    the sign of the new c.  No Dedekind sum, no phase law of its own.
 
     This is the computational content of the induction that extends the
     theta1 law from S to the whole group; agreement with
@@ -209,16 +210,14 @@ def theta1_epsilon_induction(A: Sl2Matrix) -> UnitPhase:
     """
     if A.c == 0:  # the word has no S
         raise DomainError("translation matrices carry no inversion multiplier")
-    letters = decompose_gamma(A).letters
-    j = letters[0].exp if letters[0].gen == "T" else 0
+    ms, a, b = _euclid(*A)
     t = _RIGHT_PHASE["T", False]
     s, s_flipped = _RIGHT_PHASE["S", False], _RIGHT_PHASE["S", True]
-    k, c, d = t * j - 6, 1, 0  # epsilon1(S) = -i, then T^j; T^j S's lower row
-    for gen, exp in letters[2 if j else 1:]:
-        if gen == "T":
-            d, k = d + exp * c, k + t * exp
-        elif d > 0:
+    k, c, d = t * ms[0] - 6, 1, 0  # epsilon1(S) = -i, then T^m1; T^m1 S's lower row
+    for m in ms[1:]:  # T^m, then S
+        d, k = d + m * c, k + t * m
+        if d > 0:
             c, d, k = d, -c, k + s
         else:
             c, d, k = -d, c, k + s_flipped
-    return UnitPhase._of(k)
+    return UnitPhase._of(k + t * a * b)  # the closing T^(a*b), a = +-1

@@ -55,20 +55,20 @@ import math
 import os
 import random
 import shutil
+import sys
 import tempfile
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from numbers import Real
 from operator import itemgetter
 from typing import Callable, Iterable, NoReturn, TextIO
 
 from .dedekind import _defect, _defect_rows
-from .errors import DomainError, PrecisionUnreachableError
+from .errors import DomainError, PrecisionUnreachableError, int_text
 from .exact import UnitPhase, rational_str
 from .modgroup import (
     Letter,
@@ -125,11 +125,11 @@ class TrialConfig:
             raise DomainError(f"seed must be an int, not {self.seed!r}")
         if type(self.trials) is not int or self.trials < 1:  # no bool, no float
             raise DomainError(f"trials must be an int >= 1, not {self.trials!r}")
-        tol = self.tol  # a real number: no bool, no str, no None
-        if type(tol) is bool or not isinstance(tol, Real) or not 0 < tol < math.inf:
-            raise DomainError(f"tol must be positive and finite, got {tol!r}")
+        tol = self.tol  # a real number, finite as a float (10**400 overflows tol * 1e-3)
+        if type(tol) is bool or not isinstance(tol, Real) or not 0 < tol <= sys.float_info.max:
+            raise DomainError(f"tol must be positive and finite, got {int_text(tol)}")
         if not _inner_tol(self):  # the numeric suites' series tolerance underflowed
-            raise DomainError(f"tol {tol!r} is too small: the suites' tolerance is 0")
+            raise DomainError(f"tol {int_text(tol)} is too small: the suites' tolerance is 0")
         unknown = set(self.suites) - set(SUITES)
         if unknown:
             raise DomainError(f"unknown suites: {sorted(unknown)}")
@@ -321,19 +321,20 @@ def _write_reciprocity(name: str, config: TrialConfig, fp: TextIO) -> SuiteSumma
     is exactly zero.  Each run walks its own table: never at import, never kept.
 
     A zero defect passes, decided on the exact rational, with no record: a
-    row of them is one % of a template of (k, trial), h filled in per row,
-    repeated, and one write.  A nonzero defect's line is then replaced by
-    the _line of its record, decided by _decide.
+    row of them is one join of per-pair texts (k, then its trial) between
+    the line's end and its start with h filled in, and one write.  A nonzero
+    defect's line is then replaced by the _line of its record, by _decide.
     """
     tol, zero = config.tol, Fraction(0)
-    marks = {"h": "<h>", "k": "<k>"}
+    marks = {"h": "<h>", "k": "<t>"}  # "<t>" marks two slots: k's, then the trial's
     proto = VerificationRecord(name, "<t>", marks, zero, zero, "exact", True)
-    line = _line(proto).replace('"<h>"', "%d")
-    template = line.replace('"<k>"', "%%d").replace('"<t>"', "%%d")
+    start, mid, end = _line(proto).replace('"<h>"', "%d").split('"<t>"')
+    ks = [f"{k}{mid}" for k in range(RECIPROCITY_BOUND + 1)]
     summary, t = SuiteSummary(name), 0
     for h, coprime, scaled in _defect_rows(RECIPROCITY_BOUND):
-        n = len(coprime)
-        text = (template % h) * n % tuple(chain(*zip(coprime, range(t, t + n))))
+        n, first = len(coprime), start % h
+        pairs = map(str.__add__, map(ks.__getitem__, coprime), map(str, range(t, t + n)))
+        text = first + (end + first).join(pairs) + end
         if any(scaled):
             lines = text.splitlines(keepends=True)
             for i, d in enumerate(scaled):

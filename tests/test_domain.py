@@ -23,6 +23,7 @@ from thetamod.exact import UnitPhase, jacobi_symbol
 from thetamod.modgroup import (
     GeneratorWord,
     Sl2Matrix,
+    _euclid,
     decompose_gamma,
     decompose_gamma2,
     mobius,
@@ -140,6 +141,11 @@ def test_matrix_functions_return_their_type_or_a_domain_error(A, kind):
         assert type(value) is returns, (call, A, value)
         if returns is GeneratorWord:
             assert recompose(value) == A, (call, A, value)
+    # the Euclid walk behind decompose_gamma and the induction: int rounds,
+    # only the first of which can be 0, down to the remainder +-T^b
+    ms, a, _ = _euclid(*A)
+    assert all(type(m) is int for m in ms) and a in (1, -1), (A, ms, a)
+    assert all(abs(m) >= 2 for m in ms[1:]), (A, ms)
 
 
 # the direct series, as f(kind, z, tau); theta1_sine_series has no kind to draw

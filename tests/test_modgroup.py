@@ -437,6 +437,24 @@ def _reference_decompose(A):
     return _reference_close(letters, M)
 
 
+def _one_loop_decompose(A):
+    """decompose_gamma as one loop on four ints that appends each round's
+    letters as it peels them, T^m (unless m = 0) then S, with no list of
+    rounds between, and closes on the remainder +-T^j itself."""
+    letters = []
+    a, b, c, d = A
+    while c != 0:
+        m = -((c - 2 * a) // (2 * c))
+        if m != 0:
+            letters.append(Letter("T", m))
+        letters.append(Letter("S"))
+        a, b, c, d = c, d, m * c - a, m * d - b
+    sign = 1 if a == 1 else -1
+    if b != 0:
+        letters.append(Letter("T", sign * b))
+    return GeneratorWord(tuple(letters), sign)
+
+
 def _reference_decompose2(A):
     """decompose_gamma2's word, from one Sl2Matrix per Euclid step."""
     letters, M = [], A
@@ -482,6 +500,27 @@ def test_decompose_gamma_matches_a_per_step_matrix_walk(huge_matrices):
     for A in matrices:
         w = decompose_gamma(A)
         assert w == _reference_decompose(A), A
+        assert recompose(w) == A
+
+
+def test_decompose_gamma_is_the_one_loop_word():
+    """5,000 seeded matrices, c log-uniform from 1 to 10^18, each and its
+    negation, plus +-I and +-T^b: the word built from the list of Euclid's
+    rounds is the one loop's, letter for letter and sign for sign."""
+    rng = random.Random(53)
+    matrices = []
+    while len(matrices) < 5000:
+        c = int(10 ** rng.uniform(0, 18))
+        d = rng.randint(-4 * c, 4 * c)
+        if math.gcd(c, d) != 1:
+            continue
+        a = pow(d, -1, c) + c * rng.randint(-3, 3)
+        matrices.append(Sl2Matrix(a, (a * d - 1) // c, c, d))
+    matrices += [translation(b) for b in (0, 1, -1, 2, -7, 10**18, -(10**30))]
+    for A in matrices + [-A for A in matrices]:
+        w, reference = decompose_gamma(A), _one_loop_decompose(A)
+        assert w == reference and str(w) == str(reference), A
+        assert all(type(l) is Letter and type(l.exp) is int for l in w.letters), A
         assert recompose(w) == A
 
 

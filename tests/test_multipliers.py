@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from thetamod import multipliers, transform
+from thetamod import modgroup, multipliers, transform
 from thetamod.dedekind import dedekind_sum
 from thetamod.errors import DomainError
 from thetamod.exact import UnitPhase
@@ -336,6 +336,30 @@ def test_the_induction_builds_no_matrix_per_letter(monkeypatch):
         totals.append(sum(made.values()))
         assert induced == theta1_epsilon(A), A
     assert totals[0] == totals[1] <= 2, totals
+
+
+def test_the_induction_builds_no_word(monkeypatch):
+    """The induction reads Euclid's rounds as plain ints: with the word's
+    constructors made to raise, decompose_gamma fails and the induction
+    still gives theta1_epsilon, on short words and on c up to 10^18."""
+
+    def refuse(*args):
+        raise AssertionError("a generator word was built")
+
+    monkeypatch.setattr(modgroup, "_close_word", refuse)
+    monkeypatch.setattr(modgroup, "GeneratorWord", refuse)
+    rng = random.Random(59)
+    matrices = [A for A, _ in _draws(32, 300)]
+    while len(matrices) < 600:
+        c = int(10 ** rng.uniform(0, 18))
+        d = rng.randint(-4 * c, 4 * c)
+        if math.gcd(c, d) == 1:
+            a = pow(d, -1, c)
+            matrices.append(Sl2Matrix(a, (a * d - 1) // c, c, d))
+    for A in matrices:
+        with pytest.raises(AssertionError, match="word was built"):
+            decompose_gamma(A)
+        assert theta1_epsilon_induction(A) == theta1_epsilon(A), A
 
 
 def _induction_by_right(A, steps):

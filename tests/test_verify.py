@@ -22,7 +22,7 @@ import thetamod.multipliers
 import thetamod.verify
 from thetamod.cli import _build_parser, _parse_complex, main
 from thetamod.dedekind import reciprocity_defect
-from thetamod.errors import DomainError
+from thetamod.errors import DomainError, int_text
 from thetamod.exact import UnitPhase, rational_str
 from thetamod.modgroup import (
     IDENTITY,
@@ -163,6 +163,22 @@ def test_config_validation():
     assert TrialConfig(suites=["lemma1", "eq2", "lemma1"]).suites == ("lemma1", "eq2")
     assert TrialConfig(seed=-7, tol=1).tol == 1
     assert main(["verify", "--suite", "eq2", "--trials", "3", "--tol", "inf"]) == 2
+
+
+def test_a_tol_no_float_holds_is_refused_by_name():
+    # no float holds these: the numeric suites' tol * 1e-3 was a raw
+    # OverflowError for the positive ones; one too long to print is named
+    # by its size
+    for tol in (10**400, -(10**400), Fraction(10**400), 10**308 * 10, 10**5000):
+        with pytest.raises(DomainError, match="^tol must be positive and finite, got") as err:
+            TrialConfig(tol=tol)
+        assert str(err.value).endswith(f"got {int_text(tol)}"), tol
+    assert "<int of about 5001 digits>" in int_text(10**5000)
+    # one too small to leave a float, and too long to print, was a raw ValueError
+    with pytest.raises(DomainError, match="^tol <Fraction too long to print> is too small"):
+        TrialConfig(tol=Fraction(1, 10**5000))
+    assert TrialConfig(tol=10**308).tol == 10**308
+    assert TrialConfig(tol=Fraction(1, 10**9)).tol == Fraction(1, 10**9)
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
