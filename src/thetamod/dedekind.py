@@ -90,13 +90,9 @@ def dedekind_sum(h: int, k: int) -> Fraction:
 
 
 def _direct_total(h: int, k: int) -> int:
-    """T(h, k) = sum_{r=1}^{k-1} r*(h*r mod k) for 0 <= h < k: the O(k) loop.
-
-    The single-pair form of the oracle, in O(1) memory for any k: it serves
-    :func:`reciprocity_defect`, and is the tests' reference for ``_direct_row``
-    and their direct s(h, k).  The residue h*r mod k is carried
-    by repeated addition, so the loop multiplies only r*m.
-    """
+    """T(h, k) = sum_{r=1}^{k-1} r*(h*r mod k) for 0 <= h < k: the O(k) loop
+    of the module docstring.  The residue h*r mod k is carried by repeated
+    addition, so the loop multiplies only r*m."""
     total = 0
     m = 0
     for r in range(1, k):
@@ -206,13 +202,11 @@ def reciprocity_defect(h: int, k: int) -> Fraction:
     Both sums come from the O(k) definition, never from the
     reciprocity-based :func:`dedekind_sum`.
     """
-    if type(h) is not int or type(k) is not int:  # no bool, no float
-        raise not_an_int("reciprocity_defect", h=h, k=k)
-    if h <= 0 or k <= 0:
+    _require_coprime(h, k, "reciprocity_defect")
+    if h <= 0:
         raise DomainError(
             f"reciprocity_defect needs h, k >= 1, got ({int_text(h)}, {int_text(k)})"
         )
-    _require_coprime(h, k, "reciprocity_defect")
     pair = (k, _direct_total(h % k, k), _direct_total(k % h, h))
     return _defect(h, k, _scaled_defects(h, [pair])[0])
 

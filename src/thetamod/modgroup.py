@@ -32,11 +32,8 @@ MAX_WORD_LETTERS = 100_000  # decompose_gamma2's cap; decompose_gamma's words ar
 
 
 class Sl2Matrix(NamedTuple):
-    """Integer 2x2 matrix (a b; c d), determinant 1, as a tuple of its entries.
-
-    Equal to and hashing like (a, b, c, d); ``2 * A`` and ``A + B`` are tuple
-    operations.  Checked once when built; ``A * B`` and ``-A`` are not.
-    """
+    """Integer 2x2 matrix (a b; c d), determinant 1, as a tuple of its entries
+    (see the module docstring)."""
 
     a: int
     b: int
@@ -135,6 +132,11 @@ def mobius(A: Sl2Matrix, tau: complex) -> complex:
 def is_gamma2(A: Sl2Matrix) -> bool:
     """True iff A is congruent to the identity mod 2 (a, d odd; b, c even)."""
     return A.a % 2 == 1 and A.d % 2 == 1 and A.b % 2 == 0 and A.c % 2 == 0
+
+
+def _not_gamma2(A: Sl2Matrix) -> DomainError:
+    """The DomainError refusing A, not in Gamma(2), where level 2 is needed."""
+    return DomainError(f"{A} is not congruent to the identity mod 2")
 
 
 def normalize_sign(A: Sl2Matrix) -> tuple[Sl2Matrix, bool]:
@@ -254,14 +256,12 @@ def decompose_gamma2(A: Sl2Matrix) -> GeneratorWord:
     odd/even split of a and c makes exact ties impossible and guarantees
     strict decrease.  Gamma(2) mod +-I is free on T^2 and S2 (Sanov), so the
     word is unique, and it can be as long as the entries are large: that of
-    (1-n 2-n; -n 1-n) has n - 1 letters, nearly all in one run of the pair
-    S2^e T^{-2e}, which is where |c/a| is near 1.  A run is taken at once,
-    its k pairs by their product (-1)^k (1+2k -2ek; 2ek 1-2k).  Past
+    (1-n 2-n; -n 1-n) has n - 1 letters.  The cap bounds the walk: past
     MAX_WORD_LETTERS letters it stops with a DomainError; a word it returns
     has at most one letter more, the closing T^j.
     """
     if not is_gamma2(A):
-        raise DomainError(f"{A} is not congruent to the identity mod 2")
+        raise _not_gamma2(A)
     letters: list[Letter] = []
     a, b, c, d = A
     while c != 0:
@@ -270,22 +270,6 @@ def decompose_gamma2(A: Sl2Matrix) -> GeneratorWord:
                 f"the level-2 word of {A} has more than {MAX_WORD_LETTERS} letters"
             )
         if abs(c) >= abs(a):
-            # with e c/a = 1 + 1/r, r = |a|/D: the pair comes while r > 3/2, and
-            # each pair takes 2 off r; a run past the cap is cut there, and refused
-            e = 1 if (a > 0) == (c > 0) else -1
-            D = abs(c) - abs(a)  # > 0: a is odd and c even
-            k = min(-((3 * D - 2 * abs(a)) // (4 * D)), MAX_WORD_LETTERS)
-            if k > 0:
-                pair = (("S2", e), ("T", -2 * e))
-                letters += [_tuple_new(Letter, letter) for letter in pair] * k
-                s, p, q = -1 if k % 2 else 1, 2 * e * k, 2 * k
-                a, b, c, d = (
-                    s * ((1 + q) * a - p * c),
-                    s * ((1 + q) * b - p * d),
-                    s * (p * a + (1 - q) * c),
-                    s * (p * b + (1 - q) * d),
-                )
-                continue
             m = _round_half_down(c, 2 * a)
             letters.append(_tuple_new(Letter, ("S2", m)))
             c, d = c - 2 * m * a, d - 2 * m * b  # S2^-m M

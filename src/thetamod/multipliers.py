@@ -46,7 +46,7 @@ from __future__ import annotations
 from .dedekind import _g
 from .errors import DomainError, int_text
 from .exact import UnitPhase, jacobi_symbol
-from .modgroup import Letter, Sl2Matrix, _euclid, _tuple_new, is_gamma2
+from .modgroup import Letter, Sl2Matrix, _euclid, _not_gamma2, _tuple_new, is_gamma2
 from .series import ThetaKind, _char_law
 
 # The right-multiplication laws in units of pi/12, keyed by (generator,
@@ -121,7 +121,7 @@ def _require_gamma2(kind: ThetaKind, A: Sl2Matrix) -> None:
     if kind not in ALPHA_KINDS:
         raise DomainError(f"gamma2_alpha applies to theta2/3/4, not {kind}")
     if not is_gamma2(A):
-        raise DomainError(f"{A} is not congruent to the identity mod 2")
+        raise _not_gamma2(A)
 
 
 def gamma2_alpha(kind: ThetaKind, A: Sl2Matrix) -> UnitPhase:
@@ -164,16 +164,13 @@ def _right(a: int, b: int, c: int, d: int, gen: str, exp: int) -> tuple:
 def right_step(A: Sl2Matrix, letter: Letter) -> tuple[Sl2Matrix, int]:
     """(N, delta): N = +-A L, c_N > 0, epsilon1(N) = epsilon1(A) e^{i*pi*delta/12}.
 
-    For c_A > 0 and L one of T^m, S, S2, by :func:`_right`.  Any other
-    letter, or a product with lower-left entry 0, is a DomainError.
+    For c_A > 0 and L one of T^m, S, S2, by :func:`_right`.  Any other letter
+    (see ``Letter.matrix``), or a product with lower-left entry 0, is a DomainError.
     """
     _require_positive_c(A, "right_step")
+    letter.matrix()  # the letter rule: a known generator, an int exponent
     gen, exp = letter
-    if gen not in ("T", "S", "S2"):
-        raise DomainError(f"unknown generator {gen!r}")
-    if gen == "S" and exp != 1:  # S^2 = -I, so no other power of S is S
-        raise DomainError(f"an S letter has exponent 1, not {exp}")
-    if (gen == "S2" and exp != 1) or type(exp) is not int:
+    if gen == "S2" and exp != 1:
         raise DomainError(f"right_step takes T^m, S or S2, not {letter}")
     *N, delta = _right(*A, gen, exp)
     if N[2] == 0:

@@ -28,7 +28,13 @@ import enum
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, PrecisionUnreachableError, require_upper_half
+from .errors import (
+    DomainError,
+    PrecisionUnreachableError,
+    checked_tol,
+    require_count,
+    require_upper_half,
+)
 
 DEFAULT_TOL = 1e-10
 MAX_INDEX = 10**6
@@ -115,8 +121,7 @@ def truncation_bound(kind: ThetaKind, z: complex, tau: complex, N: int) -> float
     rounds to 1, when t(m0) would overflow, and when either logarithm is NaN.
     """
     require_upper_half(tau, z)
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
+    require_count("N", N)
     return _tail_bound(kind, complex(tau).imag, abs(complex(z).imag), N)
 
 
@@ -164,11 +169,9 @@ def truncation_index(
     reachability (the start's own value when it is clamped to max_index);
     N then steps up from it.
     """
-    if not 0 < tol < math.inf:  # also rejects NaN
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    tol = checked_tol(tol)
     require_upper_half(tau, z)
-    if max_index < 1:
-        raise DomainError(f"max_index must be >= 1, got {max_index}")
+    require_count("max_index", max_index)
     y, beta = complex(tau).imag, abs(complex(z).imag)
     return _truncation_index(kind, y, beta, tol, max_index)
 
@@ -326,13 +329,7 @@ def theta_series_report(
     beyond the float range (a term's modulus or phase overflows, or the sum
     is not finite) is a DomainError, raised outside any handler.
     """
-    if not 0 < tol < math.inf:  # truncation_index's checks, inlined: no extra call
-        raise DomainError(f"tol must be positive and finite, got {tol}")
-    require_upper_half(tau, z)
-    if max_index < 1:
-        raise DomainError(f"max_index must be >= 1, got {max_index}")
-    y, beta = complex(tau).imag, abs(complex(z).imag)
-    N = _truncation_index(kind, y, beta, tol, max_index)
+    N = truncation_index(kind, z, tau, tol, max_index)
     w, t = _real_periods(z, tau)
     try:  # the largest term's exp, the only one that can overflow
         value = _partial_sum(kind, w, t, N)
@@ -398,6 +395,7 @@ def half_period_shift(
 
     Callers combine this with the sign table in the module docstring, e.g.
     half_period_shift(THETA2, z, tau) equals theta2(z, tau) because
-    theta1(z + 1/2) = theta2(z).
+    theta1(z + 1/2) = theta2(z).  Its point errors name the caller's z.
     """
+    require_upper_half(tau, z)  # before z + 1/2, which an int z can overflow
     return theta_series(HALF_PERIOD_PARTNER[kind], z + 0.5, tau, tol)

@@ -22,13 +22,10 @@ Fast evaluation reduces tau into the fundamental domain (|Re| <= 1/2,
 transformation factor back out in one step, with the exact integer matrix
 (as Johansson, arXiv:1806.06725, does); z is then reduced by
 quasi-periodicity into |Im z'| <= Im tau'/2, so the series sums a handful
-of terms wherever z lies.  The reduction loop carries only the
-reducing matrix beside tau.  The law is then applied once on that matrix,
-its exponent folded into the exponent of the series' largest term together
-with the z shift's, so only a value beyond the float range fails.
-eval_fast and eval_fast_report share one kernel, :func:`_eval_fast`: it
-checks the caller's arguments once, hands the point it reduced straight to
-series' truncation core, and eval_fast builds no record from its pieces.
+of terms wherever z lies (see :func:`eval_fast_report`).  eval_fast and
+eval_fast_report share one kernel, :func:`_eval_fast`: it checks the
+caller's arguments once, hands the point it reduced straight to series'
+truncation core, and eval_fast builds no record from its pieces.
 :func:`apply_letter` holds theta1's two generator laws alone, the paper's
 eq1 and eq2, off both paths: it is the independent chained oracle that
 :func:`predict_theta1_chained` walks (the eq1, eq2 and chain-vs-direct
@@ -41,7 +38,7 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, require_upper_half
+from .errors import DomainError, checked_tol, require_count, require_upper_half
 from .modgroup import (
     GeneratorWord,
     Letter,
@@ -193,10 +190,10 @@ def reduce_tau(tau: complex) -> tuple[Sl2Matrix, complex]:
 
 def _reduce_steps(tau: complex) -> tuple[tuple[int, int, int, int], complex, list[int]]:
     """Reduce tau, carrying the reducing matrix: returns ((a, b, c, d), tau', letters).
-  A = (a b; c d) is the left
-    product of the letters, not normalized, and A tau = tau'.  The letters
-    are ints in application order: T^k as k != 0, S as 0.  tau must already
-    have passed require_upper_half.
+
+    A = (a b; c d) is the left product of the letters, not normalized, and
+    A tau = tau'.  The letters are ints in application order: T^k as k != 0,
+    S as 0.  tau must already have passed require_upper_half.
     """
     letters: list[int] = []
     a, b, c, d = 1, 0, 0, 1
@@ -274,8 +271,7 @@ def _eval_fast(
     """The kernel of eval_fast and eval_fast_report: their raw pieces
     (value, N, tau_c, kind_c, letters, entries), with the caller's arguments
     checked once and the reduced point, which it builds, not again."""
-    if not 0 < tol < math.inf:  # NaN too; names the caller's tol, not inner_tol
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    tol = checked_tol(tol)  # names the caller's tol, not inner_tol
     require_upper_half(tau, z)
     z = complex(z)
     n = round(z.real) if abs(z.real) > 0.5 else 0
@@ -293,8 +289,7 @@ def _eval_fast(
     inner_tol = tol if shift.real <= 0 else tol * math.exp(-shift.real)  # NaN stays NaN
     value = _INF
     if inner_tol / 2 > 0 and cmath.isfinite(shift):  # else the value's scale overflows
-        if max_index < 1:  # only where a series is summed: reduction errors come first
-            raise DomainError(f"max_index must be >= 1, got {max_index}")
+        require_count("max_index", max_index)  # only here: reduction errors come first
         N = _truncation_index(kind_c, tau_c.imag, abs(w.imag), inner_tol, max_index)
         try:  # the largest term's exp overflows, or a ratio's phase (a huge Re w)
             value = _partial_sum(kind_c, w, tau_c, N, shift)
@@ -341,9 +336,6 @@ def eval_fast_report(
     DomainErrors naming the caller's z and tau, the last two also Re shift,
     the log-scale.  They are raised outside any handler: they chain no inner
     exception, and their tracebacks hold only the frames they passed through.
-
-    It and eval_fast run one kernel, which checks tol, z and tau once; this
-    function only wraps the kernel's pieces in a FastEvaluation.
     """
     value, N, tau_c, kind_c, letters, entries = _eval_fast(kind, z, tau, tol, max_index)
     return FastEvaluation(

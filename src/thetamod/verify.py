@@ -55,7 +55,6 @@ import math
 import os
 import random
 import shutil
-import sys
 import tempfile
 import threading
 from collections.abc import Sequence
@@ -63,17 +62,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii
-from numbers import Real
 from operator import itemgetter
 from typing import Callable, Iterable, NoReturn, TextIO
 
 from .dedekind import _defect, _defect_rows
-from .errors import DomainError, PrecisionUnreachableError, int_text
+from .errors import DomainError, PrecisionUnreachableError, checked_tol, int_text
 from .exact import UnitPhase, rational_str
 from .modgroup import (
     Letter,
     S,
     Sl2Matrix,
+    _not_gamma2,
     decompose_gamma,
     is_gamma2,
     mobius,
@@ -121,13 +120,13 @@ class TrialConfig:
         # each suite runs once, at its first position: a repeat would write
         # its records twice under one summary entry
         object.__setattr__(self, "suites", tuple(dict.fromkeys(names)))
-        if type(self.seed) is not int:  # no bool, no str, no None
-            raise DomainError(f"seed must be an int, not {self.seed!r}")
+        seed = int_text(self.seed)  # _rng names each trial's stream by its digits
+        if type(self.seed) is not int or seed.startswith("<"):  # no bool, str or None
+            raise DomainError(f"seed must be an int that prints, not {seed}")
         if type(self.trials) is not int or self.trials < 1:  # no bool, no float
             raise DomainError(f"trials must be an int >= 1, not {self.trials!r}")
-        tol = self.tol  # a real number, finite as a float (10**400 overflows tol * 1e-3)
-        if type(tol) is bool or not isinstance(tol, Real) or not 0 < tol <= sys.float_info.max:
-            raise DomainError(f"tol must be positive and finite, got {int_text(tol)}")
+        tol = self.tol
+        checked_tol(tol)  # the stored tol stays as given
         if not _inner_tol(self):  # the numeric suites' series tolerance underflowed
             raise DomainError(f"tol {int_text(tol)} is too small: the suites' tolerance is 0")
         unknown = set(self.suites) - set(SUITES)
@@ -267,10 +266,8 @@ def _random_matrix(
     if config.corpus is not None:
         A = normalize_sign(config.corpus[trial % len(config.corpus)])[0]
         if gamma2 and not is_gamma2(A):
-            raise DomainError(
-                f"corpus matrix {A} is not congruent to the identity mod 2 "
-                f"(required by suite {suite})"
-            )
+            refusal = _not_gamma2(A)
+            raise DomainError(f"corpus matrix {refusal} (required by suite {suite})")
         if corpus_ok is not None and not corpus_ok(A):
             raise DomainError(f"corpus matrix {A} is out of domain for {suite}")
         return A, rng

@@ -247,8 +247,12 @@ def test_a_non_int_argument_is_named(call, message):
 def test_reciprocity_defect_names_itself():
     with pytest.raises(DomainError, match=r"^reciprocity_defect needs gcd"):
         reciprocity_defect(2, 4)
-    with pytest.raises(DomainError, match=r"^reciprocity_defect needs h, k"):
+    # the coprime-pair rule speaks first, so h = 0 against k = 3 is refused
+    # by its gcd; h = -1 is coprime to 3 and refused by the reciprocity rule
+    with pytest.raises(DomainError, match=r"^reciprocity_defect needs gcd"):
         reciprocity_defect(0, 3)
+    with pytest.raises(DomainError, match=r"^reciprocity_defect needs h, k"):
+        reciprocity_defect(-1, 3)
 
 
 @pytest.mark.parametrize(

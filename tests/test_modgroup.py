@@ -536,8 +536,9 @@ def test_decompose_gamma2_matches_a_per_step_matrix_walk(huge_matrices):
 
 
 def test_decompose_gamma2_takes_a_run_at_once_as_the_walk_would():
-    # near |c/a| = 1 the word is a long run of S2^e T^-2e; taken at once, it
-    # is the per-step walk's word, wherever the run starts and ends
+    # near |c/a| = 1 the word is a long run of S2^e T^-2e; the walk takes it
+    # a letter at a time and gives the reference word, wherever the run
+    # starts and ends
     rng = random.Random(47)
     matrices = [Sl2Matrix(1 - n, 2 - n, -n, 1 - n) for n in range(2, 400, 2)]
     for _ in range(300):

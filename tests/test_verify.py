@@ -181,6 +181,14 @@ def test_a_tol_no_float_holds_is_refused_by_name():
     assert TrialConfig(tol=Fraction(1, 10**9)).tol == Fraction(1, 10**9)
 
 
+def test_a_seed_too_long_to_print_is_refused_by_name():
+    # it was accepted, and write_report then raised a raw ValueError from
+    # printing it into the name of a trial's stream
+    with pytest.raises(DomainError, match="^seed must be an int that prints, not <int of"):
+        TrialConfig(seed=10**5000)
+    assert TrialConfig(seed=-(10**4000)).seed == -(10**4000)
+
+
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_each_suite_passes_small(name):
     config = TrialConfig(seed=3, trials=6, suites=(name,))
